@@ -7,7 +7,8 @@
 //!
 //! The package provides:
 //!
-//! * a [`Bdd`] manager with a unique table (hash-consing) and operation caches,
+//! * a [`Bdd`] manager with a unique table (hash-consing) and a computed
+//!   table caching operation results,
 //! * the classic operations: [`Bdd::ite`], [`Bdd::and`], [`Bdd::or`],
 //!   [`Bdd::xor`], [`Bdd::not`], [`Bdd::implies`], [`Bdd::iff`],
 //! * quantification ([`Bdd::exists`], [`Bdd::forall`]) and the combined

@@ -1,43 +1,8 @@
-//! The BDD manager: node storage, unique table, caches and the node budget.
+//! The BDD manager: node storage, unique table, computed table and the
+//! node budget.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// A fast multiply-rotate hasher (FxHash-style) for the manager's hot
-/// tables; BDD performance is dominated by unique-table and cache
-/// lookups, where SipHash's DoS resistance buys nothing.
-#[derive(Default)]
-pub(crate) struct FxHasher {
-    hash: u64,
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(n as u64);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Index of a BDD node inside a [`Bdd`] manager.
 ///
@@ -91,21 +56,124 @@ impl fmt::Display for BddOverflowError {
 impl Error for BddOverflowError {}
 
 /// An internal decision node: `if var then hi else lo`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Node {
     pub(crate) var: u32,
     pub(crate) lo: NodeId,
     pub(crate) hi: NodeId,
 }
 
-/// Keys for the binary-operation cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Keys for the computed table. The `u32` of the quantification and
+/// renaming keys is an interned cube or map id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CacheKey {
     Ite(NodeId, NodeId, NodeId),
-    Exists(NodeId, u64),
-    Forall(NodeId, u64),
-    AndExists(NodeId, NodeId, u64),
-    Rename(NodeId, u64),
+    Exists(NodeId, u32),
+    Forall(NodeId, u32),
+    AndExists(NodeId, NodeId, u32),
+    Rename(NodeId, u32),
+}
+
+/// Interned cube and map ids stay below this, so they fit under the two
+/// operation-tag bits of [`CacheKey::words`].
+const MAX_INTERNED: u32 = 1 << 29;
+
+impl CacheKey {
+    /// Packs the key into three words. An `Ite` key is its three node ids,
+    /// all below 2^31 (see [`Bdd::MAX_NODES`]); every other key sets the top
+    /// bit of the third word, its operation tag in the next two bits and
+    /// its cube or map id below them. The first word is always a
+    /// non-terminal node: the operations return before caching a terminal
+    /// operand, so an all-zero entry never matches a key.
+    fn words(self) -> [u32; 3] {
+        const TAGGED: u32 = 1 << 31;
+        match self {
+            CacheKey::Ite(f, g, h) => [f.0, g.0, h.0],
+            CacheKey::Exists(f, cube) => [f.0, 0, TAGGED | cube],
+            CacheKey::Forall(f, cube) => [f.0, 0, TAGGED | 1 << 29 | cube],
+            CacheKey::AndExists(f, g, cube) => [f.0, g.0, TAGGED | 2 << 29 | cube],
+            CacheKey::Rename(f, map) => [f.0, 0, TAGGED | 3 << 29 | map],
+        }
+    }
+}
+
+/// Hashes three words to 64 bits; tables index with the top bits.
+fn hash3([a, b, c]: [u32; 3]) -> u64 {
+    let ab = (u64::from(a) << 32 | u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (ab ^ u64::from(c)).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
+}
+
+/// One computed-table entry: a packed key and the operation's result.
+#[derive(Debug, Clone, Copy, Default)]
+struct CacheEntry {
+    key: [u32; 3],
+    result: u32,
+}
+
+/// The computed table: a direct-mapped, power-of-two array of results.
+/// An insert overwrites whatever entry held its slot.
+///
+/// Losing an entry never changes a result. Hash-consing makes every
+/// result canonical, and every node a recomputation passes through was
+/// created when the result was first computed, so the node arena (and
+/// with it every [`NodeId`]) is the same under any eviction pattern.
+#[derive(Debug, Clone)]
+pub(crate) struct ComputedTable {
+    entries: Vec<CacheEntry>,
+    /// `64 - log2(entries.len())`.
+    shift: u32,
+    /// The table never grows past this many slots.
+    max_slots: usize,
+}
+
+impl ComputedTable {
+    fn new(slots: usize, max_slots: usize) -> Self {
+        debug_assert!(slots.is_power_of_two() && slots >= 2 && slots <= max_slots);
+        ComputedTable {
+            entries: vec![CacheEntry::default(); slots],
+            shift: 64 - slots.trailing_zeros(),
+            max_slots,
+        }
+    }
+
+    fn slot(&self, key: [u32; 3]) -> usize {
+        (hash3(key) >> self.shift) as usize
+    }
+
+    /// The cached result of `key`, if its slot still holds it.
+    pub(crate) fn get(&self, key: &CacheKey) -> Option<NodeId> {
+        let key = key.words();
+        let e = &self.entries[self.slot(key)];
+        (e.key == key).then_some(NodeId(e.result))
+    }
+
+    /// Records `result` for `key`, evicting the slot's previous entry.
+    pub(crate) fn insert(&mut self, key: CacheKey, result: NodeId) {
+        let key = key.words();
+        let slot = self.slot(key);
+        self.entries[slot] = CacheEntry {
+            key,
+            result: result.0,
+        };
+    }
+
+    /// Doubles the table while it has fewer slots than `nodes` and is
+    /// below its cap. Slot `i` splits into slots `2i` and `2i + 1`, so
+    /// every entry survives the move.
+    fn fit(&mut self, nodes: usize) {
+        while self.entries.len() < nodes && self.entries.len() < self.max_slots {
+            let mut grown = ComputedTable::new(self.entries.len() * 2, self.max_slots);
+            for e in self.entries.iter().filter(|e| e.key[0] != 0) {
+                let slot = grown.slot(e.key);
+                grown.entries[slot] = *e;
+            }
+            *self = grown;
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<CacheEntry>()
+    }
 }
 
 /// A reduced ordered BDD manager with hash-consed nodes.
@@ -128,17 +196,23 @@ pub(crate) enum CacheKey {
 #[derive(Debug, Clone)]
 pub struct Bdd {
     pub(crate) nodes: Vec<Node>,
-    unique: FxMap<Node, NodeId>,
-    pub(crate) cache: FxMap<CacheKey, NodeId>,
+    /// The unique table: an open-addressed, power-of-two array of indices
+    /// into `nodes`, probed linearly and kept at most half full. Slot
+    /// value 0 is empty: terminal 0 is never hashed.
+    unique: Vec<u32>,
+    /// `64 - log2(unique.len())`.
+    unique_shift: u32,
+    pub(crate) cache: ComputedTable,
     num_vars: u32,
     budget: usize,
     /// Interned variable-set cubes used as compact cache keys for
-    /// quantification (each distinct set gets a small integer id).
-    cube_ids: HashMap<Vec<u32>, u64>,
+    /// quantification (each distinct set gets a small integer id), and
+    /// their ids sorted by content for lookup.
     pub(crate) cubes: Vec<Vec<u32>>,
-    /// Interned renaming maps for [`Bdd::rename`].
-    map_ids: HashMap<Vec<(u32, u32)>, u64>,
+    cube_order: Vec<u32>,
+    /// Interned renaming maps for [`Bdd::rename`], likewise.
     pub(crate) maps: Vec<Vec<(u32, u32)>>,
+    map_order: Vec<u32>,
     peak_nodes: usize,
 }
 
@@ -152,6 +226,11 @@ impl Bdd {
     /// Default node budget: generous for ordinary use, finite so runaway
     /// computations surface as [`BddOverflowError`] instead of OOM.
     pub const DEFAULT_BUDGET: usize = 16_000_000;
+    /// The largest budget a manager accepts: node ids fit in 31 bits,
+    /// which leaves the computed table's operation tag a bit of its own.
+    pub(crate) const MAX_NODES: usize = 1 << 31;
+    /// Slots both tables start with (fewer if the budget is smaller).
+    const MIN_SLOTS: usize = 1 << 8;
 
     /// Creates a manager for `num_vars` Boolean variables with the
     /// [default node budget](Self::DEFAULT_BUDGET).
@@ -159,11 +238,33 @@ impl Bdd {
         Self::with_budget(num_vars, Self::DEFAULT_BUDGET)
     }
 
-    /// Creates a manager whose total live node count may not exceed `budget`.
+    /// Creates a manager whose total live node count may not exceed `budget`
+    /// (capped at 2^31 nodes).
     ///
     /// A small budget is the faithful reproduction of a 2004-era model
     /// checker running out of memory; see the crate docs.
     pub fn with_budget(num_vars: u32, budget: usize) -> Self {
+        let budget = budget.min(Self::MAX_NODES);
+        // one computed-table slot per node, so never more than the budget
+        // rounded up to a power of two
+        let max_slots = budget.next_power_of_two().max(2);
+        Self::with_tables(num_vars, budget, Self::MIN_SLOTS.min(max_slots), max_slots)
+    }
+
+    /// A manager whose computed table is fixed at `slots` slots, to test
+    /// that results do not depend on the table's size.
+    #[cfg(test)]
+    pub(crate) fn with_cache_slots(num_vars: u32, slots: usize) -> Self {
+        Self::with_tables(num_vars, Self::DEFAULT_BUDGET, slots, slots)
+    }
+
+    /// Slots in the unique and computed tables.
+    #[cfg(test)]
+    pub(crate) fn table_slots(&self) -> (usize, usize) {
+        (self.unique.len(), self.cache.entries.len())
+    }
+
+    fn with_tables(num_vars: u32, budget: usize, slots: usize, max_slots: usize) -> Self {
         let terminal = |id| Node {
             var: Self::TERMINAL_VAR,
             lo: id,
@@ -171,14 +272,15 @@ impl Bdd {
         };
         Bdd {
             nodes: vec![terminal(NodeId(0)), terminal(NodeId(1))],
-            unique: FxMap::default(),
-            cache: FxMap::default(),
+            unique: vec![0; Self::MIN_SLOTS],
+            unique_shift: 64 - Self::MIN_SLOTS.trailing_zeros(),
+            cache: ComputedTable::new(slots, max_slots),
             num_vars,
             budget,
-            cube_ids: HashMap::new(),
             cubes: Vec::new(),
-            map_ids: HashMap::new(),
+            cube_order: Vec::new(),
             maps: Vec::new(),
+            map_order: Vec::new(),
             peak_nodes: 2,
         }
     }
@@ -211,15 +313,15 @@ impl Bdd {
         self.budget
     }
 
-    /// Approximate memory used by node storage, in bytes.
+    /// Memory allocated for the node arena, the unique table and the
+    /// computed table, in bytes.
     ///
     /// Matches the paper's Table 2 "Memory (in MB)" column when divided by
     /// `1024 * 1024`.
     pub fn memory_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<Node>()
-            + self.unique.len() * (std::mem::size_of::<Node>() + std::mem::size_of::<NodeId>())
-            + self.cache.len()
-                * (std::mem::size_of::<CacheKey>() + std::mem::size_of::<NodeId>())
+        self.nodes.capacity() * std::mem::size_of::<Node>()
+            + self.unique.capacity() * std::mem::size_of::<u32>()
+            + self.cache.bytes()
     }
 
     /// Returns the projection function for variable `var`.
@@ -281,55 +383,71 @@ impl Bdd {
 
     /// Hash-consing constructor (the `mk` of Andersen's lecture notes):
     /// returns the unique reduced node for `(var, lo, hi)`.
+    ///
+    /// The node budget is the only resource limit. The computed table
+    /// cannot outgrow memory: it is direct-mapped and holds at most one
+    /// slot per node. Its losses cost recomputation, never a different
+    /// result. Clearing a whole cache mid-operation would make the
+    /// in-flight recursion exponential, since every subproblem it had
+    /// solved would be solved again. Here an insert evicts only the one
+    /// entry whose slot it takes, every other result survives, and the
+    /// table doubles with the arena, so the results it keeps scale with
+    /// the diagrams the operation builds.
     pub(crate) fn mk(&mut self, var: u32, lo: NodeId, hi: NodeId) -> Result<NodeId, BddOverflowError> {
         if lo == hi {
             return Ok(lo);
         }
         let node = Node { var, lo, hi };
-        if let Some(&id) = self.unique.get(&node) {
-            return Ok(id);
+        let mask = self.unique.len() - 1;
+        let mut slot = (hash3([var, lo.0, hi.0]) >> self.unique_shift) as usize;
+        loop {
+            match self.unique[slot] {
+                0 => break,
+                id if self.nodes[id as usize] == node => return Ok(NodeId(id)),
+                _ => slot = (slot + 1) & mask,
+            }
         }
         if self.nodes.len() >= self.budget {
             return Err(BddOverflowError { budget: self.budget });
         }
-        // the operation cache is part of the checker's memory: when it
-        // outgrows the budget by 4x the computation's working set has
-        // exploded even if distinct nodes have not (clearing it instead
-        // would make the in-flight operation exponential — a livelock)
-        if self.cache.len() >= self.budget.saturating_mul(4) {
-            return Err(BddOverflowError { budget: self.budget });
-        }
-        let id = NodeId(self.nodes.len() as u32);
+        let id = self.nodes.len() as u32;
         self.nodes.push(node);
-        self.unique.insert(node, id);
+        self.unique[slot] = id;
+        if 2 * self.nodes.len() > self.unique.len() {
+            self.grow_unique();
+        }
+        self.cache.fit(self.nodes.len());
         self.peak_nodes = self.peak_nodes.max(self.nodes.len());
-        Ok(id)
+        Ok(NodeId(id))
+    }
+
+    /// Doubles the unique table and re-inserts every decision node.
+    fn grow_unique(&mut self) {
+        let slots = self.unique.len() * 2;
+        let mask = slots - 1;
+        self.unique = vec![0; slots];
+        self.unique_shift -= 1;
+        for (id, n) in self.nodes.iter().enumerate().skip(2) {
+            let mut slot = (hash3([n.var, n.lo.0, n.hi.0]) >> self.unique_shift) as usize;
+            while self.unique[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.unique[slot] = id as u32;
+        }
     }
 
     /// Interns a sorted variable set and returns its compact id.
-    pub(crate) fn intern_cube(&mut self, mut vars: Vec<u32>) -> u64 {
+    pub(crate) fn intern_cube(&mut self, mut vars: Vec<u32>) -> u32 {
         vars.sort_unstable();
         vars.dedup();
-        if let Some(&id) = self.cube_ids.get(&vars) {
-            return id;
-        }
-        let id = self.cubes.len() as u64;
-        self.cubes.push(vars.clone());
-        self.cube_ids.insert(vars, id);
-        id
+        intern(&mut self.cubes, &mut self.cube_order, vars)
     }
 
     /// Interns a variable renaming (sorted by source var) and returns its id.
-    pub(crate) fn intern_map(&mut self, mut map: Vec<(u32, u32)>) -> u64 {
+    pub(crate) fn intern_map(&mut self, mut map: Vec<(u32, u32)>) -> u32 {
         map.sort_unstable();
         map.dedup();
-        if let Some(&id) = self.map_ids.get(&map) {
-            return id;
-        }
-        let id = self.maps.len() as u64;
-        self.maps.push(map.clone());
-        self.map_ids.insert(map, id);
-        id
+        intern(&mut self.maps, &mut self.map_order, map)
     }
 
     /// Number of nodes reachable from `f` (size of the diagram itself).
@@ -370,5 +488,20 @@ impl Bdd {
         vars.sort_unstable();
         vars.dedup();
         vars.into_iter().map(VarId).collect()
+    }
+}
+
+/// Returns the id of `item` in `items`, appending it if new. `order`
+/// holds the ids sorted by content, for binary search.
+fn intern<T: Ord>(items: &mut Vec<T>, order: &mut Vec<u32>, item: T) -> u32 {
+    match order.binary_search_by(|&id| items[id as usize].cmp(&item)) {
+        Ok(pos) => order[pos],
+        Err(pos) => {
+            let id = items.len() as u32;
+            assert!(id < MAX_INTERNED, "too many distinct cubes or renamings");
+            items.push(item);
+            order.insert(pos, id);
+            id
+        }
     }
 }

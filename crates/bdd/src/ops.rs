@@ -26,7 +26,7 @@ impl Bdd {
             return Ok(f);
         }
         let key = CacheKey::Ite(f, g, h);
-        if let Some(&r) = self.cache.get(&key) {
+        if let Some(r) = self.cache.get(&key) {
             return Ok(r);
         }
         let top = self

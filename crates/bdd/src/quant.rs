@@ -14,12 +14,12 @@ impl Bdd {
         self.exists_rec(f, cube)
     }
 
-    fn exists_rec(&mut self, f: NodeId, cube: u64) -> Result<NodeId, BddOverflowError> {
+    fn exists_rec(&mut self, f: NodeId, cube: u32) -> Result<NodeId, BddOverflowError> {
         if self.is_terminal(f) {
             return Ok(f);
         }
         let key = CacheKey::Exists(f, cube);
-        if let Some(&r) = self.cache.get(&key) {
+        if let Some(r) = self.cache.get(&key) {
             return Ok(r);
         }
         let var = self.var_raw(f);
@@ -48,12 +48,12 @@ impl Bdd {
         self.forall_rec(f, cube)
     }
 
-    fn forall_rec(&mut self, f: NodeId, cube: u64) -> Result<NodeId, BddOverflowError> {
+    fn forall_rec(&mut self, f: NodeId, cube: u32) -> Result<NodeId, BddOverflowError> {
         if self.is_terminal(f) {
             return Ok(f);
         }
         let key = CacheKey::Forall(f, cube);
-        if let Some(&r) = self.cache.get(&key) {
+        if let Some(r) = self.cache.get(&key) {
             return Ok(r);
         }
         let var = self.var_raw(f);
@@ -90,7 +90,7 @@ impl Bdd {
         &mut self,
         f: NodeId,
         g: NodeId,
-        cube: u64,
+        cube: u32,
     ) -> Result<NodeId, BddOverflowError> {
         if f == Self::ZERO || g == Self::ZERO {
             return Ok(Self::ZERO);
@@ -106,7 +106,7 @@ impl Bdd {
         }
         let (a, b) = if f <= g { (f, g) } else { (g, f) };
         let key = CacheKey::AndExists(a, b, cube);
-        if let Some(&r) = self.cache.get(&key) {
+        if let Some(r) = self.cache.get(&key) {
             return Ok(r);
         }
         let top = self.var_raw(a).min(self.var_raw(b));
@@ -152,12 +152,12 @@ impl Bdd {
         self.rename_rec(f, id)
     }
 
-    fn rename_rec(&mut self, f: NodeId, map: u64) -> Result<NodeId, BddOverflowError> {
+    fn rename_rec(&mut self, f: NodeId, map: u32) -> Result<NodeId, BddOverflowError> {
         if self.is_terminal(f) {
             return Ok(f);
         }
         let key = CacheKey::Rename(f, map);
-        if let Some(&r) = self.cache.get(&key) {
+        if let Some(r) = self.cache.get(&key) {
             return Ok(r);
         }
         let var = self.var_raw(f);

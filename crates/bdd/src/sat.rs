@@ -1,7 +1,6 @@
 //! Model counting and witness extraction.
 
 use crate::manager::{Bdd, NodeId, VarId};
-use std::collections::HashMap;
 
 /// A partial assignment extracted from a satisfiable BDD.
 ///
@@ -42,22 +41,23 @@ impl Bdd {
     /// Number of satisfying assignments of `f` over the full variable
     /// universe of the manager, as `f64` (exact for < 2^53).
     pub fn sat_count(&self, f: NodeId) -> f64 {
-        let mut memo: HashMap<NodeId, f64> = HashMap::new();
+        // memo indexed by node id; NaN marks a node not yet counted
+        let mut memo = vec![f64::NAN; self.nodes.len()];
         let total_vars = self.num_vars();
         // fraction of the cube satisfying f, times 2^n
-        fn frac(bdd: &Bdd, f: NodeId, memo: &mut HashMap<NodeId, f64>) -> f64 {
+        fn frac(bdd: &Bdd, f: NodeId, memo: &mut [f64]) -> f64 {
             if f == Bdd::ZERO {
                 return 0.0;
             }
             if f == Bdd::ONE {
                 return 1.0;
             }
-            if let Some(&v) = memo.get(&f) {
-                return v;
+            if !memo[f.index()].is_nan() {
+                return memo[f.index()];
             }
             let (lo, hi) = bdd.cofactors(f);
             let v = 0.5 * frac(bdd, lo, memo) + 0.5 * frac(bdd, hi, memo);
-            memo.insert(f, v);
+            memo[f.index()] = v;
             v
         }
         frac(self, f, &mut memo) * 2f64.powi(total_vars as i32)

@@ -235,6 +235,89 @@ fn memory_accounting_monotone() -> Result<(), BddOverflowError> {
 }
 
 #[test]
+fn memory_accounting_covers_every_table() -> Result<(), BddOverflowError> {
+    // x_i <-> x_{i+10} under the natural order: exponentially many nodes
+    let mut bdd = setup(20);
+    let mut acc = Bdd::ONE;
+    for i in 0..10 {
+        let (a, b) = (bdd.var(i), bdd.var(i + 10));
+        let eq = bdd.iff(a, b)?;
+        acc = bdd.and(acc, eq)?;
+    }
+    let (unique, computed) = bdd.table_slots();
+    let nodes = bdd.node_count();
+    assert!(nodes > 300, "tables must outgrow their first size");
+    assert!(unique >= 2 * nodes, "unique table at most half full");
+    assert!(computed >= nodes, "one computed-table slot per node");
+    assert!(
+        bdd.memory_bytes()
+            >= nodes * std::mem::size_of::<[u32; 3]>()
+                + unique * std::mem::size_of::<u32>()
+                + computed * std::mem::size_of::<[u32; 4]>()
+    );
+    Ok(())
+}
+
+#[test]
+fn computed_table_caps_at_budget() {
+    let bdd = Bdd::with_budget(4, 24);
+    assert_eq!(bdd.table_slots().1, 32);
+    assert!(Bdd::with_budget(4, usize::MAX).budget() <= Bdd::MAX_NODES);
+}
+
+/// splitmix64: a seeded, dependency-free source of test choices.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+#[test]
+fn computed_table_size_never_changes_results() -> Result<(), BddOverflowError> {
+    const VARS: u32 = 12;
+    for seed in 0..4u64 {
+        let mut rng = seed;
+        let mut full = setup(VARS);
+        let mut lossy = Bdd::with_cache_slots(VARS, 2);
+        let mut pool: Vec<NodeId> = (0..VARS).map(|v| full.var(v)).collect();
+        for v in 0..VARS {
+            lossy.var(v);
+        }
+        for _ in 0..600 {
+            let pick = |rng: &mut u64| pool[(next(rng) % pool.len() as u64) as usize];
+            let (f, g, h) = (pick(&mut rng), pick(&mut rng), pick(&mut rng));
+            let vars: Vec<VarId> = (0..VARS)
+                .filter(|_| next(&mut rng).is_multiple_of(3))
+                .map(VarId)
+                .collect();
+            let op = next(&mut rng) % 5;
+            let apply = |bdd: &mut Bdd| match op {
+                0 => bdd.ite(f, g, h),
+                1 => bdd.and_exists(f, g, &vars),
+                2 => bdd.exists(f, &vars),
+                3 => bdd.forall(f, &vars),
+                _ => {
+                    // swap each chosen variable with its successor
+                    let map: Vec<_> = vars
+                        .iter()
+                        .filter(|v| v.0 + 1 < VARS)
+                        .flat_map(|&v| [(v, VarId(v.0 + 1)), (VarId(v.0 + 1), v)])
+                        .collect();
+                    bdd.rename(f, &map)
+                }
+            };
+            let r = apply(&mut full)?;
+            assert_eq!(apply(&mut lossy)?, r, "seed {seed}, op {op}");
+            assert_eq!(lossy.node_count(), full.node_count(), "seed {seed}");
+            pool.push(r);
+        }
+    }
+    Ok(())
+}
+
+#[test]
 fn display_impls() {
     assert_eq!(NodeId(3).to_string(), "n3");
     assert_eq!(VarId(7).to_string(), "x7");

@@ -370,6 +370,18 @@ fn rtl_smc_proves_read_mode_small() {
     assert!(matches!(r.outcome, SmcOutcome::Proved), "{:?}", r.outcome);
 }
 
+/// The 1-bank Table 2 row. Hash-consing makes the node arena independent
+/// of how the BDD package caches operation results, so these counts pin
+/// any change to that cache as well as to the checker.
+#[test]
+fn rulebase_read_mode_one_bank_golden() {
+    let r =
+        crate::harness::rulebase_read_mode(&LaConfig::mc_small(1), SmcConfig::default()).unwrap();
+    assert!(matches!(r.outcome, SmcOutcome::Proved), "{:?}", r.outcome);
+    assert_eq!(r.stats.bdd_nodes, 36_028);
+    assert_eq!(r.stats.iterations, 11);
+}
+
 #[test]
 fn rtl_smc_proves_full_suite_small() {
     let cfg = LaConfig::mc_small(1);

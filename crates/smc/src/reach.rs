@@ -4,7 +4,6 @@ use crate::synth::{synthesize, UnsupportedPropertyError};
 use la1_bdd::{Bdd, BddOverflowError, NodeId, VarId};
 use la1_psl::{Directive, DirectiveKind};
 use la1_rtl::{BitExpr, BitId, TransitionSystem};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Image-computation strategy.
@@ -206,8 +205,9 @@ struct Run<'a> {
     ts: &'a TransitionSystem,
     config: &'a SmcConfig,
     bdd: Bdd,
-    /// node cache: BitId -> BDD over current-state + input variables
-    node_cache: HashMap<BitId, NodeId>,
+    /// node cache, indexed by BitId: BDD over current-state + input
+    /// variables
+    node_cache: Vec<Option<NodeId>>,
     cur_vars: Vec<VarId>,
     next_vars: Vec<VarId>,
     input_vars: Vec<VarId>,
@@ -231,7 +231,7 @@ impl<'a> Run<'a> {
             ts,
             config,
             bdd,
-            node_cache: HashMap::new(),
+            node_cache: vec![None; ts.nodes.len()],
             cur_vars,
             next_vars,
             input_vars,
@@ -243,7 +243,7 @@ impl<'a> Run<'a> {
 
     /// BDD (over current-state and input variables) of a DAG node.
     fn node_bdd(&mut self, id: BitId) -> Result<NodeId, BddOverflowError> {
-        if let Some(&n) = self.node_cache.get(&id) {
+        if let Some(n) = self.node_cache[id as usize] {
             return Ok(n);
         }
         let r = match self.ts.nodes[id as usize] {
@@ -273,7 +273,7 @@ impl<'a> Run<'a> {
                 self.bdd.xor(x, y)?
             }
         };
-        self.node_cache.insert(id, r);
+        self.node_cache[id as usize] = Some(r);
         Ok(r)
     }
 
