@@ -14,10 +14,13 @@
 //!   synchronous-write/asynchronous-read RAM blocks with per-bit write
 //!   masks (byte write control), and tristate drivers (the paper connects
 //!   multi-bank control signals "using tristate buffers");
-//! * [`RtlSim`] — an interpreted event/cycle simulator: apply inputs,
-//!   settle combinational logic, capture clocked elements on detected
-//!   edges, settle again. Interpretation cost per cycle is the point of
-//!   the paper's Table 3 (compiled SystemC vs. interpreted HDL);
+//! * [`Sim`] — the interpreted cycle simulator: apply inputs, settle
+//!   combinational logic, capture clocked elements on detected edges,
+//!   settle again. Interpretation cost per cycle is the point of the
+//!   paper's Table 3 (compiled SystemC vs. interpreted HDL). One engine,
+//!   generic over what an arena slot holds, serves as [`RtlSim`] (one
+//!   four-state vector per slot) and [`BatchedRtlSim`] (64 independent
+//!   stimulus lanes per slot in a [`PackedVec`]);
 //! * [`TransitionSystem`] — a bit-blasted next-state-function view of a
 //!   two-valued netlist for the `la1-smc` symbolic model checker
 //!   ([`Netlist::extract`]);
@@ -46,22 +49,23 @@
 //! assert_eq!(sim.get(q).to_u64(), Some(1));
 //! ```
 
-mod batched;
+mod engine;
 mod extract;
 mod logic;
 mod netlist;
 mod packed;
 mod schedule;
-mod sim;
 mod vcd;
 mod verilog;
 
-pub use batched::{BatchedRtlSim, BatchedRtlState, LaneProbe};
+pub use engine::{
+    BatchedRtlSim, BatchedRtlState, LaneProbe, RtlProbe, RtlSim, RtlState, SettleMode, Sim,
+    SimState,
+};
 pub use extract::{BitExpr, BitId, TransitionSystem};
 pub use logic::{Logic, LogicVec};
 pub use netlist::{Edge, Expr, Item, NetId, NetKind, Netlist};
 pub use packed::{PackedVec, LANES};
-pub use sim::{RtlProbe, RtlSim, RtlState, SettleMode};
 pub use vcd::VcdWriter;
 
 #[cfg(test)]

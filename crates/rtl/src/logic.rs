@@ -1,5 +1,6 @@
 //! Four-state logic values and vectors.
 
+use crate::engine::Value;
 use std::fmt;
 
 /// A single four-state logic value (IEEE 1364).
@@ -128,7 +129,7 @@ impl From<bool> for Logic {
 }
 
 /// A fixed-width vector of four-state values; bit 0 is the LSB.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct LogicVec {
     bits: Vec<Logic>,
 }
@@ -255,25 +256,6 @@ impl LogicVec {
         self.bits.iter().copied().fold(Logic::L0, |acc, b| acc.or(b))
     }
 
-    /// The bits as a slice (LSB first) — for the compiled simulator's
-    /// in-place evaluation.
-    pub(crate) fn bits_raw(&self) -> &[Logic] {
-        &self.bits
-    }
-
-    /// The bits as a mutable slice (LSB first).
-    pub(crate) fn bits_raw_mut(&mut self) -> &mut [Logic] {
-        &mut self.bits
-    }
-
-    /// Overwrites `self` with `other`'s bits, reusing the existing
-    /// allocation when the capacity suffices (the compiled simulator's
-    /// allocation-free copy).
-    pub(crate) fn assign_from(&mut self, other: &LogicVec) {
-        self.bits.clear();
-        self.bits.extend_from_slice(&other.bits);
-    }
-
     /// Per-bit wired resolution of two equal-width vectors.
     ///
     /// # Panics
@@ -288,6 +270,184 @@ impl LogicVec {
                 .zip(&other.bits)
                 .map(|(&a, &b)| a.resolve(b))
                 .collect(),
+        }
+    }
+}
+
+/// The scalar simulator's slot: one lane. Lane masks read bit 0 only, and
+/// lane arguments are ignored.
+impl Value for LogicVec {
+    type Saved = String;
+
+    fn zeros(width: u32) -> Self {
+        LogicVec::zeros(width)
+    }
+
+    fn xs(width: u32) -> Self {
+        LogicVec::xs(width)
+    }
+
+    fn splat(v: &LogicVec) -> Self {
+        v.clone()
+    }
+
+    fn width(&self) -> u32 {
+        self.bits.len() as u32
+    }
+
+    fn assign_from(&mut self, other: &Self) {
+        self.bits.copy_from_slice(&other.bits);
+    }
+
+    fn save(&self) -> String {
+        self.to_string()
+    }
+
+    fn load(width: u32, saved: &Self::Saved) -> Option<Self> {
+        LogicVec::parse_fourstate(saved).filter(|v| v.width() == width)
+    }
+
+    fn lane_bit(&self, _lane: usize, bit: u32) -> Logic {
+        self.bits[bit as usize]
+    }
+
+    fn get_lane(&self, _lane: usize) -> LogicVec {
+        self.clone()
+    }
+
+    fn lanes_high(&self) -> u64 {
+        u64::from(self.bits[0] == Logic::L1)
+    }
+
+    fn clock_level(&self) -> Logic {
+        self.bits[0]
+    }
+
+    fn index_from(&mut self, a: &Self, bit: u32) {
+        self.bits[0] = a.bits[bit as usize];
+    }
+
+    fn slice_from(&mut self, a: &Self, lo: u32) {
+        let lo = lo as usize;
+        let w = self.bits.len();
+        self.bits.copy_from_slice(&a.bits[lo..lo + w]);
+    }
+
+    fn place_from(&mut self, lo: u32, a: &Self) {
+        // concat parts are often single bits: a loop, not a memcpy call
+        for (o, &b) in self.bits[lo as usize..].iter_mut().zip(&a.bits) {
+            *o = b;
+        }
+    }
+
+    fn not_from(&mut self, a: &Self) {
+        for (o, x) in self.bits.iter_mut().zip(&a.bits) {
+            *o = x.not();
+        }
+    }
+
+    fn and_from(&mut self, a: &Self, b: &Self) {
+        self.zip_from(a, b, Logic::and);
+    }
+
+    fn or_from(&mut self, a: &Self, b: &Self) {
+        self.zip_from(a, b, Logic::or);
+    }
+
+    fn xor_from(&mut self, a: &Self, b: &Self) {
+        self.zip_from(a, b, Logic::xor);
+    }
+
+    fn eq_from(&mut self, a: &Self, b: &Self) {
+        self.bits[0] = if a.is_known() && b.is_known() {
+            Logic::from_bool(a == b)
+        } else {
+            Logic::X
+        };
+    }
+
+    fn mux_from(&mut self, sel: &Self, a: &Self, b: &Self) {
+        match sel.bits[0] {
+            Logic::L1 => self.bits.copy_from_slice(&a.bits),
+            Logic::L0 => self.bits.copy_from_slice(&b.bits),
+            _ => self.bits.fill(Logic::X),
+        }
+    }
+
+    fn reduce_xor_from(&mut self, a: &Self) {
+        self.bits[0] = a.reduce_xor();
+    }
+
+    fn reduce_or_from(&mut self, a: &Self) {
+        self.bits[0] = a.reduce_or();
+    }
+
+    fn fill_z(&mut self) {
+        self.bits.fill(Logic::Z);
+    }
+
+    fn tri_accumulate(&mut self, en: &Self, val: &Self) {
+        for (o, &v) in self.bits.iter_mut().zip(&val.bits) {
+            let contribution = match en.bits[0] {
+                Logic::L1 => v,
+                Logic::L0 => Logic::Z,
+                _ => Logic::X,
+            };
+            *o = o.resolve(contribution);
+        }
+    }
+
+    fn ram_read(&mut self, addr: &Self, ram: &[Self]) {
+        match addr
+            .to_u64()
+            .and_then(|a| ram.get(usize::try_from(a).ok()?))
+        {
+            Some(word) => self.assign_from(word),
+            None => self.bits.fill(Logic::X),
+        }
+    }
+
+    fn select_words(addr: &Self, lanes: u64, words: u32, sel: &mut Vec<(u32, u64)>) {
+        if let Some(a) = addr.to_u64().filter(|&a| a < u64::from(words)) {
+            sel.push((a as u32, lanes));
+        }
+    }
+
+    fn stage_word(word: &mut Self, stored: &Self, data: &Self, mask: Option<&Self>) {
+        word.assign_from(stored);
+        word.write_masked(data, 1, mask);
+    }
+
+    fn merge_lanes(&mut self, src: &Self, lanes: u64) -> bool {
+        if lanes & 1 == 0 || *self == *src {
+            return false;
+        }
+        self.assign_from(src);
+        true
+    }
+
+    fn write_masked(&mut self, data: &Self, lanes: u64, mask: Option<&Self>) -> bool {
+        let Some(mask) = mask else {
+            return self.merge_lanes(data, lanes);
+        };
+        let mut changed = false;
+        if lanes & 1 != 0 {
+            for ((o, &d), &m) in self.bits.iter_mut().zip(&data.bits).zip(&mask.bits) {
+                if m == Logic::L1 && *o != d {
+                    *o = d;
+                    changed = true;
+                }
+            }
+        }
+        changed
+    }
+}
+
+impl LogicVec {
+    /// `self = f(a, b)` bit by bit (the binary op kernels).
+    fn zip_from(&mut self, a: &LogicVec, b: &LogicVec, f: fn(Logic, Logic) -> Logic) {
+        for (o, (&x, &y)) in self.bits.iter_mut().zip(a.bits.iter().zip(&b.bits)) {
+            *o = f(x, y);
         }
     }
 }

@@ -22,15 +22,17 @@
 //! corresponding [`Logic`]/[`LogicVec`] method (`and` with dominant `0`,
 //! `or` with dominant `1`, `xor` unknown-propagating, tristate
 //! `resolve`, reduction operators, whole-vector `Eq`); the proptests in
-//! `tests.rs` pit each one against the scalar fold lane by lane.
+//! `tests.rs` pit each one lane by lane against the matching
+//! [`LogicVec`] kernel and the [`Logic`] truth tables.
 
+use crate::engine::Value;
 use crate::logic::{Logic, LogicVec};
 
 /// Number of independent patterns evaluated per pass (one per `u64` bit).
 pub const LANES: usize = 64;
 
 /// 64 four-state vectors of one width, stored as two bit-planes per bit.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PackedVec {
     width: u32,
     /// value plane, one word per bit position (lane = word bit)
@@ -78,15 +80,6 @@ impl PackedVec {
         }
     }
 
-    /// All lanes all-`Z`.
-    pub fn zs(width: u32) -> Self {
-        PackedVec {
-            width,
-            v: vec![!0; width as usize],
-            x: vec![!0; width as usize],
-        }
-    }
-
     /// Every lane set to the same scalar vector.
     ///
     /// # Panics
@@ -107,16 +100,9 @@ impl PackedVec {
         self.width
     }
 
-    /// The two raw bit-planes, one word per bit position (lane = word
-    /// bit): `(value plane, unknown/impedance plane)`. The checkpoint
-    /// layer serializes packed state through this view; everything else
-    /// should use the typed kernels.
-    pub fn planes(&self) -> (&[u64], &[u64]) {
-        (&self.v, &self.x)
-    }
-
-    /// Rebuilds a packed vector from raw planes ([`PackedVec::planes`]
-    /// inverse). `None` unless both planes have exactly `width` words.
+    /// Rebuilds a packed vector from its raw `(value, unknown/impedance)`
+    /// planes, one word per bit position (lane = word bit) — the snapshot
+    /// encoding. `None` unless both planes have exactly `width` words.
     pub fn from_planes(width: u32, v: Vec<u64>, x: Vec<u64>) -> Option<PackedVec> {
         if v.len() != width as usize || x.len() != width as usize {
             return None;
@@ -209,16 +195,6 @@ impl PackedVec {
         self.v[bit as usize] & !self.x[bit as usize]
     }
 
-    /// Lanes where `bit` is exactly `0`.
-    pub fn lanes_bit_is_zero(&self, bit: u32) -> u64 {
-        !self.v[bit as usize] & !self.x[bit as usize]
-    }
-
-    /// Lanes where `bit` is `X` or `Z`.
-    pub fn lanes_bit_unknown(&self, bit: u32) -> u64 {
-        self.x[bit as usize]
-    }
-
     /// Lanes where **every** bit is known (`0`/`1`).
     pub fn lanes_known(&self) -> u64 {
         let mut m = !0u64;
@@ -228,7 +204,8 @@ impl PackedVec {
         m
     }
 
-    /// Lanes whose vector is fully known **and** equals `value`.
+    /// Lanes whose vector is fully known **and** equals `value`. Bits of
+    /// `value` at or above the width are not compared.
     ///
     /// # Panics
     ///
@@ -248,237 +225,6 @@ impl PackedVec {
     pub fn bit_uniform(&self, bit: u32) -> bool {
         let (v, x) = (self.v[bit as usize], self.x[bit as usize]);
         (v == 0 || v == !0) && (x == 0 || x == !0)
-    }
-
-    /// Overwrites `self` with `other` (equal widths, allocation-free).
-    pub(crate) fn assign_from(&mut self, other: &PackedVec) {
-        debug_assert_eq!(self.width, other.width);
-        self.v.copy_from_slice(&other.v);
-        self.x.copy_from_slice(&other.x);
-    }
-
-    /// Sets every bit of every lane to `Z`.
-    pub fn fill_z(&mut self) {
-        self.v.fill(!0);
-        self.x.fill(!0);
-    }
-
-    /// Sets every bit of every lane to `X`.
-    pub fn fill_x(&mut self) {
-        self.v.fill(0);
-        self.x.fill(!0);
-    }
-
-    // --- compiled-op kernels: `self` is the dedicated destination ---
-
-    /// `self = a`.
-    pub fn copy_from(&mut self, a: &PackedVec) {
-        self.assign_from(a);
-    }
-
-    /// `self[0] = a[bit]`.
-    pub fn index_from(&mut self, a: &PackedVec, bit: u32) {
-        self.v[0] = a.v[bit as usize];
-        self.x[0] = a.x[bit as usize];
-    }
-
-    /// `self = a[lo +: width(self)]`.
-    pub fn slice_from(&mut self, a: &PackedVec, lo: u32) {
-        let lo = lo as usize;
-        let w = self.width as usize;
-        self.v.copy_from_slice(&a.v[lo..lo + w]);
-        self.x.copy_from_slice(&a.x[lo..lo + w]);
-    }
-
-    /// Places `a` into `self` starting at bit `lo` (concat parts).
-    pub fn place_from(&mut self, lo: u32, a: &PackedVec) {
-        let lo = lo as usize;
-        let w = a.width as usize;
-        self.v[lo..lo + w].copy_from_slice(&a.v);
-        self.x[lo..lo + w].copy_from_slice(&a.x);
-    }
-
-    /// `self = ~a` per lane (`X`/`Z` stay unknown, like [`Logic::not`]).
-    pub fn not_from(&mut self, a: &PackedVec) {
-        for i in 0..self.width as usize {
-            self.v[i] = !a.v[i] & !a.x[i];
-            self.x[i] = a.x[i];
-        }
-    }
-
-    /// `self = a & b` per lane (`0` dominant, like [`Logic::and`]).
-    pub fn and_from(&mut self, a: &PackedVec, b: &PackedVec) {
-        for i in 0..self.width as usize {
-            let zero = (!a.v[i] & !a.x[i]) | (!b.v[i] & !b.x[i]);
-            let one = (a.v[i] & !a.x[i]) & (b.v[i] & !b.x[i]);
-            self.v[i] = one;
-            self.x[i] = !(zero | one);
-        }
-    }
-
-    /// `self = a | b` per lane (`1` dominant, like [`Logic::or`]).
-    pub fn or_from(&mut self, a: &PackedVec, b: &PackedVec) {
-        for i in 0..self.width as usize {
-            let one = (a.v[i] & !a.x[i]) | (b.v[i] & !b.x[i]);
-            let zero = (!a.v[i] & !a.x[i]) & (!b.v[i] & !b.x[i]);
-            self.v[i] = one;
-            self.x[i] = !(one | zero);
-        }
-    }
-
-    /// `self = a ^ b` per lane (unknown if either side is unknown).
-    pub fn xor_from(&mut self, a: &PackedVec, b: &PackedVec) {
-        for i in 0..self.width as usize {
-            let known = !a.x[i] & !b.x[i];
-            self.v[i] = (a.v[i] ^ b.v[i]) & known;
-            self.x[i] = !known;
-        }
-    }
-
-    /// `self[0] = (a == b)` per lane — `X` where either side has any
-    /// unknown bit, matching the scalar `Op::Eq`.
-    pub fn eq_from(&mut self, a: &PackedVec, b: &PackedVec) {
-        let mut any_unknown = 0u64;
-        let mut neq = 0u64;
-        for i in 0..a.width as usize {
-            any_unknown |= a.x[i] | b.x[i];
-            neq |= a.v[i] ^ b.v[i];
-        }
-        self.v[0] = !any_unknown & !neq;
-        self.x[0] = any_unknown;
-    }
-
-    /// `self = sel ? a : b` per lane — all-`X` in lanes whose select is
-    /// unknown, matching the scalar `Op::Mux`.
-    pub fn mux_from(&mut self, sel: &PackedVec, a: &PackedVec, b: &PackedVec) {
-        let s1 = sel.v[0] & !sel.x[0];
-        let s0 = !sel.v[0] & !sel.x[0];
-        let sx = sel.x[0];
-        for i in 0..self.width as usize {
-            self.v[i] = (s1 & a.v[i]) | (s0 & b.v[i]);
-            self.x[i] = (s1 & a.x[i]) | (s0 & b.x[i]) | sx;
-        }
-    }
-
-    /// `self[0] = ^a` per lane (`X` if any bit unknown).
-    pub fn reduce_xor_from(&mut self, a: &PackedVec) {
-        let mut any_unknown = 0u64;
-        let mut parity = 0u64;
-        for i in 0..a.width as usize {
-            any_unknown |= a.x[i];
-            parity ^= a.v[i];
-        }
-        self.v[0] = parity & !any_unknown;
-        self.x[0] = any_unknown;
-    }
-
-    /// `self[0] = |a` per lane (`1` dominant over unknowns).
-    pub fn reduce_or_from(&mut self, a: &PackedVec) {
-        let mut one = 0u64;
-        let mut zero = !0u64;
-        for i in 0..a.width as usize {
-            one |= a.v[i] & !a.x[i];
-            zero &= !a.v[i] & !a.x[i];
-        }
-        self.v[0] = one;
-        self.x[0] = !(one | zero);
-    }
-
-    /// Folds one tristate driver into `self` (the accumulator): the
-    /// driver contributes `val` in lanes where `en` is `1`, `Z` where
-    /// `en` is `0`, `X` otherwise, and the contribution is combined with
-    /// [`Logic::resolve`] semantics per lane.
-    pub fn tri_accumulate(&mut self, en: &PackedVec, val: &PackedVec) {
-        let e1 = en.v[0] & !en.x[0];
-        let e0 = !en.v[0] & !en.x[0];
-        let ex = en.x[0];
-        for i in 0..self.width as usize {
-            // contribution encoding: 1-lanes pass val, 0-lanes are Z(1,1),
-            // unknown-select lanes are X(0,1)
-            let cv = (e1 & val.v[i]) | e0;
-            let cx = (e1 & val.x[i]) | e0 | ex;
-            let (av, ax) = (self.v[i], self.x[i]);
-            let za = av & ax; // accumulator is Z
-            let zc = cv & cx; // contribution is Z
-            let same = !(av ^ cv) & !(ax ^ cx);
-            self.v[i] = (za & cv) | (!za & zc & av) | (!za & !zc & same & av);
-            self.x[i] = (za & cx) | (!za & zc & ax) | (!za & !zc & (same & ax | !same));
-        }
-    }
-
-    /// Per-lane wired resolution of two equal-width packed vectors,
-    /// written into `self` (may alias neither operand).
-    pub fn resolve_from(&mut self, a: &PackedVec, b: &PackedVec) {
-        for i in 0..self.width as usize {
-            let za = a.v[i] & a.x[i];
-            let zb = b.v[i] & b.x[i];
-            let same = !(a.v[i] ^ b.v[i]) & !(a.x[i] ^ b.x[i]);
-            self.v[i] = (za & b.v[i]) | (!za & zb & a.v[i]) | (!za & !zb & same & a.v[i]);
-            self.x[i] = (za & b.x[i]) | (!za & zb & a.x[i]) | (!za & !zb & (same & a.x[i] | !same));
-        }
-    }
-
-    /// Lane-masked overwrite: lanes in `mask` take `src`'s bits, other
-    /// lanes keep `self`'s (the enabled-DFF / RAM-write commit kernel).
-    pub fn merge_masked(&mut self, src: &PackedVec, mask: u64) {
-        debug_assert_eq!(self.width, src.width);
-        for i in 0..self.width as usize {
-            self.v[i] = self.v[i] & !mask | src.v[i] & mask;
-            self.x[i] = self.x[i] & !mask | src.x[i] & mask;
-        }
-    }
-
-    /// Lane-masked overwrite with change detection (the enabled-DFF
-    /// commit: lanes outside `mask` keep their old `q`).
-    pub fn merge_masked_changed(&mut self, src: &PackedVec, mask: u64) -> bool {
-        debug_assert_eq!(self.width, src.width);
-        let mut changed = false;
-        for i in 0..self.width as usize {
-            let nv = self.v[i] & !mask | src.v[i] & mask;
-            let nx = self.x[i] & !mask | src.x[i] & mask;
-            changed |= nv != self.v[i] || nx != self.x[i];
-            self.v[i] = nv;
-            self.x[i] = nx;
-        }
-        changed
-    }
-
-    /// The batched RAM-write commit: bit `i` of the lanes in
-    /// `base_mask` (and, when a write mask is present, whose mask bit is
-    /// exactly `1` in that lane) takes `src`'s bit; everything else
-    /// keeps the stored word. Returns whether any lane's bit changed.
-    pub fn ram_write_masked(
-        &mut self,
-        src: &PackedVec,
-        base_mask: u64,
-        wmask: Option<&PackedVec>,
-    ) -> bool {
-        debug_assert_eq!(self.width, src.width);
-        let mut changed = false;
-        for i in 0..self.width as usize {
-            let m = base_mask & wmask.map_or(!0, |w| w.v[i] & !w.x[i]);
-            let nv = self.v[i] & !m | src.v[i] & m;
-            let nx = self.x[i] & !m | src.x[i] & m;
-            changed |= nv != self.v[i] || nx != self.x[i];
-            self.v[i] = nv;
-            self.x[i] = nx;
-        }
-        changed
-    }
-
-    /// Sets every lane to the same scalar vector (allocation-free
-    /// [`PackedVec::splat`] into an existing buffer).
-    ///
-    /// # Panics
-    ///
-    /// Panics on width mismatch.
-    pub fn set_all_lanes(&mut self, value: &LogicVec) {
-        assert_eq!(self.width, value.width(), "width mismatch");
-        for (i, b) in value.iter().enumerate() {
-            let (v, x) = encode(b);
-            self.v[i] = if v { !0 } else { 0 };
-            self.x[i] = if x { !0 } else { 0 };
-        }
     }
 
     /// Sets every lane to the same integer value (allocation-free).
@@ -524,6 +270,250 @@ impl PackedVec {
         out[w..].fill(0);
         transpose64(out);
         self.lanes_known()
+    }
+}
+
+/// The batched simulator's slot: 64 lanes. Each kernel is the
+/// word-parallel transcription of the [`LogicVec`] one.
+impl Value for PackedVec {
+    type Saved = (Vec<u64>, Vec<u64>);
+
+    fn zeros(width: u32) -> Self {
+        PackedVec::zeros(width)
+    }
+
+    fn xs(width: u32) -> Self {
+        PackedVec::xs(width)
+    }
+
+    fn splat(v: &LogicVec) -> Self {
+        PackedVec::splat(v)
+    }
+
+    fn width(&self) -> u32 {
+        self.width
+    }
+
+    fn assign_from(&mut self, other: &Self) {
+        debug_assert_eq!(self.width, other.width);
+        self.v.copy_from_slice(&other.v);
+        self.x.copy_from_slice(&other.x);
+    }
+
+    fn save(&self) -> Self::Saved {
+        (self.v.clone(), self.x.clone())
+    }
+
+    fn load(width: u32, (v, x): &Self::Saved) -> Option<Self> {
+        PackedVec::from_planes(width, v.clone(), x.clone())
+    }
+
+    fn lane_bit(&self, lane: usize, bit: u32) -> Logic {
+        PackedVec::lane_bit(self, lane, bit)
+    }
+
+    fn get_lane(&self, lane: usize) -> LogicVec {
+        PackedVec::get_lane(self, lane)
+    }
+
+    fn lanes_high(&self) -> u64 {
+        self.lanes_bit_is_one(0)
+    }
+
+    fn clock_level(&self) -> Logic {
+        debug_assert!(self.bit_uniform(0), "clock net must be lane-uniform");
+        self.lane_bit(0, 0)
+    }
+
+    fn index_from(&mut self, a: &Self, bit: u32) {
+        self.v[0] = a.v[bit as usize];
+        self.x[0] = a.x[bit as usize];
+    }
+
+    fn slice_from(&mut self, a: &Self, lo: u32) {
+        let lo = lo as usize;
+        let w = self.width as usize;
+        self.v.copy_from_slice(&a.v[lo..lo + w]);
+        self.x.copy_from_slice(&a.x[lo..lo + w]);
+    }
+
+    fn place_from(&mut self, lo: u32, a: &Self) {
+        let lo = lo as usize;
+        let w = a.width as usize;
+        self.v[lo..lo + w].copy_from_slice(&a.v);
+        self.x[lo..lo + w].copy_from_slice(&a.x);
+    }
+
+    fn not_from(&mut self, a: &Self) {
+        for i in 0..self.width as usize {
+            self.v[i] = !a.v[i] & !a.x[i];
+            self.x[i] = a.x[i];
+        }
+    }
+
+    fn and_from(&mut self, a: &Self, b: &Self) {
+        for i in 0..self.width as usize {
+            let zero = (!a.v[i] & !a.x[i]) | (!b.v[i] & !b.x[i]);
+            let one = (a.v[i] & !a.x[i]) & (b.v[i] & !b.x[i]);
+            self.v[i] = one;
+            self.x[i] = !(zero | one);
+        }
+    }
+
+    fn or_from(&mut self, a: &Self, b: &Self) {
+        for i in 0..self.width as usize {
+            let one = (a.v[i] & !a.x[i]) | (b.v[i] & !b.x[i]);
+            let zero = (!a.v[i] & !a.x[i]) & (!b.v[i] & !b.x[i]);
+            self.v[i] = one;
+            self.x[i] = !(one | zero);
+        }
+    }
+
+    fn xor_from(&mut self, a: &Self, b: &Self) {
+        for i in 0..self.width as usize {
+            let known = !a.x[i] & !b.x[i];
+            self.v[i] = (a.v[i] ^ b.v[i]) & known;
+            self.x[i] = !known;
+        }
+    }
+
+    fn eq_from(&mut self, a: &Self, b: &Self) {
+        let mut any_unknown = 0u64;
+        let mut neq = 0u64;
+        for i in 0..a.width as usize {
+            any_unknown |= a.x[i] | b.x[i];
+            neq |= a.v[i] ^ b.v[i];
+        }
+        self.v[0] = !any_unknown & !neq;
+        self.x[0] = any_unknown;
+    }
+
+    fn mux_from(&mut self, sel: &Self, a: &Self, b: &Self) {
+        let s1 = sel.v[0] & !sel.x[0];
+        let s0 = !sel.v[0] & !sel.x[0];
+        let sx = sel.x[0];
+        for i in 0..self.width as usize {
+            self.v[i] = (s1 & a.v[i]) | (s0 & b.v[i]);
+            self.x[i] = (s1 & a.x[i]) | (s0 & b.x[i]) | sx;
+        }
+    }
+
+    fn reduce_xor_from(&mut self, a: &Self) {
+        let mut any_unknown = 0u64;
+        let mut parity = 0u64;
+        for i in 0..a.width as usize {
+            any_unknown |= a.x[i];
+            parity ^= a.v[i];
+        }
+        self.v[0] = parity & !any_unknown;
+        self.x[0] = any_unknown;
+    }
+
+    fn reduce_or_from(&mut self, a: &Self) {
+        let mut one = 0u64;
+        let mut zero = !0u64;
+        for i in 0..a.width as usize {
+            one |= a.v[i] & !a.x[i];
+            zero &= !a.v[i] & !a.x[i];
+        }
+        self.v[0] = one;
+        self.x[0] = !(one | zero);
+    }
+
+    fn fill_z(&mut self) {
+        self.v.fill(!0);
+        self.x.fill(!0);
+    }
+
+    fn tri_accumulate(&mut self, en: &Self, val: &Self) {
+        let e1 = en.v[0] & !en.x[0];
+        let e0 = !en.v[0] & !en.x[0];
+        let ex = en.x[0];
+        for i in 0..self.width as usize {
+            // contribution encoding: 1-lanes pass val, 0-lanes are Z(1,1),
+            // unknown-select lanes are X(0,1)
+            let cv = (e1 & val.v[i]) | e0;
+            let cx = (e1 & val.x[i]) | e0 | ex;
+            let (av, ax) = (self.v[i], self.x[i]);
+            let za = av & ax; // accumulator is Z
+            let zc = cv & cx; // contribution is Z
+            let same = !(av ^ cv) & !(ax ^ cx);
+            self.v[i] = (za & cv) | (!za & zc & av) | (!za & !zc & same & av);
+            self.x[i] = (za & cx) | (!za & zc & ax) | (!za & !zc & (same & ax | !same));
+        }
+    }
+
+    fn ram_read(&mut self, addr: &Self, ram: &[Self]) {
+        // gather: lanes whose (known) address selects word `a` copy it;
+        // unknown or out-of-range lanes stay all-X
+        self.v.fill(0);
+        self.x.fill(!0);
+        let reach = addr.reachable_words(ram.len() as u32) as usize;
+        for (a, word) in ram[..reach].iter().enumerate() {
+            let m = addr.lanes_eq_u64(a as u64);
+            if m != 0 {
+                merge_plane(&mut self.v, &word.v, m);
+                merge_plane(&mut self.x, &word.x, m);
+            }
+        }
+    }
+
+    fn select_words(addr: &Self, lanes: u64, words: u32, sel: &mut Vec<(u32, u64)>) {
+        for a in 0..addr.reachable_words(words) {
+            let m = lanes & addr.lanes_eq_u64(u64::from(a));
+            if m != 0 {
+                sel.push((a, m));
+            }
+        }
+    }
+
+    fn stage_word(_word: &mut Self, _stored: &Self, _data: &Self, _mask: Option<&Self>) {}
+
+    fn merge_lanes(&mut self, src: &Self, lanes: u64) -> bool {
+        merge_plane(&mut self.v, &src.v, lanes) | merge_plane(&mut self.x, &src.x, lanes)
+    }
+
+    fn write_masked(&mut self, data: &Self, lanes: u64, mask: Option<&Self>) -> bool {
+        let Some(mask) = mask else {
+            return self.merge_lanes(data, lanes);
+        };
+        let mut changed = false;
+        let bits = self.v.iter_mut().zip(self.x.iter_mut());
+        let src = data.v.iter().zip(&data.x).zip(mask.v.iter().zip(&mask.x));
+        for ((v, x), ((&dv, &dx), (&mv, &mx))) in bits.zip(src) {
+            // bit written in the lanes whose mask bit is exactly 1
+            let m = lanes & mv & !mx;
+            let (nv, nx) = (*v & !m | dv & m, *x & !m | dx & m);
+            changed |= nv != *v || nx != *x;
+            (*v, *x) = (nv, nx);
+        }
+        changed
+    }
+}
+
+/// The lanes `m` of every word of `dst` take `src`'s bits; returns
+/// whether any word changed. Taking the planes as slices, not through a
+/// `PackedVec`, lets the loop drop its bounds checks and vectorize.
+fn merge_plane(dst: &mut [u64], src: &[u64], m: u64) -> bool {
+    let mut changed = false;
+    for (d, &s) in dst.iter_mut().zip(src) {
+        let n = *d & !m | s & m;
+        changed |= n != *d;
+        *d = n;
+    }
+    changed
+}
+
+impl PackedVec {
+    /// How many of the word indices `0..words` this address vector can
+    /// equal: those below `2^width`, and none beyond 64 bits (no lane
+    /// then holds a `u64`).
+    fn reachable_words(&self, words: u32) -> u32 {
+        match self.width {
+            0..32 => words.min(1 << self.width),
+            32..=64 => words,
+            _ => 0,
+        }
     }
 }
 

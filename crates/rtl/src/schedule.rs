@@ -4,7 +4,8 @@
 //! of [`Op`]s over an abstract value arena: slots `0..num_nets` hold the
 //! net values, the remaining slots hold constants and expression
 //! temporaries. The schedule is pure data — it says nothing about how a
-//! slot is represented. Two executors interpret it:
+//! slot is represented. One engine, [`Sim`](crate::Sim), interprets it
+//! over either value type:
 //!
 //! * [`RtlSim`](crate::RtlSim) — one [`LogicVec`] per slot (one stimulus
 //!   vector per pass);
@@ -12,9 +13,10 @@
 //!   [`PackedVec`](crate::PackedVec) per slot (64 independent stimulus
 //!   lanes per pass, PPSFP style).
 //!
-//! Keeping the compiler in one place guarantees both executors agree on
-//! slot numbering, op order, topological ranks and fanout — the batched
-//! simulator is *defined* to be 64 copies of the scalar one.
+//! Compiling once and interpreting with one engine guarantees both
+//! instances agree on slot numbering, op order, topological ranks and
+//! fanout — the batched simulator is *defined* to be 64 copies of the
+//! scalar one.
 
 use crate::logic::LogicVec;
 use crate::netlist::{Edge, Expr, Item, Netlist};
@@ -89,7 +91,6 @@ pub(crate) enum CombNode {
         ops: OpsRange,
         addr: u32,
         ram: u32,
-        words: u32,
         target: u32,
         out: u32,
     },
@@ -150,8 +151,8 @@ pub(crate) enum SeqNode {
 }
 
 /// The immutable compiled form of one [`Netlist`]: flat ops, node lists,
-/// topological ranks, CSR fanout and arena layout. Shared verbatim by
-/// the scalar and batched executors.
+/// topological ranks, CSR fanout and arena layout. The same for either
+/// value type.
 #[derive(Debug, Clone)]
 pub(crate) struct Schedule {
     pub(crate) ops: Vec<Op>,
@@ -422,7 +423,6 @@ impl Schedule {
                         ops,
                         addr,
                         ram: idx as u32,
-                        words: *words,
                         target: rdata.0,
                         out,
                     });

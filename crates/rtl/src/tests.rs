@@ -397,6 +397,7 @@ fn extract_matches_simulator_on_counter() {
 #[cfg(feature = "proptest")]
 mod props {
     use super::*;
+    use crate::engine::Value;
     use proptest::prelude::*;
 
     /// Any of the four states, uniformly.
@@ -539,13 +540,21 @@ mod props {
         })
     }
 
-    /// Scalar whole-vector equality with the compiled `Op::Eq` semantics.
+    /// Whole-vector equality from the truth tables: `X` if any bit of
+    /// either side is unknown, else whether every bit agrees.
     fn scalar_eq(a: &LogicVec, b: &LogicVec) -> Logic {
-        if !a.is_known() || !b.is_known() {
+        if !a.iter().chain(b.iter()).all(Logic::is_known) {
             Logic::X
         } else {
-            Logic::from_bool(a == b)
+            Logic::from_bool(a.iter().zip(b.iter()).all(|(x, y)| x == y))
         }
+    }
+
+    /// Runs a scalar kernel into a fresh `width`-bit destination.
+    fn scalar(width: u32, kernel: impl FnOnce(&mut LogicVec)) -> LogicVec {
+        let mut d = LogicVec::zeros(width);
+        kernel(&mut d);
+        d
     }
 
     proptest! {
@@ -610,20 +619,26 @@ mod props {
             let mut and = PackedVec::zeros(6);
             let mut or = PackedVec::zeros(6);
             let mut xor = PackedVec::zeros(6);
-            let mut res = PackedVec::zeros(6);
             not.not_from(&pa);
             and.and_from(&pa, &pb);
             or.or_from(&pa, &pb);
             xor.xor_from(&pa, &pb);
-            res.resolve_from(&pa, &pb);
             for l in 0..LANES {
+                let (va, vb) = (&la[l], &lb[l]);
+                let snot = scalar(6, |d| d.not_from(va));
+                let sand = scalar(6, |d| d.and_from(va, vb));
+                let sor = scalar(6, |d| d.or_from(va, vb));
+                let sxor = scalar(6, |d| d.xor_from(va, vb));
+                prop_assert_eq!(not.get_lane(l), snot, "not lane {}", l);
+                prop_assert_eq!(and.get_lane(l), sand, "and lane {}", l);
+                prop_assert_eq!(or.get_lane(l), sor, "or lane {}", l);
+                prop_assert_eq!(xor.get_lane(l), sxor, "xor lane {}", l);
                 for i in 0..6 {
-                    let (a, b) = (la[l].bit(i), lb[l].bit(i));
-                    prop_assert_eq!(not.lane_bit(l, i), a.not(), "not lane {} bit {}", l, i);
-                    prop_assert_eq!(and.lane_bit(l, i), a.and(b), "and lane {} bit {}", l, i);
-                    prop_assert_eq!(or.lane_bit(l, i), a.or(b), "or lane {} bit {}", l, i);
-                    prop_assert_eq!(xor.lane_bit(l, i), a.xor(b), "xor lane {} bit {}", l, i);
-                    prop_assert_eq!(res.lane_bit(l, i), a.resolve(b), "resolve lane {} bit {}", l, i);
+                    let (a, b) = (va.bit(i), vb.bit(i));
+                    prop_assert_eq!(snot.bit(i), a.not(), "not lane {} bit {}", l, i);
+                    prop_assert_eq!(sand.bit(i), a.and(b), "and lane {} bit {}", l, i);
+                    prop_assert_eq!(sor.bit(i), a.or(b), "or lane {} bit {}", l, i);
+                    prop_assert_eq!(sxor.bit(i), a.xor(b), "xor lane {} bit {}", l, i);
                 }
             }
         }
@@ -643,15 +658,24 @@ mod props {
             ror.reduce_or_from(&pa);
             mux.mux_from(&psel, &pa, &pb);
             for l in 0..LANES {
-                prop_assert_eq!(eq.lane_bit(l, 0), scalar_eq(&la[l], &lb[l]));
-                prop_assert_eq!(rxor.lane_bit(l, 0), la[l].reduce_xor());
-                prop_assert_eq!(ror.lane_bit(l, 0), la[l].reduce_or());
-                let want = match lsel[l].bit(0) {
-                    Logic::L1 => la[l].clone(),
-                    Logic::L0 => lb[l].clone(),
+                let (va, vb, vsel) = (&la[l], &lb[l], &lsel[l]);
+                let seq = scalar(1, |d| d.eq_from(va, vb));
+                let srxor = scalar(1, |d| d.reduce_xor_from(va));
+                let sror = scalar(1, |d| d.reduce_or_from(va));
+                let smux = scalar(5, |d| d.mux_from(vsel, va, vb));
+                prop_assert_eq!(eq.get_lane(l), seq, "eq lane {}", l);
+                prop_assert_eq!(rxor.get_lane(l), srxor, "reduce_xor lane {}", l);
+                prop_assert_eq!(ror.get_lane(l), sror, "reduce_or lane {}", l);
+                prop_assert_eq!(mux.get_lane(l), smux, "mux lane {}", l);
+                prop_assert_eq!(seq.bit(0), scalar_eq(va, vb));
+                prop_assert_eq!(srxor.bit(0), va.iter().fold(Logic::L0, Logic::xor));
+                prop_assert_eq!(sror.bit(0), va.iter().fold(Logic::L0, Logic::or));
+                let want = match vsel.bit(0) {
+                    Logic::L1 => va.clone(),
+                    Logic::L0 => vb.clone(),
                     _ => LogicVec::xs(5),
                 };
-                prop_assert_eq!(mux.get_lane(l), want, "mux lane {}", l);
+                prop_assert_eq!(smux, want, "mux lane {}", l);
             }
         }
 
@@ -667,6 +691,12 @@ mod props {
             acc.tri_accumulate(&pe0, &pv0);
             acc.tri_accumulate(&pe1, &pv1);
             for l in 0..LANES {
+                let sacc = scalar(4, |d| {
+                    d.fill_z();
+                    d.tri_accumulate(&le0[l], &lv0[l]);
+                    d.tri_accumulate(&le1[l], &lv1[l]);
+                });
+                prop_assert_eq!(acc.get_lane(l), sacc, "tri lane {}", l);
                 for i in 0..4 {
                     let mut want = Logic::Z;
                     for (en, val) in [(le0[l].bit(0), lv0[l].bit(i)), (le1[l].bit(0), lv1[l].bit(i))] {
@@ -677,7 +707,7 @@ mod props {
                         };
                         want = want.resolve(contribution);
                     }
-                    prop_assert_eq!(acc.lane_bit(l, i), want, "tri lane {} bit {}", l, i);
+                    prop_assert_eq!(sacc.bit(i), want, "tri lane {} bit {}", l, i);
                 }
             }
         }
@@ -799,7 +829,9 @@ fn lane_stim(lane: u64, cycle: u64) -> u64 {
 
 /// 64 lanes of the batched simulator against 64 independently-driven
 /// scalar simulators: every net identical every cycle, including lanes
-/// carrying X injections on the write-data bus.
+/// carrying X injections on the write data, the address (RAM read gather
+/// and write select), the write enable and `en0` (the enabled-DFF mask
+/// and a tristate enable) — the hooks each value type implements.
 #[test]
 fn batched_lanes_match_scalar_simulators() {
     let (n, ins) = batched_probe_design();
@@ -819,25 +851,22 @@ fn batched_lanes_match_scalar_simulators() {
         for cycle in 0..48u64 {
             for (lane, sc) in scalars.iter_mut().enumerate() {
                 let s = lane_stim(lane as u64, cycle);
-                let xlane = s.is_multiple_of(7); // some lanes inject X wdata
-                batched.set_lane_u64(we, lane, s & 1);
-                batched.set_lane_u64(addr, lane, s >> 1 & 7);
-                if xlane {
-                    batched.set_lane_xs(wdata, lane);
-                } else {
-                    batched.set_lane_u64(wdata, lane, s >> 4 & 0xFFFF);
+                // (net, value, inject X in this lane)
+                for (net, val, x) in [
+                    (we, s & 1, s >> 24 & 15 == 0),
+                    (addr, s >> 1 & 7, s >> 28 & 15 == 0),
+                    (wdata, s >> 4 & 0xFFFF, s.is_multiple_of(7)),
+                    (en0, s >> 20 & 1, s >> 32 & 15 == 0),
+                    (en1, s >> 21 & 1, false),
+                ] {
+                    if x {
+                        batched.set_lane_xs(net, lane);
+                        sc.set(net, LogicVec::xs(n.width(net)));
+                    } else {
+                        batched.set_lane_u64(net, lane, val);
+                        sc.set_u64(net, val);
+                    }
                 }
-                batched.set_lane_u64(en0, lane, s >> 20 & 1);
-                batched.set_lane_u64(en1, lane, s >> 21 & 1);
-                sc.set_u64(we, s & 1);
-                sc.set_u64(addr, s >> 1 & 7);
-                if xlane {
-                    sc.set(wdata, LogicVec::xs(16));
-                } else {
-                    sc.set_u64(wdata, s >> 4 & 0xFFFF);
-                }
-                sc.set_u64(en0, s >> 20 & 1);
-                sc.set_u64(en1, s >> 21 & 1);
             }
             for phase in [1u64, 0] {
                 batched.set_u64_all(clk, phase);
@@ -904,6 +933,62 @@ fn lane_probe_matches_scalar_probe() {
                 RtlProbe::probe(sc, &probe_expr),
                 "probe lane {lane} cycle {cycle}"
             );
+        }
+    }
+}
+
+/// RAM addresses the words do not cover: a 33-bit address over 4 words
+/// (a read at 2^32+1 is all-X, a write at 2^32+2 changes no word) and a
+/// 2-bit address over 8 words (a write at 0 reaches word 0 only). The
+/// range checks must see the whole address, on both instances.
+#[test]
+fn ram_addresses_beyond_the_words_read_x_and_write_nothing_there() {
+    let wide = (33, 4, (1u64 << 32) + 1, (1u64 << 32) + 2);
+    let narrow = (2, 8, 1, 0);
+    for (abits, words, read, write) in [wide, narrow] {
+        let mut n = Netlist::new("ram_reach");
+        let clk = n.input("clk", 1);
+        let we = n.input("we", 1);
+        let waddr = n.input("waddr", abits);
+        let raddr = n.input("raddr", abits);
+        let rdata = n.wire("rdata", 8);
+        n.ram(
+            clk,
+            Expr::net(we),
+            Expr::net(waddr),
+            Expr::value(0xA5, 8),
+            None,
+            Expr::net(raddr),
+            rdata,
+            words,
+            8,
+        );
+        let mut sim = RtlSim::new(&n);
+        let mut batched = BatchedRtlSim::new(&n);
+        for (net, val) in [(we, 1), (waddr, write), (raddr, read), (clk, 1)] {
+            sim.set_u64(net, val);
+            batched.set_u64_all(net, val);
+        }
+        sim.step();
+        batched.step();
+        if read >= u64::from(words) {
+            assert_eq!(*sim.get(rdata), LogicVec::xs(8));
+            for lane in 0..LANES {
+                assert_eq!(batched.get_lane(rdata, lane), LogicVec::xs(8));
+            }
+        }
+        let rams = batched.export_state().unwrap().rams;
+        for (a, (v, x)) in rams[0].iter().enumerate() {
+            let want = Some(if a as u64 == write { 0xA5 } else { 0 });
+            assert_eq!(sim.ram_word(0, a).to_u64(), want, "{abits}-bit word {a}");
+            let word = PackedVec::from_planes(8, v.clone(), x.clone()).unwrap();
+            for lane in 0..LANES {
+                assert_eq!(
+                    word.lane_to_u64(lane),
+                    want,
+                    "{abits}-bit word {a} lane {lane}"
+                );
+            }
         }
     }
 }

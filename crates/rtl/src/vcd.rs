@@ -2,9 +2,9 @@
 //! engineer can open, the natural inspection artefact of an RTL
 //! simulator.
 
+use crate::engine::RtlSim;
 use crate::logic::{Logic, LogicVec};
 use crate::netlist::{NetId, Netlist};
-use crate::sim::RtlSim;
 use std::fmt::Write;
 
 /// Records selected nets each step and renders an IEEE-1364 VCD file.
@@ -96,10 +96,7 @@ impl VcdWriter {
                 if *width == 1 {
                     let _ = writeln!(out, "{}{code}", logic_char(v.bit(0)));
                 } else {
-                    let bits: String = (0..*width)
-                        .rev()
-                        .map(|b| logic_char(v.bit(b)))
-                        .collect();
+                    let bits: String = (0..*width).rev().map(|b| logic_char(v.bit(b))).collect();
                     let _ = writeln!(out, "b{bits} {code}");
                 }
             }

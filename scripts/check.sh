@@ -6,6 +6,10 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 cargo clippy --all-targets -- -D warnings
+# Value-type equivalence gate (DESIGN.md §6): the RTL crate's proptests
+# pin both simulator value types, `LogicVec` and the 64-lane `PackedVec`,
+# kernel by kernel and lane by lane to the `Logic` truth tables.
+cargo test -q -p la1-rtl --features proptest > /dev/null
 
 # Table 3 direction gate: the SystemC-level flow must stay at least as
 # fast per cycle as the RTL+OVL flow at every bank count (the paper's
