@@ -25,8 +25,8 @@ use std::time::Duration;
 
 /// Default BDD node budget for the Table 2 reproduction, calibrated so
 /// the RuleBase-era monolithic strategy proves 1–3 banks (peaks of
-/// ~1.1M / ~4.6M / ~19.2M nodes on the reference host) and explodes at
-/// 4 banks (projected ~80M).
+/// 36,028 / 1,839,090 / 15,095,821 nodes) and explodes at 4 banks, where
+/// it exhausts the budget.
 pub const TABLE2_NODE_BUDGET: usize = 40_000_000;
 
 /// One row of Table 1.

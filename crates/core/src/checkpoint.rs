@@ -1402,10 +1402,14 @@ fn enc_rtl(s: &RtlDriverSnap, out: &mut Vec<Json>) {
     out.push(obj(vec![
         ("sec", Json::str("rtl")),
         ("cycles", Json::num(s.cycles)),
-        ("captured_lo", jopt(s.captured_lo)),
+        // the scalar driver's one lane, unwrapped
+        (
+            "captured_lo",
+            jopt(s.captured_lo.first().copied().flatten()),
+        ),
         (
             "outputs",
-            Json::Arr(s.outputs.iter().map(|o| jopt(*o)).collect()),
+            Json::Arr(s.outputs.iter().flatten().map(|o| jopt(*o)).collect()),
         ),
         ("steps", Json::num(s.sim.steps)),
         ("evals", Json::num(s.sim.evals)),
@@ -1453,8 +1457,8 @@ fn dec_rtl(secs: &mut Sections<'_>) -> Result<RtlDriverSnap, CheckpointError> {
             evals,
         },
         cycles,
-        captured_lo,
-        outputs,
+        captured_lo: vec![captured_lo],
+        outputs: vec![outputs],
     })
 }
 

@@ -15,6 +15,7 @@
 //! | [`LaSystemC`] | SystemC + compiled PSL monitors |
 //! | [`LaRtlDriver`] | interpreted RTL, no monitors |
 //! | [`RtlWithOvl`] | interpreted RTL + OVL monitor modules |
+//! | [`LaneModel`] | one lane of an [`LaDriver`], observation only |
 //!
 //! The OVL monitors attach through the netlist's net-id arena (each
 //! probe is an [`la1_rtl::Expr`] over [`la1_rtl::NetId`]s), so loading a
@@ -22,11 +23,12 @@
 //! compiled simulator evaluates into.
 
 use crate::harness::attach_la1_ovl;
-use crate::rtl_model::{LaRtl, LaRtlBatchDriver, LaRtlDriver, RtlDriverSnap};
+use crate::rtl_model::{LaDriver, LaRtl, LaRtlDriver, LaneSim, RtlDriverSnap};
 use crate::sc_model::LaSystemC;
 use crate::spec::BankOp;
 use crate::workloads::Workload;
 use la1_ovl::{OvlBench, OvlSnap};
+use la1_rtl::BatchedRtlSim;
 use std::fmt;
 
 /// A cycle-accurate executable model of the LA-1 interface.
@@ -42,8 +44,8 @@ pub trait CycleModel {
     ///
     /// # Panics
     ///
-    /// Panics if more than one read or write is supplied, or an address
-    /// is out of range (every level enforces the bus protocol).
+    /// Panics if more than one read or write is supplied, or a bank or
+    /// address is out of range (every level enforces the bus protocol).
     fn cycle(&mut self, ops: &[BankOp]);
 
     /// The word a bank produced in the last completed cycle, if its
@@ -253,38 +255,42 @@ impl CycleModel for RtlWithOvl {
     }
 }
 
-/// An observation-only [`CycleModel`] view of one lane of a
-/// [`LaRtlBatchDriver`] — lets per-model observers (coverage
-/// collectors, scoreboards) sample a batched lane through the same
-/// interface they use on the scalar levels.
+/// An observation-only [`CycleModel`] view of one lane of an
+/// [`LaDriver`] — lets per-model observers (coverage collectors,
+/// scoreboards) sample a lane through the same interface they use on
+/// the scalar levels.
 ///
-/// The batched driver steps all 64 lanes together, so this view cannot
-/// drive cycles itself: [`CycleModel::cycle`] panics. Use it only after
-/// [`LaRtlBatchDriver::cycle`] for pin sampling.
-pub struct BatchLaneModel<'a> {
-    driver: &'a mut LaRtlBatchDriver,
+/// The driver steps all its lanes together, so this view cannot drive
+/// cycles itself: [`CycleModel::cycle`] panics. Use it only after
+/// [`LaDriver::cycle_lanes`] for pin sampling.
+pub struct LaneModel<'a, S: LaneSim> {
+    driver: &'a mut LaDriver<S>,
     lane: usize,
 }
 
-impl<'a> BatchLaneModel<'a> {
-    /// Borrows one lane of the batched driver as a passive model view.
-    pub fn new(driver: &'a mut LaRtlBatchDriver, lane: usize) -> Self {
-        BatchLaneModel { driver, lane }
+/// A [`LaneModel`] over the 64-lane
+/// [`LaRtlBatchDriver`](crate::rtl_model::LaRtlBatchDriver).
+pub type BatchLaneModel<'a> = LaneModel<'a, BatchedRtlSim>;
+
+impl<'a, S: LaneSim> LaneModel<'a, S> {
+    /// Borrows one lane of the driver as a passive model view.
+    pub fn new(driver: &'a mut LaDriver<S>, lane: usize) -> Self {
+        LaneModel { driver, lane }
     }
 }
 
-impl CycleModel for BatchLaneModel<'_> {
+impl<S: LaneSim> CycleModel for LaneModel<'_, S> {
     fn level(&self) -> &'static str {
         "rtl"
     }
     fn cycle(&mut self, _ops: &[BankOp]) {
-        unreachable!("BatchLaneModel is observation-only; drive LaRtlBatchDriver::cycle instead")
+        unreachable!("LaneModel is observation-only; drive LaDriver::cycle_lanes instead")
     }
     fn bank_output(&self, bank: u32) -> Option<u64> {
-        self.driver.bank_output(self.lane, bank)
+        self.driver.lane_output(self.lane, bank)
     }
     fn write_done(&self, bank: u32) -> bool {
-        self.driver.write_done(self.lane, bank)
+        self.driver.lane_write_done(self.lane, bank)
     }
     fn violation_count(&self) -> usize {
         0
@@ -293,7 +299,7 @@ impl CycleModel for BatchLaneModel<'_> {
         self.driver.cycles()
     }
     fn parity_error(&mut self, bank: u32) -> bool {
-        self.driver.parity_error(self.lane, bank)
+        self.driver.lane_parity_error(self.lane, bank)
     }
 }
 

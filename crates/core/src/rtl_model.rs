@@ -17,15 +17,23 @@
 //!
 //! [`LaRtl::netlist`] yields the structural design (emit Verilog with
 //! [`la1_rtl::Netlist::to_verilog`], extract a transition system for
-//! the `la1-smc` checker with [`la1_rtl::Netlist::extract`]);
-//! [`LaRtlDriver`] clocks the interpreted simulator through full
-//! protocol cycles.
+//! the `la1-smc` checker with [`la1_rtl::Netlist::extract`]).
+//!
+//! [`LaDriver`] clocks the interpreted simulator through full protocol
+//! cycles: it decodes each cycle's operations ([`decode_cycle`]), stages
+//! them on the rising and falling edges, injects X and merges the two
+//! DDR halves. It is written once, generic over the simulator
+//! ([`LaneSim`]); [`LaRtlDriver`] drives the scalar [`RtlSim`] and
+//! [`LaRtlBatchDriver`] the 64-lane [`BatchedRtlSim`], one independent
+//! operation stream per lane.
 
+use crate::checkpoint::{CheckpointError, Snapshot};
 use crate::spec::{bank_bits, BankOp, LaConfig};
 use la1_rtl::{
-    BatchedRtlSim, BatchedRtlState, Edge, Expr, LogicVec, NetId, Netlist, RtlSim, RtlState,
+    BatchedRtlSim, BatchedRtlState, Edge, Expr, LogicVec, NetId, Netlist, RtlSim, RtlState, Sim,
     TransitionSystem, LANES,
 };
+use std::fmt;
 
 /// Net handles of the built design.
 #[derive(Debug, Clone)]
@@ -407,307 +415,254 @@ pub enum XPin {
     WData,
 }
 
-/// Clocks the interpreted RTL simulator through full protocol cycles.
-#[derive(Debug)]
-pub struct LaRtlDriver {
-    design: LaRtl,
-    sim: RtlSim,
-    cycles: u64,
-    /// dq low half captured during the high phase of the current cycle
-    captured_lo: Option<u64>,
-    /// merged output word per bank, refreshed each cycle
-    outputs: Vec<Option<u64>>,
-    /// pin to drive with X during the next cycle, consumed by `cycle_with`
-    pending_x: Option<XPin>,
+/// One lane's operations for one cycle, decoded onto the input pins.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PinCycle {
+    /// `rd_sel`, `wr_sel`, `addr`, `wdata` and `bw` at rising `K`: the
+    /// read address, the write data's low half and its byte enables.
+    pub rise: [u64; 5],
+    /// `addr`, `wdata` and `bw` at falling `K`: the write address, the
+    /// write data's high half and its byte enables.
+    pub fall: [u64; 3],
 }
 
-impl LaRtlDriver {
-    /// Creates a driver (the design starts with `K` low).
-    pub fn new(design: &LaRtl) -> Self {
-        let sim = RtlSim::new(design.netlist());
-        let banks = design.cfg.banks as usize;
-        LaRtlDriver {
-            design: design.clone(),
-            sim,
-            cycles: 0,
-            captured_lo: None,
-            outputs: vec![None; banks],
-            pending_x: None,
+/// Decodes one lane's operations onto the pins, checking the bus
+/// protocol every level enforces: at most one read and one write (the
+/// single address bus), each to a bank and word in range.
+///
+/// # Errors
+///
+/// Names the first rule the operations break.
+pub fn decode_cycle(cfg: &LaConfig, ops: &[BankOp]) -> Result<PinCycle, &'static str> {
+    let bus = |bank: u32, addr: u64| {
+        if bank >= cfg.banks {
+            Err("bank out of range")
+        } else if addr >= cfg.words_per_bank as u64 {
+            Err("word address out of range")
+        } else {
+            Ok(addr | ((bank as u64) << cfg.addr_bits()))
         }
-    }
-
-    /// Arms a four-state X injection: during the next [`Self::cycle`]
-    /// the chosen input pin is driven with all-X on both clock edges,
-    /// overriding whatever the operations would drive. Whatever the
-    /// design samples from that pin (a write word, an address, a select)
-    /// becomes X and propagates through the state like a real unknown.
-    pub fn inject_x(&mut self, pin: XPin) {
-        self.pending_x = Some(pin);
-    }
-
-    /// Mutable access to the underlying simulator (OVL benches probe
-    /// through it).
-    pub fn sim_mut(&mut self) -> &mut RtlSim {
-        &mut self.sim
-    }
-
-    /// Completed protocol cycles.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// The configuration the driven design was built for.
-    pub fn config(&self) -> &LaConfig {
-        self.design.config()
-    }
-
-    /// Expression evaluations performed by the interpreter so far.
-    pub fn evals(&self) -> u64 {
-        self.sim.evals()
-    }
-
-    /// Runs one full clock cycle with at most one read and one write
-    /// (the single address bus allows no more).
-    ///
-    /// Returns a borrow-friendly handle to sample OVL monitors between
-    /// the edges via [`Self::sim_mut`] — callers that need the paper's
-    /// rising-edge sampling should pass a callback to
-    /// [`Self::cycle_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than one read or write is supplied, or if an
-    /// address is out of range.
-    pub fn cycle(&mut self, ops: &[BankOp]) {
-        self.cycle_with(ops, |_| {});
-    }
-
-    /// Like [`Self::cycle`], invoking `at_rising` once the rising edge
-    /// has settled (the OVL sampling point).
-    pub fn cycle_with<F: FnOnce(&mut RtlSim)>(&mut self, ops: &[BankOp], at_rising: F) {
-        let x_target: Option<(NetId, u32)> = self.pending_x.take().map(|pin| {
-            let cfg = &self.design.cfg;
-            let nets = &self.design.nets;
-            match pin {
-                XPin::ReadSel => (nets.rd_sel, 1),
-                XPin::WriteSel => (nets.wr_sel, 1),
-                XPin::Addr => (nets.addr, cfg.addr_bits() + bank_bits(cfg.banks)),
-                XPin::WData => (nets.wdata, cfg.half_width()),
+    };
+    let half_be = cfg.byte_enables() / 2;
+    let (mut read, mut write) = (false, false);
+    let mut pins = PinCycle::default();
+    for op in ops {
+        match *op {
+            BankOp::Read { bank, addr } => {
+                if std::mem::replace(&mut read, true) {
+                    return Err("single address bus: one read per cycle");
+                }
+                pins.rise[0] = 1;
+                pins.rise[2] = bus(bank, addr)?;
             }
-        });
-        let cfg = &self.design.cfg;
-        let nets = &self.design.nets;
-        let word_bits = cfg.addr_bits();
-        let mut read = None;
-        let mut write = None;
-        for op in ops {
-            match *op {
-                BankOp::Read { bank, addr } => {
-                    assert!(read.is_none(), "single address bus: one read per cycle");
-                    assert!(addr < cfg.words_per_bank as u64);
-                    read = Some((bank, addr));
+            BankOp::Write {
+                bank,
+                addr,
+                data,
+                byte_en,
+            } => {
+                if std::mem::replace(&mut write, true) {
+                    return Err("single address bus: one write per cycle");
                 }
-                BankOp::Write {
-                    bank,
-                    addr,
-                    data,
-                    byte_en,
-                } => {
-                    assert!(write.is_none(), "single address bus: one write per cycle");
-                    assert!(addr < cfg.words_per_bank as u64);
-                    write = Some((bank, addr, cfg.mask_word(data), byte_en));
-                }
+                let data = cfg.mask_word(data);
+                pins.rise[1] = 1;
+                pins.rise[3] = cfg.low_half(data);
+                pins.rise[4] = (byte_en & ((1 << half_be) - 1)) as u64;
+                pins.fall = [
+                    bus(bank, addr)?,
+                    cfg.high_half(data),
+                    (byte_en >> half_be) as u64,
+                ];
             }
         }
-
-        // rising edge: read select + read address + write select +
-        // write data low half + low byte enables
-        let (rd, rbank, raddr) = match read {
-            Some((b, a)) => (1u64, b as u64, a),
-            None => (0, 0, 0),
-        };
-        let (wr, wdata_lo, bw_lo) = match write {
-            Some((_, _, d, be)) => (
-                1u64,
-                cfg.low_half(d),
-                (be & ((1 << (cfg.byte_enables() / 2)) - 1)) as u64,
-            ),
-            None => (0, 0, 0),
-        };
-        self.sim.set_u64(nets.rd_sel, rd);
-        self.sim.set_u64(nets.wr_sel, wr);
-        self.sim
-            .set_u64(nets.addr, raddr | (rbank << word_bits));
-        self.sim.set_u64(nets.wdata, wdata_lo);
-        self.sim.set_u64(nets.bw, bw_lo);
-        if let Some((net, width)) = x_target {
-            self.sim.set(net, LogicVec::xs(width));
-        }
-        self.sim.set_u64(nets.k, 1);
-        self.sim.step();
-        // capture the low output half (driven while K is high)
-        self.captured_lo = self.sim.get_u64(nets.dq);
-        at_rising(&mut self.sim);
-
-        // falling edge: write address + write data high half + high
-        // byte enables
-        let (waddr_bus, wdata_hi, bw_hi) = match write {
-            Some((b, a, d, be)) => (
-                a | ((b as u64) << word_bits),
-                cfg.high_half(d),
-                (be >> (cfg.byte_enables() / 2)) as u64,
-            ),
-            None => (0, 0, 0),
-        };
-        self.sim.set_u64(nets.addr, waddr_bus);
-        self.sim.set_u64(nets.wdata, wdata_hi);
-        self.sim.set_u64(nets.bw, bw_hi);
-        if let Some((net, width)) = x_target {
-            self.sim.set(net, LogicVec::xs(width));
-        }
-        self.sim.set_u64(nets.k, 0);
-        self.sim.step();
-
-        // merge the DDR halves per bank
-        let half = cfg.half_width();
-        for b in 0..cfg.banks as usize {
-            let dv = self.sim.get_u64(nets.dv[b]) == Some(1);
-            self.outputs[b] = if dv {
-                match (self.captured_lo, self.sim.get_u64(nets.dq)) {
-                    (Some(lo), Some(hi)) => Some(lo | (hi << half)),
-                    _ => None,
-                }
-            } else {
-                None
-            };
-        }
-        self.cycles += 1;
     }
+    Ok(pins)
+}
 
-    /// The word a bank produced in the last completed cycle (both DDR
-    /// halves merged), if its data-valid flag was set.
-    pub fn bank_output(&self, bank: u32) -> Option<u64> {
-        self.outputs[bank as usize]
+/// What an [`LaDriver`] needs from the simulator it clocks: a lane count
+/// (a lane is one independent simulation) and bulk per-lane staging and
+/// sampling. [`RtlSim`] is the one-lane instance (`set_u64`/`get_u64`),
+/// [`BatchedRtlSim`] the [`LANES`]-lane one (the transposed
+/// `set_lanes_u64`/`lanes_u64`).
+pub trait LaneSim: Sized {
+    /// Lanes one step advances.
+    const LANES: usize;
+    /// One `u64` per lane.
+    type Lanes: Copy + AsRef<[u64]> + AsMut<[u64]>;
+    /// Every lane zero.
+    const ZERO: Self::Lanes;
+    /// The simulator's exported state.
+    type State: Clone + PartialEq + Eq + fmt::Debug;
+
+    /// Compiles `netlist`.
+    fn compile(netlist: &Netlist) -> Self;
+    /// Stages one value per lane into an input.
+    fn stage(&mut self, net: NetId, lanes: &Self::Lanes);
+    /// Stages one value into every lane of an input.
+    fn stage_all(&mut self, net: NetId, value: u64);
+    /// Stages all-X into one lane of an input.
+    fn stage_x(&mut self, net: NetId, lane: usize);
+    /// Applies the staged inputs and settles.
+    fn settle(&mut self);
+    /// Reads one value per lane into `out`; returns the mask of lanes
+    /// whose value is fully known.
+    fn sample(&self, net: NetId, out: &mut Self::Lanes) -> u64;
+    /// The mask of lanes in which bit 0 of `net` is a known 1.
+    fn ones(&self, net: NetId) -> u64;
+    /// Compiled-op evaluations so far.
+    fn evals(&self) -> u64;
+    /// Exports the full simulator state.
+    fn export(&self) -> Result<Self::State, String>;
+    /// Installs an exported state.
+    fn import(&mut self, state: &Self::State) -> Result<(), String>;
+    /// One protocol cycle of `driver`: the per-instance entry point to
+    /// the cycle body, so the body is compiled in this crate once per
+    /// instance, however generic the calling code is.
+    fn drive(driver: &mut LaDriver<Self>, ops: &[&[BankOp]], at_rising: &mut dyn FnMut(&mut Self));
+    /// Builds a driver over `design` from a checkpoint of this instance
+    /// ([`Snapshot::into_rtl`] or [`Snapshot::into_rtl_batch`]).
+    fn restore(snap: &Snapshot, design: &LaRtl) -> Result<LaDriver<Self>, CheckpointError>;
+}
+
+impl LaneSim for RtlSim {
+    const LANES: usize = 1;
+    type Lanes = [u64; 1];
+    const ZERO: [u64; 1] = [0];
+    type State = RtlState;
+
+    fn compile(netlist: &Netlist) -> Self {
+        RtlSim::new(netlist)
     }
-
-    /// Whether a bank's parity checker fired at the last rising edge.
-    pub fn parity_error(&mut self, bank: u32) -> bool {
-        let net = self.design.nets.perr[bank as usize];
-        self.sim.get_u64(net) == Some(1)
+    fn stage(&mut self, net: NetId, lanes: &[u64; 1]) {
+        self.set_u64(net, lanes[0]);
     }
-
-    /// Whether the bank's write-done register is set after the last
-    /// completed cycle.
-    pub fn write_done(&self, bank: u32) -> bool {
-        let net = self.design.nets.wdone[bank as usize];
-        self.sim.get_u64(net) == Some(1)
+    fn stage_all(&mut self, net: NetId, value: u64) {
+        self.set_u64(net, value);
     }
-
-    /// Captures the driver's complete state at a protocol-cycle
-    /// boundary: the simulator's value arena plus the DDR-merge
-    /// bookkeeping.
-    ///
-    /// # Errors
-    ///
-    /// Fails if an X injection is armed but not yet consumed (arm it
-    /// again after restoring instead).
-    pub fn snapshot_state(&self) -> Result<RtlDriverSnap, String> {
-        if self.pending_x.is_some() {
-            return Err("cannot snapshot with an armed X injection".to_string());
-        }
-        Ok(RtlDriverSnap {
-            sim: self.sim.export_state()?,
-            cycles: self.cycles,
-            captured_lo: self.captured_lo,
-            outputs: self.outputs.clone(),
+    fn stage_x(&mut self, net: NetId, _lane: usize) {
+        self.set(net, LogicVec::xs(self.get(net).width()));
+    }
+    fn settle(&mut self) {
+        self.step();
+    }
+    fn sample(&self, net: NetId, out: &mut [u64; 1]) -> u64 {
+        self.get_u64(net).map_or(0, |v| {
+            out[0] = v;
+            1
         })
     }
-
-    /// Installs a snapshot taken from a driver over the same design.
-    ///
-    /// # Errors
-    ///
-    /// Fails without modifying the driver if the simulator state does
-    /// not fit the design (arena size, widths, RAM geometry) or the
-    /// output list has the wrong bank count.
-    pub fn restore_state(&mut self, snap: &RtlDriverSnap) -> Result<(), String> {
-        if snap.outputs.len() != self.outputs.len() {
-            return Err(format!(
-                "snapshot has {} banks, driver has {}",
-                snap.outputs.len(),
-                self.outputs.len()
-            ));
-        }
-        self.sim.import_state(&snap.sim)?;
-        self.cycles = snap.cycles;
-        self.captured_lo = snap.captured_lo;
-        self.outputs.clone_from(&snap.outputs);
-        self.pending_x = None;
-        Ok(())
+    fn ones(&self, net: NetId) -> u64 {
+        u64::from(self.get_u64(net) == Some(1))
+    }
+    fn evals(&self) -> u64 {
+        Sim::evals(self)
+    }
+    fn export(&self) -> Result<RtlState, String> {
+        self.export_state()
+    }
+    fn import(&mut self, state: &RtlState) -> Result<(), String> {
+        self.import_state(state)
+    }
+    fn drive(driver: &mut LaRtlDriver, ops: &[&[BankOp]], at_rising: &mut dyn FnMut(&mut Self)) {
+        driver.run_cycle(ops, at_rising);
+    }
+    fn restore(snap: &Snapshot, design: &LaRtl) -> Result<LaRtlDriver, CheckpointError> {
+        snap.into_rtl(design)
     }
 }
 
-/// A plain-data snapshot of a [`LaRtlDriver`] at a protocol-cycle
-/// boundary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RtlDriverSnap {
-    /// The interpreted simulator's exported state.
-    pub sim: RtlState,
-    /// Completed protocol cycles.
-    pub cycles: u64,
-    /// The low DDR half captured during the last high phase.
-    pub captured_lo: Option<u64>,
-    /// Merged output words per bank.
-    pub outputs: Vec<Option<u64>>,
+impl LaneSim for BatchedRtlSim {
+    const LANES: usize = LANES;
+    type Lanes = [u64; LANES];
+    const ZERO: [u64; LANES] = [0; LANES];
+    type State = BatchedRtlState;
+
+    fn compile(netlist: &Netlist) -> Self {
+        BatchedRtlSim::new(netlist)
+    }
+    fn stage(&mut self, net: NetId, lanes: &[u64; LANES]) {
+        self.set_lanes_u64(net, lanes);
+    }
+    fn stage_all(&mut self, net: NetId, value: u64) {
+        self.set_u64_all(net, value);
+    }
+    fn stage_x(&mut self, net: NetId, lane: usize) {
+        self.set_lane_xs(net, lane);
+    }
+    fn settle(&mut self) {
+        self.step();
+    }
+    fn sample(&self, net: NetId, out: &mut [u64; LANES]) -> u64 {
+        self.lanes_u64(net, out)
+    }
+    fn ones(&self, net: NetId) -> u64 {
+        self.get(net).lanes_bit_is_one(0)
+    }
+    fn evals(&self) -> u64 {
+        Sim::evals(self)
+    }
+    fn export(&self) -> Result<BatchedRtlState, String> {
+        self.export_state()
+    }
+    fn import(&mut self, state: &BatchedRtlState) -> Result<(), String> {
+        self.import_state(state)
+    }
+    fn drive(
+        driver: &mut LaRtlBatchDriver,
+        ops: &[&[BankOp]],
+        at_rising: &mut dyn FnMut(&mut Self),
+    ) {
+        driver.run_cycle(ops, at_rising);
+    }
+    fn restore(snap: &Snapshot, design: &LaRtl) -> Result<LaRtlBatchDriver, CheckpointError> {
+        snap.into_rtl_batch(design)
+    }
 }
 
-/// Clocks the 64-lane batched (PPSFP) RTL simulator through full
-/// protocol cycles — one independent LA-1 stimulus stream per lane over
-/// a single shared netlist evaluation.
+/// Clocks an interpreted RTL simulator through full LA-1 protocol
+/// cycles, one independent operation stream per lane: the design's one
+/// bus functional model.
 ///
-/// Per-lane semantics are bit-identical to running [`LaRtlDriver`] 64
-/// times: the same input encoding, the same sampling points, the same
-/// DDR half merge. The clock `K` is lane-uniform (every lane sees the
-/// same edges), which is exactly the PPSFP restriction.
+/// [`LaRtlDriver`] drives the scalar [`RtlSim`]; [`LaRtlBatchDriver`]
+/// drives the 64-lane [`BatchedRtlSim`] (PPSFP), every lane bit-identical
+/// to a scalar driver fed that lane's operations. The clock `K` is
+/// lane-uniform (every lane sees the same edges), which is exactly the
+/// PPSFP restriction.
 #[derive(Debug)]
-pub struct LaRtlBatchDriver {
+pub struct LaDriver<S: LaneSim> {
     design: LaRtl,
-    sim: BatchedRtlSim,
+    sim: S,
     cycles: u64,
-    /// dq low half captured during the high phase, per lane
+    /// dq low half captured while `K` was high, per lane
     captured_lo: Vec<Option<u64>>,
-    /// merged output word per lane per bank, refreshed each cycle
-    outputs: Vec<Vec<Option<u64>>>,
+    /// merged output word per lane and bank (`lane * banks + bank`)
+    outputs: Vec<Option<u64>>,
     /// pin to drive with X during the next cycle, per lane
     pending_x: Vec<Option<XPin>>,
 }
 
-impl LaRtlBatchDriver {
-    /// Creates a batched driver (the design starts with `K` low in every
-    /// lane).
+/// The scalar LA-1 driver: one lane, over [`RtlSim`].
+pub type LaRtlDriver = LaDriver<RtlSim>;
+
+/// The bit-parallel LA-1 driver: [`LANES`] lanes, over [`BatchedRtlSim`].
+pub type LaRtlBatchDriver = LaDriver<BatchedRtlSim>;
+
+impl<S: LaneSim> LaDriver<S> {
+    /// Creates a driver (the design starts with `K` low in every lane).
     pub fn new(design: &LaRtl) -> Self {
-        let sim = BatchedRtlSim::new(design.netlist());
-        let banks = design.cfg.banks as usize;
-        LaRtlBatchDriver {
+        LaDriver {
             design: design.clone(),
-            sim,
+            sim: S::compile(design.netlist()),
             cycles: 0,
-            captured_lo: vec![None; LANES],
-            outputs: vec![vec![None; banks]; LANES],
-            pending_x: vec![None; LANES],
+            captured_lo: vec![None; S::LANES],
+            outputs: vec![None; S::LANES * design.cfg.banks as usize],
+            pending_x: vec![None; S::LANES],
         }
     }
 
-    /// Arms a four-state X injection on one lane for the next cycle
-    /// (the batched analogue of [`LaRtlDriver::inject_x`]).
-    pub fn inject_x(&mut self, lane: usize, pin: XPin) {
-        self.pending_x[lane] = Some(pin);
-    }
-
-    /// Mutable access to the underlying batched simulator (monitor
-    /// benches probe single lanes through
-    /// [`BatchedRtlSim::lane_probe`]).
-    pub fn sim_mut(&mut self) -> &mut BatchedRtlSim {
+    /// Mutable access to the underlying simulator (OVL benches probe
+    /// through it; batched lanes through [`BatchedRtlSim::lane_probe`]).
+    pub fn sim_mut(&mut self) -> &mut S {
         &mut self.sim
     }
 
@@ -721,236 +676,269 @@ impl LaRtlBatchDriver {
         self.design.config()
     }
 
-    /// Compiled-op evaluations performed so far; each one advances all
-    /// 64 lanes.
+    /// Compiled-op evaluations performed so far; each one advances every
+    /// lane.
     pub fn evals(&self) -> u64 {
         self.sim.evals()
     }
 
     /// Runs one full clock cycle with an independent operation list per
-    /// lane. `ops[lane]` follows the [`LaRtlDriver::cycle`] contract (at
-    /// most one read and one write); lanes beyond `ops.len()` idle.
+    /// lane; lanes beyond `ops.len()` idle.
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`LaRtlDriver::cycle`], or if
-    /// more than [`LANES`] operation lists are supplied.
-    pub fn cycle(&mut self, ops: &[&[BankOp]]) {
-        self.cycle_with(ops, |_| {});
+    /// Panics, with the driver untouched, if a lane's operations break
+    /// the bus protocol ([`decode_cycle`]), or if more than
+    /// [`LaneSim::LANES`] lists are supplied.
+    pub fn cycle_lanes(&mut self, ops: &[&[BankOp]]) {
+        S::drive(self, ops, &mut |_| {});
     }
 
-    /// Like [`Self::cycle`], invoking `at_rising` once the rising edge
-    /// has settled (the OVL sampling point; probe individual lanes with
-    /// [`BatchedRtlSim::lane_probe`]).
-    pub fn cycle_with<F: FnOnce(&mut BatchedRtlSim)>(&mut self, ops: &[&[BankOp]], at_rising: F) {
-        assert!(ops.len() <= LANES, "at most {LANES} lanes");
-        let cfg = self.design.cfg.clone();
-        let nets = self.design.nets.clone();
-        let word_bits = cfg.addr_bits();
-        let half = cfg.half_width();
+    /// [`Self::cycle_lanes`], invoking `at_rising` once the rising edge
+    /// has settled (the OVL sampling point).
+    fn cycle_lanes_with<F: FnOnce(&mut S)>(&mut self, ops: &[&[BankOp]], at_rising: F) {
+        let mut at_rising = Some(at_rising);
+        S::drive(self, ops, &mut |sim| {
+            if let Some(f) = at_rising.take() {
+                f(sim);
+            }
+        });
+    }
 
-        // decode each lane's operations once, with the scalar driver's
-        // exact validation
-        let mut reads = [None; LANES];
-        let mut writes = [None; LANES];
+    /// The merged output word of `bank` in `lane`.
+    pub(crate) fn lane_output(&self, lane: usize, bank: u32) -> Option<u64> {
+        self.outputs[lane * self.design.nets.dv.len() + bank as usize]
+    }
+
+    /// The parity-error flag of `bank` in `lane`.
+    pub(crate) fn lane_parity_error(&self, lane: usize, bank: u32) -> bool {
+        self.sim.ones(self.design.nets.perr[bank as usize]) >> lane & 1 == 1
+    }
+
+    /// The write-done flag of `bank` in `lane`.
+    pub(crate) fn lane_write_done(&self, lane: usize, bank: u32) -> bool {
+        self.sim.ones(self.design.nets.wdone[bank as usize]) >> lane & 1 == 1
+    }
+
+    /// Captures the driver's complete state at a protocol-cycle
+    /// boundary: the simulator state plus every lane's DDR-merge
+    /// bookkeeping.
+    ///
+    /// # Errors
+    ///
+    /// Fails if an X injection is armed but not yet consumed (arm it
+    /// again after restoring instead).
+    pub fn snapshot_state(&self) -> Result<LaDriverSnap<S::State>, String> {
+        if self.pending_x.iter().any(Option::is_some) {
+            return Err("cannot snapshot with an armed X injection".to_string());
+        }
+        Ok(LaDriverSnap {
+            sim: self.sim.export()?,
+            cycles: self.cycles,
+            captured_lo: self.captured_lo.clone(),
+            outputs: (self.outputs)
+                .chunks(self.design.nets.dv.len())
+                .map(<[_]>::to_vec)
+                .collect(),
+        })
+    }
+
+    /// Installs a snapshot taken from a driver of the same instance over
+    /// the same design.
+    ///
+    /// # Errors
+    ///
+    /// Fails without modifying the driver if the simulator state does
+    /// not fit the design (arena size, widths, RAM geometry) or the
+    /// per-lane lists have the wrong lane or bank count.
+    pub fn restore_state(&mut self, snap: &LaDriverSnap<S::State>) -> Result<(), String> {
+        let banks = self.design.nets.dv.len();
+        if snap.captured_lo.len() != S::LANES
+            || snap.outputs.len() != S::LANES
+            || snap.outputs.iter().any(|o| o.len() != banks)
+        {
+            return Err("snapshot lane shape does not match the driver".to_string());
+        }
+        self.sim.import(&snap.sim)?;
+        self.cycles = snap.cycles;
+        self.captured_lo.clone_from(&snap.captured_lo);
+        self.outputs = snap.outputs.concat();
+        self.pending_x.fill(None);
+        Ok(())
+    }
+
+    /// The protocol cycle, written once for both instances and reached
+    /// only through [`LaneSim::drive`].
+    fn run_cycle(&mut self, ops: &[&[BankOp]], at_rising: &mut dyn FnMut(&mut S)) {
+        assert!(ops.len() <= S::LANES, "at most {} lanes", S::LANES);
+        let (cfg, nets) = (&self.design.cfg, &self.design.nets);
+        // decode every lane before anything is staged
+        let mut rise = [S::ZERO; 5];
+        let mut fall = [S::ZERO; 3];
         for (lane, lane_ops) in ops.iter().enumerate() {
-            for op in lane_ops.iter() {
-                match *op {
-                    BankOp::Read { bank, addr } => {
-                        assert!(
-                            reads[lane].is_none(),
-                            "single address bus: one read per cycle"
-                        );
-                        assert!(addr < cfg.words_per_bank as u64);
-                        reads[lane] = Some((bank, addr));
-                    }
-                    BankOp::Write {
-                        bank,
-                        addr,
-                        data,
-                        byte_en,
-                    } => {
-                        assert!(
-                            writes[lane].is_none(),
-                            "single address bus: one write per cycle"
-                        );
-                        assert!(addr < cfg.words_per_bank as u64);
-                        writes[lane] = Some((bank, addr, cfg.mask_word(data), byte_en));
-                    }
-                }
+            let pins = decode_cycle(cfg, lane_ops).unwrap_or_else(|rule| panic!("{rule}"));
+            for (col, v) in rise.iter_mut().zip(pins.rise) {
+                col.as_mut()[lane] = v;
+            }
+            for (col, v) in fall.iter_mut().zip(pins.fall) {
+                col.as_mut()[lane] = v;
             }
         }
-        let x_target = |pin: XPin| -> NetId {
-            match pin {
-                XPin::ReadSel => nets.rd_sel,
-                XPin::WriteSel => nets.wr_sel,
-                XPin::Addr => nets.addr,
-                XPin::WData => nets.wdata,
+        // an armed X overrides its lane of the pin on both edges
+        let stage_xs = |sim: &mut S| {
+            for (lane, pin) in self.pending_x.iter().enumerate() {
+                let net = match pin {
+                    Some(XPin::ReadSel) => nets.rd_sel,
+                    Some(XPin::WriteSel) => nets.wr_sel,
+                    Some(XPin::Addr) => nets.addr,
+                    Some(XPin::WData) => nets.wdata,
+                    None => continue,
+                };
+                sim.stage_x(net, lane);
             }
         };
 
         // rising edge: read select + read address + write select +
-        // write data low half + low byte enables. All lanes of each
-        // input are staged through one transposed bulk drive
-        // (semantically 64 per-lane sets; see PackedVec::set_lanes_u64),
-        // then the rare pending X injections overwrite their lane.
-        let mut rd_v = [0u64; LANES];
-        let mut wr_v = [0u64; LANES];
-        let mut addr_v = [0u64; LANES];
-        let mut data_v = [0u64; LANES];
-        let mut bw_v = [0u64; LANES];
-        for lane in 0..LANES {
-            if let Some((b, a)) = reads[lane] {
-                rd_v[lane] = 1;
-                addr_v[lane] = a | ((b as u64) << word_bits);
-            }
-            if let Some((_, _, d, be)) = writes[lane] {
-                wr_v[lane] = 1;
-                data_v[lane] = cfg.low_half(d);
-                bw_v[lane] = (be & ((1 << (cfg.byte_enables() / 2)) - 1)) as u64;
-            }
+        // write data low half + low byte enables
+        let rise_pins = [nets.rd_sel, nets.wr_sel, nets.addr, nets.wdata, nets.bw];
+        for (net, col) in rise_pins.into_iter().zip(&rise) {
+            self.sim.stage(net, col);
         }
-        self.sim.set_lanes_u64(nets.rd_sel, &rd_v);
-        self.sim.set_lanes_u64(nets.wr_sel, &wr_v);
-        self.sim.set_lanes_u64(nets.addr, &addr_v);
-        self.sim.set_lanes_u64(nets.wdata, &data_v);
-        self.sim.set_lanes_u64(nets.bw, &bw_v);
-        for lane in 0..LANES {
-            if let Some(pin) = self.pending_x[lane] {
-                self.sim.set_lane_xs(x_target(pin), lane);
-            }
-        }
-        self.sim.set_u64_all(nets.k, 1);
-        self.sim.step();
+        stage_xs(&mut self.sim);
+        self.sim.stage_all(nets.k, 1);
+        self.sim.settle();
         // capture the low output halves (driven while K is high)
-        let mut dq = [0u64; LANES];
-        let known = self.sim.lanes_u64(nets.dq, &mut dq);
-        for (lane, &q) in dq.iter().enumerate() {
-            self.captured_lo[lane] = (known >> lane & 1 == 1).then_some(q);
+        let mut dq = S::ZERO;
+        let known = self.sim.sample(nets.dq, &mut dq);
+        for (lane, lo) in self.captured_lo.iter_mut().enumerate() {
+            *lo = (known >> lane & 1 == 1).then_some(dq.as_ref()[lane]);
         }
         at_rising(&mut self.sim);
 
         // falling edge: write address + write data high half + high
         // byte enables
-        for lane in 0..LANES {
-            let (waddr_bus, wdata_hi, bw_hi) = match writes[lane] {
-                Some((b, a, d, be)) => (
-                    a | ((b as u64) << word_bits),
-                    cfg.high_half(d),
-                    (be >> (cfg.byte_enables() / 2)) as u64,
-                ),
-                None => (0, 0, 0),
-            };
-            addr_v[lane] = waddr_bus;
-            data_v[lane] = wdata_hi;
-            bw_v[lane] = bw_hi;
+        for (net, col) in [nets.addr, nets.wdata, nets.bw].into_iter().zip(&fall) {
+            self.sim.stage(net, col);
         }
-        self.sim.set_lanes_u64(nets.addr, &addr_v);
-        self.sim.set_lanes_u64(nets.wdata, &data_v);
-        self.sim.set_lanes_u64(nets.bw, &bw_v);
-        for lane in 0..LANES {
-            if let Some(pin) = self.pending_x[lane].take() {
-                self.sim.set_lane_xs(x_target(pin), lane);
-            }
-        }
-        self.sim.set_u64_all(nets.k, 0);
-        self.sim.step();
+        stage_xs(&mut self.sim);
+        self.pending_x.fill(None);
+        self.sim.stage_all(nets.k, 0);
+        self.sim.settle();
 
-        // merge the DDR halves per lane per bank (high halves bulk-read
-        // once, per-bank data-valid flags read plane-wise)
-        let known_hi = self.sim.lanes_u64(nets.dq, &mut dq);
-        for b in 0..cfg.banks as usize {
-            let dv_ones = self.sim.get(nets.dv[b]).lanes_bit_is_one(0);
-            for (lane, &q) in dq.iter().enumerate() {
-                self.outputs[lane][b] = if dv_ones >> lane & 1 == 1 {
-                    let hi = (known_hi >> lane & 1 == 1).then_some(q);
-                    match (self.captured_lo[lane], hi) {
-                        (Some(lo), Some(hi)) => Some(lo | (hi << half)),
-                        _ => None,
-                    }
-                } else {
-                    None
+        // merge the DDR halves per lane and bank
+        let known = self.sim.sample(nets.dq, &mut dq);
+        let (banks, half) = (nets.dv.len(), cfg.half_width());
+        for (b, &dv) in nets.dv.iter().enumerate() {
+            let valid = self.sim.ones(dv) & known;
+            for (lane, lo) in self.captured_lo.iter().enumerate() {
+                self.outputs[lane * banks + b] = match lo {
+                    Some(lo) if valid >> lane & 1 == 1 => Some(lo | (dq.as_ref()[lane] << half)),
+                    _ => None,
                 };
             }
         }
         self.cycles += 1;
     }
+}
 
-    /// The word a bank produced for one lane in the last completed
-    /// cycle, if its data-valid flag was set in that lane.
-    pub fn bank_output(&self, lane: usize, bank: u32) -> Option<u64> {
-        self.outputs[lane][bank as usize]
+impl LaRtlDriver {
+    /// Arms a four-state X injection: during the next [`Self::cycle`]
+    /// the pin is driven with all-X on both clock edges, overriding the
+    /// operations. Whatever the design samples from that pin (a write
+    /// word, an address, a select) becomes X and propagates through the
+    /// state like a real unknown.
+    pub fn inject_x(&mut self, pin: XPin) {
+        self.pending_x[0] = Some(pin);
     }
 
-    /// Whether a bank's parity checker fired in one lane at the last
-    /// rising edge.
-    pub fn parity_error(&self, lane: usize, bank: u32) -> bool {
-        let net = self.design.nets.perr[bank as usize];
-        self.sim.lane_u64(net, lane) == Some(1)
+    /// Runs one full clock cycle with at most one read and one write
+    /// (the single address bus allows no more).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operations break the bus protocol
+    /// ([`decode_cycle`]).
+    pub fn cycle(&mut self, ops: &[BankOp]) {
+        self.cycle_lanes(std::slice::from_ref(&ops));
     }
 
-    /// Whether the bank's write-done register is set in one lane after
-    /// the last completed cycle.
-    pub fn write_done(&self, lane: usize, bank: u32) -> bool {
-        let net = self.design.nets.wdone[bank as usize];
-        self.sim.lane_u64(net, lane) == Some(1)
+    /// Like [`Self::cycle`], invoking `at_rising` once the rising edge
+    /// has settled (the OVL sampling point).
+    pub fn cycle_with<F: FnOnce(&mut RtlSim)>(&mut self, ops: &[BankOp], at_rising: F) {
+        self.cycle_lanes_with(std::slice::from_ref(&ops), at_rising);
     }
 
-    /// Captures the batched driver's complete state at a protocol-cycle
-    /// boundary — all 64 lanes at once.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any lane has an armed, unconsumed X injection.
-    pub fn snapshot_state(&self) -> Result<RtlBatchDriverSnap, String> {
-        if self.pending_x.iter().any(Option::is_some) {
-            return Err("cannot snapshot with an armed X injection".to_string());
-        }
-        Ok(RtlBatchDriverSnap {
-            sim: self.sim.export_state()?,
-            cycles: self.cycles,
-            captured_lo: self.captured_lo.clone(),
-            outputs: self.outputs.clone(),
-        })
+    /// The word a bank produced in the last completed cycle (both DDR
+    /// halves merged), if its data-valid flag was set.
+    pub fn bank_output(&self, bank: u32) -> Option<u64> {
+        self.outputs[bank as usize]
     }
 
-    /// Installs a snapshot taken from a batched driver over the same
-    /// design.
-    ///
-    /// # Errors
-    ///
-    /// Fails without modifying the driver if the simulator state does
-    /// not fit the design or the per-lane output lists have the wrong
-    /// shape.
-    pub fn restore_state(&mut self, snap: &RtlBatchDriverSnap) -> Result<(), String> {
-        if snap.captured_lo.len() != LANES
-            || snap.outputs.len() != LANES
-            || snap.outputs.iter().any(|o| o.len() != self.outputs[0].len())
-        {
-            return Err("snapshot lane shape does not match the driver".to_string());
-        }
-        self.sim.import_state(&snap.sim)?;
-        self.cycles = snap.cycles;
-        self.captured_lo.clone_from(&snap.captured_lo);
-        self.outputs.clone_from(&snap.outputs);
-        self.pending_x.fill(None);
-        Ok(())
+    /// Whether a bank's parity checker fired at the last rising edge.
+    pub fn parity_error(&self, bank: u32) -> bool {
+        self.lane_parity_error(0, bank)
+    }
+
+    /// Whether the bank's write-done register is set after the last
+    /// completed cycle.
+    pub fn write_done(&self, bank: u32) -> bool {
+        self.lane_write_done(0, bank)
     }
 }
 
-/// A plain-data snapshot of a [`LaRtlBatchDriver`] at a protocol-cycle
+impl LaRtlBatchDriver {
+    /// Arms a four-state X injection on one lane for the next cycle
+    /// (see [`LaRtlDriver::inject_x`]).
+    pub fn inject_x(&mut self, lane: usize, pin: XPin) {
+        self.pending_x[lane] = Some(pin);
+    }
+
+    /// [`LaDriver::cycle_lanes`].
+    pub fn cycle(&mut self, ops: &[&[BankOp]]) {
+        self.cycle_lanes(ops);
+    }
+
+    /// Like [`Self::cycle`], invoking `at_rising` once the rising edge
+    /// has settled (probe lanes with [`BatchedRtlSim::lane_probe`]).
+    pub fn cycle_with<F: FnOnce(&mut BatchedRtlSim)>(&mut self, ops: &[&[BankOp]], at_rising: F) {
+        self.cycle_lanes_with(ops, at_rising);
+    }
+
+    /// [`LaRtlDriver::bank_output`] of one lane.
+    pub fn bank_output(&self, lane: usize, bank: u32) -> Option<u64> {
+        self.lane_output(lane, bank)
+    }
+
+    /// [`LaRtlDriver::parity_error`] of one lane.
+    pub fn parity_error(&self, lane: usize, bank: u32) -> bool {
+        self.lane_parity_error(lane, bank)
+    }
+
+    /// [`LaRtlDriver::write_done`] of one lane.
+    pub fn write_done(&self, lane: usize, bank: u32) -> bool {
+        self.lane_write_done(lane, bank)
+    }
+}
+
+/// A plain-data snapshot of an [`LaDriver`] at a protocol-cycle
 /// boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RtlBatchDriverSnap {
-    /// The batched simulator's exported state (bit-plane encoded).
-    pub sim: BatchedRtlState,
-    /// Completed protocol cycles (lane-uniform).
+pub struct LaDriverSnap<St> {
+    /// The simulator's exported state.
+    pub sim: St,
+    /// Completed protocol cycles.
     pub cycles: u64,
     /// The low DDR half captured during the last high phase, per lane.
     pub captured_lo: Vec<Option<u64>>,
     /// Merged output words per lane per bank.
     pub outputs: Vec<Vec<Option<u64>>>,
 }
+
+/// A snapshot of an [`LaRtlDriver`].
+pub type RtlDriverSnap = LaDriverSnap<RtlState>;
+
+/// A snapshot of an [`LaRtlBatchDriver`] (bit-plane encoded state).
+pub type RtlBatchDriverSnap = LaDriverSnap<BatchedRtlState>;
 
 /// A ripple-carry incrementer: `net + 1` truncated to `width` bits.
 fn increment(net: NetId, width: u32) -> Expr {

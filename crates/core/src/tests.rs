@@ -957,6 +957,45 @@ fn rtl_read_transaction_waveform() {
     assert_eq!(drv.bank_output(0), Some(0xABCD_1234));
 }
 
+/// Like every other level, both RTL driver instances reject an
+/// operation on a bank the design does not have, before anything is
+/// staged. Without the check the address bus folds the bank onto an
+/// existing one (a 1-bank read of bank 1 returns bank 0's word) or
+/// decodes it to no bank at all (a 3-bank write to bank 3 vanishes).
+#[test]
+fn rtl_drivers_reject_out_of_range_bank() {
+    use crate::rtl_model::LaRtlBatchDriver;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    for banks in 1..=3u32 {
+        let cfg = LaConfig::new(banks);
+        let design = LaRtl::build(&cfg, None);
+        let full_be = (1 << cfg.byte_enables()) - 1;
+        let preload = [BankOp::write(0, 0, 0x1100, full_be)];
+        for op in [BankOp::read(banks, 0), BankOp::write(banks, 0, 0x2200, full_be)] {
+            let ops = [op];
+            let mut scalar = LaRtlDriver::new(&design);
+            scalar.cycle(&preload);
+            let tripped = catch_unwind(AssertUnwindSafe(|| {
+                for _ in 0..=READ_LATENCY {
+                    scalar.cycle(&ops);
+                }
+            }));
+            assert!(
+                tripped.is_err(),
+                "scalar, {banks} bank(s): {op:?} ran, bank 0 output {:?}",
+                scalar.bank_output(0)
+            );
+            assert_eq!(scalar.cycles(), 1, "the rejected cycle left the driver untouched");
+            let mut batch = LaRtlBatchDriver::new(&design);
+            batch.cycle(&[&preload]);
+            let lanes: [&[BankOp]; 2] = [&[], &ops];
+            let tripped = catch_unwind(AssertUnwindSafe(|| batch.cycle(&lanes)));
+            assert!(tripped.is_err(), "batched, {banks} bank(s): {op:?} ran");
+            assert_eq!(batch.cycles(), 1);
+        }
+    }
+}
+
 // ---- batched (PPSFP) driver equivalence -------------------------------------
 
 /// Every lane of the batched RTL driver must match an independent

@@ -1,0 +1,72 @@
+//! Steady-state LA-1 driver cycles must not touch the heap: the op
+//! decode, edge staging and DDR merge of both driver instances work in
+//! place, on top of the simulator's own allocation-free stepping. A
+//! counting global allocator proves it.
+
+#[path = "../../rtl/tests/common/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::allocs_on_this_thread;
+use la1_core::rtl_model::{LaRtl, LaRtlBatchDriver, LaRtlDriver};
+use la1_core::spec::{BankOp, LaConfig};
+use la1_core::workloads::{RandomMix, Workload};
+use la1_rtl::LANES;
+
+/// Cycles in the warm-up window, and again in the measured one.
+const CYCLES: usize = 200;
+
+/// `2 * CYCLES` cycles of seeded random traffic for each of `lanes`
+/// streams, built before anything is measured.
+fn traffic(cfg: &LaConfig, lanes: usize) -> Vec<Vec<Vec<BankOp>>> {
+    (0..lanes as u64)
+        .map(|lane| {
+            let mut mix = RandomMix::new(cfg, 0xD21 + lane, 0.5, 0.5);
+            (0..2 * CYCLES).map(|_| mix.next_cycle()).collect()
+        })
+        .collect()
+}
+
+#[test]
+fn scalar_driver_cycles_do_not_allocate() {
+    for banks in [1, 2, 4] {
+        let cfg = LaConfig::new(banks);
+        let mut driver = LaRtlDriver::new(&LaRtl::build(&cfg, None));
+        let ops = &traffic(&cfg, 1)[0];
+        for cycle in &ops[..CYCLES] {
+            driver.cycle(cycle);
+        }
+        let before = allocs_on_this_thread();
+        for cycle in &ops[CYCLES..] {
+            driver.cycle(cycle);
+        }
+        let allocs = allocs_on_this_thread() - before;
+        assert_eq!(
+            allocs, 0,
+            "{banks} bank(s): {allocs} allocations in {CYCLES} cycles"
+        );
+    }
+}
+
+#[test]
+fn batched_driver_cycles_do_not_allocate() {
+    for banks in [1, 2, 4] {
+        let cfg = LaConfig::new(banks);
+        let mut driver = LaRtlBatchDriver::new(&LaRtl::build(&cfg, None));
+        let lanes = traffic(&cfg, LANES);
+        let cycles: Vec<Vec<&[BankOp]>> = (0..2 * CYCLES)
+            .map(|c| lanes.iter().map(|lane| lane[c].as_slice()).collect())
+            .collect();
+        for refs in &cycles[..CYCLES] {
+            driver.cycle(refs);
+        }
+        let before = allocs_on_this_thread();
+        for refs in &cycles[CYCLES..] {
+            driver.cycle(refs);
+        }
+        let allocs = allocs_on_this_thread() - before;
+        assert_eq!(
+            allocs, 0,
+            "{banks} bank(s): {allocs} allocations in {CYCLES} cycles"
+        );
+    }
+}

@@ -30,11 +30,13 @@
 //!   cycles-to-closure. A pure function of `(seed, config)` — the same
 //!   inputs give byte-identical [`ClosureReport::to_json`] output;
 //! * [`run_closure_rtl`] / [`run_closure_rtl_batched`] — multi-stream
-//!   closure on the interpreted RTL: up to 64 independent seeded
-//!   streams merged into one bin set, run one lane per stream through
-//!   the bit-parallel [`LaRtlBatchDriver`](la1_core::rtl_model::LaRtlBatchDriver)
-//!   (PPSFP) or sequentially through scalar drivers — the two produce
-//!   byte-identical [`MultiClosureReport::to_json`] output.
+//!   closure on the interpreted RTL: any number of independent seeded
+//!   streams merged into one bin set, run by one loop
+//!   ([`run_closure_rtl_from`]) either sequentially through scalar
+//!   drivers or 64 lanes at a time through the bit-parallel
+//!   [`LaRtlBatchDriver`](la1_core::rtl_model::LaRtlBatchDriver)
+//!   (PPSFP) — the two produce byte-identical
+//!   [`MultiClosureReport::to_json`] output.
 //!
 //! Monitors catch violations; coverage proves the monitors were ever
 //! provoked. The `closure` binary in `la1-bench` regenerates the
@@ -52,8 +54,8 @@ pub use collect::{BankSampleSnap, CollectorSnap, CoverageCollector};
 pub use guided::{GuidedMix, GuidedMixSnap};
 pub use model::{BinKind, BinStat, BinStats, CoverBin, CoverageModel};
 pub use multi::{
-    run_closure_rtl, run_closure_rtl_batched, run_closure_rtl_batched_from, run_closure_rtl_from,
-    ClosurePreamble, MultiClosureReport,
+    run_closure_rtl, run_closure_rtl_batched, run_closure_rtl_from, ClosurePreamble,
+    MultiClosureReport,
 };
 pub use staged::{
     run_staged, staged_fingerprint, StageCheckpoint, StagedConfig, StagedReport, StreamOutcome,

@@ -1,23 +1,27 @@
 //! Multi-stream RTL coverage closure — scalar and bit-parallel.
 //!
 //! Where [`run_closure`](crate::run_closure) drives one stimulus
-//! stream against the SystemC model, the multi-stream runners drive
+//! stream against the SystemC model, the multi-stream runner drives
 //! `streams` independent seeded streams against the interpreted RTL
-//! and *merge* their coverage: a bin is closed as soon as any stream
+//! and *merges* their coverage: a bin is closed as soon as any stream
 //! hits it.
 //!
-//! Two runners produce the identical [`MultiClosureReport`]:
+//! [`run_closure_rtl_from`] is written once, generic over the
+//! [`LaDriver`] instance. It splits the streams into drivers of the
+//! instance's lane count:
 //!
 //! * [`run_closure_rtl`] — the scalar reference: one [`LaRtlDriver`]
 //!   per stream, streams executed one after another within each epoch;
-//! * [`run_closure_rtl_batched`] — all streams as lanes of one
+//! * [`run_closure_rtl_batched`] — up to 64 streams as the lanes of one
 //!   [`LaRtlBatchDriver`], every compiled-netlist operation advancing
-//!   all of them at once (PPSFP). Per-lane pins are bit-identical to
-//!   the scalar driver, so the merged bin sets, first-hit cycles and
-//!   JSON reports are equal byte for byte — the equivalence the test
-//!   suite pins at 1/2 banks and under LA-1B.
+//!   all of them at once (PPSFP), as many drivers as the streams need.
 //!
-//! Both runners are epoch-lockstep: guidance retargets **all** guided
+//! Per-lane pins are bit-identical across the instances, so the merged
+//! bin sets, first-hit cycles and JSON reports are equal byte for byte
+//! — the equivalence the test suite pins at 1/2 banks, under LA-1B and
+//! with more streams than lanes.
+//!
+//! The runner is epoch-lockstep: guidance retargets **all** guided
 //! streams from the *merged* unhit-bin list at every epoch boundary
 //! (cooperative closure), and the budget-or-full stopping rule is
 //! evaluated per epoch. Within an epoch streams share nothing, which is
@@ -27,13 +31,12 @@ use crate::closure::{ClosureConfig, Generator};
 use crate::collect::CoverageCollector;
 use crate::model::{BinStats, CoverBin, CoverageModel};
 use la1_core::checkpoint::{config_fingerprint, CheckpointError, Snapshot, Trace};
-use la1_core::cycle_model::BatchLaneModel;
-use la1_core::cycle_model::CycleObserver;
-use la1_core::rtl_model::{LaRtl, LaRtlBatchDriver, LaRtlDriver};
+use la1_core::cycle_model::{CycleObserver, LaneModel};
+use la1_core::rtl_model::{LaDriver, LaRtl, LaRtlBatchDriver, LaRtlDriver, LaneSim};
 use la1_core::spec::{BankOp, LaConfig};
 use la1_core::stimulus::stream_seed;
 use la1_core::workloads::{RandomMix, Workload};
-use la1_rtl::LANES;
+use la1_rtl::{BatchedRtlSim, RtlSim};
 
 /// A shared traffic preamble every closure stream runs before its
 /// seeded stimulus starts — typically table-initialization traffic on
@@ -79,13 +82,10 @@ impl ClosurePreamble {
     pub fn with_snapshots(mut self, config: &LaConfig) -> Result<ClosurePreamble, CheckpointError> {
         let design = LaRtl::build(config, None);
         let mut driver = LaRtlDriver::new(&design);
-        self.trace.replay_into(&mut driver);
+        self.replay(&mut driver);
         self.snapshot = Some(Snapshot::of_rtl(&driver)?);
         let mut batch = LaRtlBatchDriver::new(&design);
-        for ops in &self.trace.cycles {
-            let refs: Vec<&[BankOp]> = (0..LANES).map(|_| ops.as_slice()).collect();
-            batch.cycle(&refs);
-        }
+        self.replay(&mut batch);
         self.batch_snapshot = Some(Snapshot::of_rtl_batch(&batch)?);
         Ok(self)
     }
@@ -100,46 +100,32 @@ impl ClosurePreamble {
         self.snapshot.is_some() && self.batch_snapshot.is_some()
     }
 
-    /// Brings one scalar driver past the preamble: restore when warm,
-    /// replay when cold. Fingerprint-checked either way.
-    fn apply_scalar(
-        &self,
-        design: &LaRtl,
-        driver: &mut LaRtlDriver,
-    ) -> Result<(), CheckpointError> {
-        match &self.snapshot {
-            Some(snap) => {
-                *driver = snap.into_rtl(design)?;
-                Ok(())
-            }
-            None => {
-                self.check_trace(design)?;
-                self.trace.replay_into(driver);
-                Ok(())
-            }
+    /// Replays the trace into every lane of `driver`.
+    fn replay<S: LaneSim>(&self, driver: &mut LaDriver<S>) {
+        let mut lanes = Vec::with_capacity(S::LANES);
+        for ops in &self.trace.cycles {
+            lanes.clear();
+            lanes.resize(S::LANES, ops.as_slice());
+            driver.cycle_lanes(&lanes);
         }
     }
 
-    /// Brings the batched driver past the preamble (all lanes).
-    fn apply_batched(
-        &self,
-        design: &LaRtl,
-        driver: &mut LaRtlBatchDriver,
-    ) -> Result<(), CheckpointError> {
-        match &self.batch_snapshot {
-            Some(snap) => {
-                *driver = snap.into_rtl_batch(design)?;
-                Ok(())
-            }
-            None => {
-                self.check_trace(design)?;
-                for ops in &self.trace.cycles {
-                    let refs: Vec<&[BankOp]> = (0..LANES).map(|_| ops.as_slice()).collect();
-                    driver.cycle(&refs);
-                }
-                Ok(())
-            }
+    /// A driver past the preamble in every lane: restored when warm,
+    /// replayed when cold. Fingerprint-checked either way.
+    fn driver<S: LaneSim>(&self, design: &LaRtl) -> Result<LaDriver<S>, CheckpointError> {
+        // the one-lane instance is the scalar driver
+        let snapshot = if S::LANES == 1 {
+            &self.snapshot
+        } else {
+            &self.batch_snapshot
+        };
+        if let Some(snap) = snapshot {
+            return S::restore(snap, design);
         }
+        self.check_trace(design)?;
+        let mut driver = LaDriver::new(design);
+        self.replay(&mut driver);
+        Ok(driver)
     }
 
     fn check_trace(&self, design: &LaRtl) -> Result<(), CheckpointError> {
@@ -241,21 +227,6 @@ struct Stream {
     collector: CoverageCollector,
 }
 
-fn make_streams(cfg: &ClosureConfig, guided: bool, streams: u32) -> Vec<Stream> {
-    (0..streams)
-        .map(|i| Stream {
-            generator: Generator::for_stream(cfg, guided, stream_seed(cfg.seed, i as u64)),
-            collector: CoverageCollector::new(CoverageModel::la1(&cfg.config)),
-        })
-        .collect()
-}
-
-/// Whether every bin is hit in the merged (any-stream) view.
-fn merged_full(streams: &[Stream]) -> bool {
-    let n = streams[0].collector.model().len();
-    (0..n).all(|i| streams.iter().any(|s| s.collector.hits()[i] > 0))
-}
-
 /// The merged unhit-bin list all guided streams retarget from.
 fn merged_unhit(streams: &[Stream]) -> Vec<CoverBin> {
     let model = streams[0].collector.model();
@@ -266,13 +237,6 @@ fn merged_unhit(streams: &[Stream]) -> Vec<CoverBin> {
         .filter(|(i, _)| streams.iter().all(|s| s.collector.hits()[*i] == 0))
         .map(|(_, b)| *b)
         .collect()
-}
-
-fn retarget_all(streams: &mut [Stream]) {
-    let unhit = merged_unhit(streams);
-    for s in streams.iter_mut() {
-        s.generator.retarget(&unhit);
-    }
 }
 
 /// Assembles the merged report once the loop has stopped: every
@@ -341,107 +305,88 @@ fn merged_report(
 ///
 /// Panics if `streams` is zero.
 pub fn run_closure_rtl(cfg: &ClosureConfig, guided: bool, streams: u32) -> MultiClosureReport {
-    run_closure_rtl_from(cfg, guided, streams, None)
+    run_closure_rtl_from::<RtlSim>(cfg, guided, streams, None)
         .expect("no preamble, so no checkpoint error is possible")
 }
 
-/// [`run_closure_rtl`] with an optional shared [`ClosurePreamble`]
-/// every stream runs (warm-restored or cold-replayed) before its
-/// seeded stimulus starts. Coverage is collected over the closure
-/// cycles only, so the warm and cold paths produce byte-identical
-/// reports.
+/// The bit-parallel multi-stream runner: the streams as the lanes of
+/// [`LaRtlBatchDriver`]s, 64 per driver. Produces a report
+/// byte-identical to [`run_closure_rtl`] with the same arguments.
 ///
 /// # Panics
 ///
 /// Panics if `streams` is zero.
-pub fn run_closure_rtl_from(
-    cfg: &ClosureConfig,
-    guided: bool,
-    streams: u32,
-    preamble: Option<&ClosurePreamble>,
-) -> Result<MultiClosureReport, CheckpointError> {
-    assert!(streams > 0, "at least one stream");
-    let design = LaRtl::build(&cfg.config, None);
-    let mut drivers: Vec<LaRtlDriver> =
-        (0..streams).map(|_| LaRtlDriver::new(&design)).collect();
-    if let Some(p) = preamble {
-        for d in &mut drivers {
-            p.apply_scalar(&design, d)?;
-        }
-    }
-    let mut state = make_streams(cfg, guided, streams);
-    let mut run = 0u64;
-    while run < cfg.budget && !merged_full(&state) {
-        if guided {
-            retarget_all(&mut state);
-        }
-        let step = cfg.epoch.min(cfg.budget - run);
-        for (s, driver) in state.iter_mut().zip(&mut drivers) {
-            for _ in 0..step {
-                let ops = s.generator.next_cycle();
-                driver.cycle(&ops);
-                s.collector.observe(&ops, driver);
-            }
-        }
-        run += step;
-    }
-    Ok(merged_report(cfg, guided, state, run))
-}
-
-/// The bit-parallel multi-stream runner: all streams as lanes of one
-/// [`LaRtlBatchDriver`]. Produces a report byte-identical to
-/// [`run_closure_rtl`] with the same arguments.
-///
-/// # Panics
-///
-/// Panics if `streams` is zero or exceeds [`LANES`].
 pub fn run_closure_rtl_batched(
     cfg: &ClosureConfig,
     guided: bool,
     streams: u32,
 ) -> MultiClosureReport {
-    run_closure_rtl_batched_from(cfg, guided, streams, None)
+    run_closure_rtl_from::<BatchedRtlSim>(cfg, guided, streams, None)
         .expect("no preamble, so no checkpoint error is possible")
 }
 
-/// [`run_closure_rtl_batched`] with an optional shared
-/// [`ClosurePreamble`] applied to every lane before the seeded streams
-/// start. Byte-identical to [`run_closure_rtl_from`] with the same
-/// arguments.
+/// The multi-stream closure loop, generic over the driver instance,
+/// with an optional shared [`ClosurePreamble`] every stream runs
+/// (warm-restored or cold-replayed) before its seeded stimulus starts.
+///
+/// The streams split into drivers of [`LaneSim::LANES`] lanes each, and
+/// every driver runs its streams through each epoch in turn: one lane
+/// per driver is [`run_closure_rtl`]'s schedule, 64 is
+/// [`run_closure_rtl_batched`]'s. Coverage is collected over the
+/// closure cycles only, so the instances, and the warm and cold
+/// preambles, produce byte-identical reports.
+///
+/// # Errors
+///
+/// Fails if the preamble does not match the configuration.
 ///
 /// # Panics
 ///
-/// Panics if `streams` is zero or exceeds [`LANES`].
-pub fn run_closure_rtl_batched_from(
+/// Panics if `streams` is zero.
+pub fn run_closure_rtl_from<S: LaneSim>(
     cfg: &ClosureConfig,
     guided: bool,
     streams: u32,
     preamble: Option<&ClosurePreamble>,
 ) -> Result<MultiClosureReport, CheckpointError> {
     assert!(streams > 0, "at least one stream");
-    assert!(streams as usize <= LANES, "at most {LANES} streams");
     let design = LaRtl::build(&cfg.config, None);
-    let mut driver = LaRtlBatchDriver::new(&design);
-    if let Some(p) = preamble {
-        p.apply_batched(&design, &mut driver)?;
+    let mut state: Vec<Stream> = (0..streams)
+        .map(|i| Stream {
+            generator: Generator::for_stream(cfg, guided, stream_seed(cfg.seed, i as u64)),
+            collector: CoverageCollector::new(CoverageModel::la1(&cfg.config)),
+        })
+        .collect();
+    let mut drivers = Vec::new();
+    for _ in state.chunks(S::LANES) {
+        drivers.push(match preamble {
+            Some(p) => p.driver::<S>(&design)?,
+            None => LaDriver::<S>::new(&design),
+        });
     }
-    let mut state = make_streams(cfg, guided, streams);
+    let mut ops: Vec<Vec<BankOp>> = vec![Vec::new(); S::LANES];
     let mut run = 0u64;
-    let mut ops: Vec<Vec<BankOp>> = vec![Vec::new(); streams as usize];
-    while run < cfg.budget && !merged_full(&state) {
+    while run < cfg.budget {
+        let unhit = merged_unhit(&state);
+        if unhit.is_empty() {
+            break;
+        }
         if guided {
-            retarget_all(&mut state);
+            for s in &mut state {
+                s.generator.retarget(&unhit);
+            }
         }
         let step = cfg.epoch.min(cfg.budget - run);
-        for _ in 0..step {
-            for (buf, s) in ops.iter_mut().zip(state.iter_mut()) {
-                *buf = s.generator.next_cycle();
-            }
-            let refs: Vec<&[BankOp]> = ops.iter().map(Vec::as_slice).collect();
-            driver.cycle(&refs);
-            for (lane, s) in state.iter_mut().enumerate() {
-                let mut view = BatchLaneModel::new(&mut driver, lane);
-                s.collector.observe(&ops[lane], &mut view);
+        for (group, driver) in state.chunks_mut(S::LANES).zip(&mut drivers) {
+            for _ in 0..step {
+                for (buf, s) in ops.iter_mut().zip(group.iter_mut()) {
+                    *buf = s.generator.next_cycle();
+                }
+                let refs: Vec<&[BankOp]> = ops[..group.len()].iter().map(Vec::as_slice).collect();
+                driver.cycle_lanes(&refs);
+                for (lane, (s, ops)) in group.iter_mut().zip(&ops).enumerate() {
+                    s.collector.observe(ops, &mut LaneModel::new(driver, lane));
+                }
             }
         }
         run += step;

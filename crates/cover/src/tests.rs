@@ -12,6 +12,7 @@ use la1_core::spec::{BankOp, LaConfig};
 use la1_core::stimulus::traffic::{contention, QdrStream};
 use la1_core::stimulus::Agent;
 use la1_core::workloads::{RandomMix, Workload};
+use la1_rtl::{BatchedRtlSim, RtlSim};
 
 /// A small, fast configuration: full protocol, few words.
 fn small_cfg(banks: u32) -> LaConfig {
@@ -428,14 +429,15 @@ fn guided_respects_burst_spacing() {
 #[test]
 fn batched_closure_matches_scalar_byte_for_byte() {
     // Plain LA-1 at 1 and 2 banks, guided and random, plus an LA-1B
-    // burst configuration — in every case the 64-lane bit-parallel
-    // runner must reproduce the sequential multi-driver reference's
-    // report byte for byte.
+    // burst configuration and more streams than one driver has lanes —
+    // in every case the 64-lane bit-parallel runner must reproduce the
+    // sequential multi-driver reference's report byte for byte.
     let cases = [
         (small_cfg(1), 5u64, true, 8u32),
         (small_cfg(2), 7, true, 16),
         (small_cfg(2), 7, false, 16),
         (small_burst_cfg(1), 9, true, 8),
+        (small_cfg(1), 11, true, 70),
     ];
     for (config, seed, guided, streams) in cases {
         let banks = config.banks;
@@ -972,8 +974,10 @@ fn warm_and_cold_preambles_close_identically() {
     assert!(!cold.is_warm());
     assert!(warm.is_warm());
 
-    let from_cold = crate::multi::run_closure_rtl_from(&cfg, true, 2, Some(&cold)).unwrap();
-    let from_warm = crate::multi::run_closure_rtl_from(&cfg, true, 2, Some(&warm)).unwrap();
+    let from_cold =
+        crate::multi::run_closure_rtl_from::<RtlSim>(&cfg, true, 2, Some(&cold)).unwrap();
+    let from_warm =
+        crate::multi::run_closure_rtl_from::<RtlSim>(&cfg, true, 2, Some(&warm)).unwrap();
     assert_eq!(
         from_cold.to_json(),
         from_warm.to_json(),
@@ -982,10 +986,11 @@ fn warm_and_cold_preambles_close_identically() {
     assert_eq!(from_cold.bins, from_warm.bins);
 
     // batched path agrees with the scalar path under the same preamble
-    let batched = crate::multi::run_closure_rtl_batched_from(&cfg, true, 2, Some(&warm)).unwrap();
+    let batched =
+        crate::multi::run_closure_rtl_from::<BatchedRtlSim>(&cfg, true, 2, Some(&warm)).unwrap();
     assert_eq!(from_warm.to_json(), batched.to_json());
 
     // a preamble for a different configuration refuses
     let foreign = crate::multi::ClosurePreamble::record(&small_cfg(4), 77, 50);
-    assert!(crate::multi::run_closure_rtl_from(&cfg, true, 1, Some(&foreign)).is_err());
+    assert!(crate::multi::run_closure_rtl_from::<RtlSim>(&cfg, true, 1, Some(&foreign)).is_err());
 }

@@ -15,14 +15,14 @@ use la1_core::json::opt_u64;
 use la1_core::spec::LaConfig;
 use la1_core::stimulus::stream_seed;
 use la1_cover::{
-    run_closure_rtl_batched_from, run_closure_rtl_from, BinStats, ClosureConfig, ClosurePreamble,
-    CoverageModel, MultiClosureReport,
+    run_closure_rtl_from, BinStats, ClosureConfig, ClosurePreamble, CoverageModel,
+    MultiClosureReport,
 };
 use la1_fault::{
     run_campaign_batched_shard, run_campaign_shard, CampaignConfig, CampaignShard,
     DetectionMatrix,
 };
-use la1_rtl::LANES;
+use la1_rtl::{BatchedRtlSim, RtlSim};
 
 /// One self-contained unit of farm work. Jobs are plain data (no
 /// handles, no shared state), so a worker thread can run any job by
@@ -47,7 +47,7 @@ pub enum FarmJob {
         cfg: ClosureConfig,
         /// Whether guidance is on.
         guided: bool,
-        /// Streams this job runs (lanes of one batched driver).
+        /// Streams this job runs (64 per driver on the batched engine).
         streams: u32,
         /// Run the streams through the bit-parallel RTL driver.
         batched: bool,
@@ -104,13 +104,13 @@ impl FarmJob {
                 // a preamble mismatch is a plan-construction bug; the
                 // panic is caught by the pool's per-attempt isolation
                 // and surfaces as a Failed slot in the degraded section
+                let preamble = preamble.as_deref();
                 let report = if *batched {
-                    run_closure_rtl_batched_from(cfg, *guided, *streams, preamble.as_deref())
-                        .expect("preamble matches the plan configuration")
+                    run_closure_rtl_from::<BatchedRtlSim>(cfg, *guided, *streams, preamble)
                 } else {
-                    run_closure_rtl_from(cfg, *guided, *streams, preamble.as_deref())
-                        .expect("preamble matches the plan configuration")
-                };
+                    run_closure_rtl_from::<RtlSim>(cfg, *guided, *streams, preamble)
+                }
+                .expect("preamble matches the plan configuration");
                 JobResult::Closure(report)
             }
             FarmJob::Explore { config, explore } => {
@@ -356,7 +356,7 @@ pub enum FarmPlan {
         cfg: ClosureConfig,
         /// Stream groups to run.
         jobs: u32,
-        /// Streams per group (lanes of one batched driver).
+        /// Streams per group (64 lanes per driver on the batched engine).
         streams_per_job: u32,
         /// Whether guidance is on.
         guided: bool,
@@ -389,8 +389,8 @@ impl FarmPlan {
     ///
     /// # Panics
     ///
-    /// Panics if a closure plan asks for zero jobs/streams or for more
-    /// streams per job than the batched driver has lanes.
+    /// Panics if a closure plan asks for zero jobs or zero streams per
+    /// job.
     pub fn jobs(&self) -> Vec<FarmJob> {
         match self {
             FarmPlan::Campaign {
@@ -415,10 +415,6 @@ impl FarmPlan {
             } => {
                 assert!(*jobs > 0, "at least one closure job");
                 assert!(*streams_per_job > 0, "at least one stream per job");
-                assert!(
-                    *streams_per_job as usize <= LANES,
-                    "at most {LANES} streams per job"
-                );
                 (0..*jobs)
                     .map(|j| {
                         let mut job_cfg = cfg.clone();

@@ -292,6 +292,14 @@ impl DetectionMatrix {
         self.cells.get(fault.name())?.get(level.name())
     }
 
+    fn cell_mut(&mut self, fault: FaultModel, level: Level) -> &mut CellStats {
+        self.cells
+            .entry(fault.name().to_string())
+            .or_default()
+            .entry(level.name().to_string())
+            .or_default()
+    }
+
     /// Whether `fault` was detected by at least one channel at `level`.
     pub fn detected_at(&self, fault: FaultModel, level: Level) -> bool {
         self.cell(fault, level).is_some_and(CellStats::detected)
@@ -495,30 +503,13 @@ impl AnyModel {
         }
     }
 
-    fn bank_output(&self, bank: u32) -> Option<u64> {
+    /// The model's pins, read-only.
+    fn pins(&self) -> &dyn CycleModel {
         match self {
-            AnyModel::Asm(m) => m.bank_output(bank),
-            AnyModel::Sc(m) => m.bank_output(bank),
-            AnyModel::Rtl(m) => m.bank_output(bank),
-            AnyModel::RtlOvl(m) => CycleModel::bank_output(m, bank),
-        }
-    }
-
-    fn write_done(&self, bank: u32) -> bool {
-        match self {
-            AnyModel::Asm(m) => m.write_done(bank),
-            AnyModel::Sc(m) => m.write_done(bank),
-            AnyModel::Rtl(m) => m.write_done(bank),
-            AnyModel::RtlOvl(m) => CycleModel::write_done(m, bank),
-        }
-    }
-
-    fn violation_details(&self) -> Vec<(String, u64)> {
-        match self {
-            AnyModel::Asm(m) => m.violation_details(),
-            AnyModel::Sc(m) => CycleModel::violation_details(m),
-            AnyModel::Rtl(m) => m.violation_details(),
-            AnyModel::RtlOvl(m) => m.violation_details(),
+            AnyModel::Asm(m) => m,
+            AnyModel::Sc(m) => m,
+            AnyModel::Rtl(m) => m,
+            AnyModel::RtlOvl(m) => m,
         }
     }
 
@@ -614,15 +605,9 @@ pub(crate) fn open_loop_script(cfg: &LaConfig, rng: &mut StdRng) -> Vec<Vec<Bank
     let words = cfg.words_per_bank;
     let slots = cfg.banks * words;
     let full_be = (1u32 << cfg.byte_enables()) - 1;
-    let mut script = Vec::new();
-    for slot in 0..slots {
-        script.push(vec![BankOp::write(
-            slot / words,
-            (slot % words) as u64,
-            0x0100 + slot as u64,
-            full_be,
-        )]);
-    }
+    let mut script: Vec<Vec<BankOp>> = (0..slots)
+        .map(|slot| vec![prime_write(cfg, slot)])
+        .collect();
     for i in 0..slots {
         let read = BankOp::read(
             rng.gen_range(0..cfg.banks),
@@ -638,6 +623,56 @@ pub(crate) fn open_loop_script(cfg: &LaConfig, rng: &mut StdRng) -> Vec<Vec<Bank
         script.push(Vec::new());
     }
     script
+}
+
+/// The priming write of `slot` (`bank * words_per_bank + addr`): a
+/// distinct full word, so every later read returns real data.
+pub(crate) fn prime_write(cfg: &LaConfig, slot: u32) -> BankOp {
+    let words = cfg.words_per_bank;
+    let full_be = (1u32 << cfg.byte_enables()) - 1;
+    BankOp::write(
+        slot / words,
+        (slot % words) as u64,
+        0x0100 + slot as u64,
+        full_be,
+    )
+}
+
+/// Records each `(channel, cycle)` monitor violation as a detection at
+/// its latency after `activation`, keeping every channel's earliest.
+pub(crate) fn note_violations(
+    detections: &mut BTreeMap<String, u64>,
+    violations: impl IntoIterator<Item = (String, u64)>,
+    activation: u64,
+) {
+    for (name, cycle) in violations {
+        let latency = cycle.saturating_sub(activation);
+        detections
+            .entry(name)
+            .and_modify(|l| *l = (*l).min(latency))
+            .or_insert(latency);
+    }
+}
+
+/// Closed-loop run bounds: the earliest cycle a run whose fault
+/// activates at `activation` may complete (never before the activation
+/// window has passed and the fault had a chance to swallow a
+/// post-activation read), and the hard cap on the run's length.
+pub(crate) fn closed_loop_bounds(
+    cfg: &LaConfig,
+    activation: u64,
+    watchdog_cycles: u64,
+    target_reads: u32,
+) -> (u64, u64) {
+    let window = activation_window(cfg);
+    let prime_len = (cfg.banks * cfg.words_per_bank) as u64;
+    let min_cycles = window.1.max(activation + READ_LATENCY as u64 + 4);
+    let hard_cap = prime_len
+        + (window.1 - window.0)
+        + (target_reads as u64 + 4) * (READ_LATENCY as u64 + 2)
+        + 2 * watchdog_cycles
+        + 16;
+    (min_cycles, hard_cap)
 }
 
 /// Replays a campaign script through the transaction layer: a
@@ -751,6 +786,7 @@ pub(crate) fn open_loop_run(
             break;
         }
         if !detections.contains_key("scoreboard") {
+            let (dut, golden) = (dut.pins(), golden.pins());
             for bank in 0..cfg.banks {
                 if dut.bank_output(bank) != golden.bank_output(bank)
                     || dut.write_done(bank) != golden.write_done(bank)
@@ -762,13 +798,7 @@ pub(crate) fn open_loop_run(
             }
         }
     }
-    for (name, cycle) in dut.violation_details() {
-        let latency = cycle.saturating_sub(activation);
-        detections
-            .entry(name)
-            .and_modify(|l| *l = (*l).min(latency))
-            .or_insert(latency);
-    }
+    note_violations(&mut detections, dut.pins().violation_details(), activation);
     RunResult {
         detections,
         hung: false,
@@ -789,33 +819,17 @@ pub(crate) fn closed_loop_run(
 ) -> RunResult {
     let words = cfg.words_per_bank;
     let slots = cfg.banks * words;
-    let full_be = (1u32 << cfg.byte_enables()) - 1;
     let mut dut = build_dut(level, cfg, plan.as_ref());
     let mut injector = plan.clone().map(Injector::new);
     let activation = plan.as_ref().map_or(0, |p| p.activation);
     let mut detections: BTreeMap<String, u64> = BTreeMap::new();
     let mut hung = false;
 
-    // deep-state preamble, before priming (cycle numbering of the
-    // closed loop below is untouched — the preamble is part of reset)
-    for ops in preamble {
-        if guarded_cycle(&mut dut, ops) {
-            detections.insert("guard".to_string(), 0);
-            return RunResult {
-                detections,
-                hung: true,
-            };
-        }
-    }
-
-    // prime every slot so reads return real data
-    for slot in 0..slots {
-        let ops = vec![BankOp::write(
-            slot / words,
-            (slot % words) as u64,
-            0x0100 + slot as u64,
-            full_be,
-        )];
+    // deep-state preamble, then priming every slot so reads return real
+    // data (the closed loop's cycle numbering below counts the priming
+    // but not the preamble, which is part of reset)
+    let prime = (0..slots).map(|slot| vec![prime_write(cfg, slot)]);
+    for ops in preamble.iter().cloned().chain(prime) {
         if guarded_cycle(&mut dut, &ops) {
             detections.insert("guard".to_string(), 0);
             return RunResult {
@@ -826,16 +840,7 @@ pub(crate) fn closed_loop_run(
     }
 
     let prime_len = slots as u64;
-    let window = activation_window(cfg);
-    // never declare success before the activation window has passed
-    // and the fault had a chance to swallow a post-activation read —
-    // otherwise a late-activating fault is never exercised at all
-    let min_cycles = window.1.max(activation + READ_LATENCY as u64 + 4);
-    let hard_cap = prime_len
-        + (window.1 - window.0)
-        + (target_reads as u64 + 4) * (READ_LATENCY as u64 + 2)
-        + 2 * watchdog_cycles
-        + 16;
+    let (min_cycles, hard_cap) = closed_loop_bounds(cfg, activation, watchdog_cycles, target_reads);
     let mut completed = 0u32;
     let mut last_progress = prime_len;
     let mut outstanding = false;
@@ -856,7 +861,7 @@ pub(crate) fn closed_loop_run(
             hung = true;
             break;
         }
-        if (0..cfg.banks).any(|b| dut.bank_output(b).is_some()) {
+        if (0..cfg.banks).any(|b| dut.pins().bank_output(b).is_some()) {
             completed += 1;
             outstanding = false;
             last_progress = cycle;
@@ -876,13 +881,7 @@ pub(crate) fn closed_loop_run(
         detections.insert("watchdog".to_string(), hard_cap.saturating_sub(activation));
         hung = true;
     }
-    for (name, cycle) in dut.violation_details() {
-        let latency = cycle.saturating_sub(activation);
-        detections
-            .entry(name)
-            .and_modify(|l| *l = (*l).min(latency))
-            .or_insert(latency);
-    }
+    note_violations(&mut detections, dut.pins().violation_details(), activation);
     RunResult { detections, hung }
 }
 
@@ -914,67 +913,101 @@ pub fn run_campaign(config: &CampaignConfig) -> DetectionMatrix {
 /// disjoint shard family's matrices ([`DetectionMatrix::merge`])
 /// reproduces [`run_campaign`] byte-for-byte.
 pub fn run_campaign_shard(config: &CampaignConfig, shard: &CampaignShard) -> DetectionMatrix {
-    install_guard_hook();
+    assemble_matrix(config, shard, |level, level_idx| {
+        scalar_level(config, shard, level, level_idx)
+    })
+}
+
+/// One level's results: every run in `(fault, run)` order, plus the
+/// healthy-design control verdict when the shard carries the controls.
+pub(crate) type LevelRuns = (Vec<(FaultModel, RunResult)>, Option<bool>);
+
+/// The shard's runs at one level, each with its fault plan and its
+/// per-run RNG (advanced past the plan draw), derived from the run's
+/// global coordinates — what every runner executes.
+pub(crate) fn planned_runs<'a>(
+    config: &'a CampaignConfig,
+    shard: &'a CampaignShard,
+    level: Level,
+    level_idx: usize,
+) -> impl Iterator<Item = (FaultModel, FaultPlan, StdRng)> + 'a {
     let cfg = &config.la1;
-    let mut matrix = DetectionMatrix {
-        banks: cfg.banks,
-        seed: config.seed,
-        runs_per_fault: config.runs_per_fault,
-        cells: BTreeMap::new(),
-        healthy: BTreeMap::new(),
-        disagreements: Vec::new(),
-    };
-    for (fault_idx, &fault) in config.faults.iter().enumerate() {
-        if !shard.includes(fault_idx) {
-            continue;
-        }
-        for (level_idx, &level) in config.levels.iter().enumerate() {
-            if !supports(fault, level) {
-                continue;
-            }
-            let cell = matrix
-                .cells
-                .entry(fault.name().to_string())
-                .or_default()
-                .entry(level.name().to_string())
-                .or_default();
-            for run in 0..config.runs_per_fault {
+    config
+        .faults
+        .iter()
+        .enumerate()
+        .filter(move |&(fault_idx, &fault)| shard.includes(fault_idx) && supports(fault, level))
+        .flat_map(move |(fault_idx, &fault)| {
+            (0..config.runs_per_fault).map(move |run| {
                 let seed = run_seed(config.seed, fault_idx, level_idx, run);
                 let mut rng = StdRng::seed_from_u64(seed);
                 let plan = FaultPlan::sample(fault, cfg, activation_window(cfg), &mut rng);
-                let result = if fault.closed_loop() {
-                    closed_loop_run(
-                        level,
-                        cfg,
-                        Some(plan),
-                        config.watchdog_cycles,
-                        config.target_reads,
-                        &config.preamble,
-                    )
-                } else {
-                    open_loop_run(level, cfg, plan, &mut rng, &config.preamble)
-                };
-                cell.runs += 1;
-                cell.hung += u32::from(result.hung);
-                for (channel, latency) in result.detections {
-                    let stat = cell.monitors.entry(channel).or_default();
-                    stat.detected += 1;
-                    stat.latency_sum += latency;
-                }
+                (fault, plan, rng)
+            })
+        })
+}
+
+/// Runs one level of the shard on the scalar models.
+pub(crate) fn scalar_level(
+    config: &CampaignConfig,
+    shard: &CampaignShard,
+    level: Level,
+    level_idx: usize,
+) -> LevelRuns {
+    let cfg = &config.la1;
+    let closed = |plan| {
+        closed_loop_run(
+            level,
+            cfg,
+            plan,
+            config.watchdog_cycles,
+            config.target_reads,
+            &config.preamble,
+        )
+    };
+    let runs = planned_runs(config, shard, level, level_idx)
+        .map(|(fault, plan, mut rng)| {
+            let result = if fault.closed_loop() {
+                closed(Some(plan))
+            } else {
+                open_loop_run(level, cfg, plan, &mut rng, &config.preamble)
+            };
+            (fault, result)
+        })
+        .collect();
+    (runs, shard.healthy.then(|| !closed(None).hung))
+}
+
+/// Tallies the shard's per-level results into its matrix: one cell per
+/// supported `(fault, level)` pair, each run counted once per channel
+/// that detected it. `run_level` runs one level (the scalar or the
+/// batched engines); levels run in configuration order.
+pub(crate) fn assemble_matrix(
+    config: &CampaignConfig,
+    shard: &CampaignShard,
+    mut run_level: impl FnMut(Level, usize) -> LevelRuns,
+) -> DetectionMatrix {
+    install_guard_hook();
+    let mut matrix = DetectionMatrix::empty(config);
+    for (level_idx, &level) in config.levels.iter().enumerate() {
+        for (fault_idx, &fault) in config.faults.iter().enumerate() {
+            if shard.includes(fault_idx) && supports(fault, level) {
+                matrix.cell_mut(fault, level);
             }
         }
-    }
-    if shard.healthy {
-        for &level in &config.levels {
-            let result = closed_loop_run(
-                level,
-                cfg,
-                None,
-                config.watchdog_cycles,
-                config.target_reads,
-                &config.preamble,
-            );
-            matrix.healthy.insert(level.name().to_string(), !result.hung);
+        let (runs, healthy) = run_level(level, level_idx);
+        for (fault, result) in runs {
+            let cell = matrix.cell_mut(fault, level);
+            cell.runs += 1;
+            cell.hung += u32::from(result.hung);
+            for (channel, latency) in result.detections {
+                let stat = cell.monitors.entry(channel).or_default();
+                stat.detected += 1;
+                stat.latency_sum += latency;
+            }
+        }
+        if let Some(ok) = healthy {
+            matrix.healthy.insert(level.name().to_string(), ok);
         }
     }
     matrix.disagreements = compute_disagreements(&matrix.cells);

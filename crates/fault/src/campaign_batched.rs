@@ -36,22 +36,22 @@
 //! banks).
 //!
 //! The ASM and SystemC levels are two-valued compiled models with no
-//! packed representation; their (much cheaper) runs reuse the scalar
-//! path unchanged.
+//! packed representation; their (much cheaper) runs take the scalar
+//! path, and both runners share the run derivation
+//! ([`planned_runs`](crate::campaign::planned_runs)) and the matrix
+//! tally ([`assemble_matrix`](crate::campaign::assemble_matrix)).
 
 use crate::campaign::{
-    activation_window, closed_loop_run, compute_disagreements, inject_stream, install_guard_hook,
-    open_loop_run, open_loop_script, replay_script, run_seed, supports, CampaignConfig,
-    CampaignShard, DetectionMatrix, Level, RunResult,
+    assemble_matrix, closed_loop_bounds, inject_stream, note_violations, open_loop_script,
+    planned_runs, prime_write, replay_script, scalar_level, CampaignConfig, CampaignShard,
+    DetectionMatrix, Level, LevelRuns, RunResult,
 };
 use crate::models::{FaultModel, FaultPlan, Injector};
 use la1_core::harness::attach_la1_ovl;
-use la1_core::rtl_model::{LaRtl, LaRtlBatchDriver, XPin};
-use la1_core::spec::{BankOp, LaConfig, READ_LATENCY};
+use la1_core::rtl_model::{decode_cycle, LaRtl, LaRtlBatchDriver, XPin};
+use la1_core::spec::{BankOp, LaConfig};
 use la1_ovl::OvlBench;
 use la1_rtl::LANES;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::BTreeMap;
 
 /// Bit-parallel execution statistics: how much lane-level work the
@@ -106,6 +106,23 @@ struct LaneGroup {
     /// OVL bench per DUT lane at the `rtl+ovl` level.
     benches: Vec<Option<OvlBench>>,
     used: usize,
+}
+
+impl LaneGroup {
+    /// Cycles every lane, sampling the OVL bench of each lane `sample`
+    /// selects at the rising edge.
+    fn cycle(&mut self, ops: &[&[BankOp]], sample: impl Fn(usize) -> bool) {
+        let LaneGroup {
+            driver, benches, ..
+        } = self;
+        driver.cycle_with(ops, |sim| {
+            for (lane, bench) in benches.iter_mut().enumerate() {
+                if let Some(bench) = bench.as_mut().filter(|_| sample(lane)) {
+                    bench.on_cycle(&mut sim.lane_probe(lane));
+                }
+            }
+        });
+    }
 }
 
 /// Allocates one lane of `kind`, opening a new group when the current
@@ -188,28 +205,29 @@ struct ClosedRun {
     driven: u64,
 }
 
-/// Whether `ops` respect the single-address-bus protocol the RTL
-/// drivers enforce by assertion (one read, one write, in-range
-/// addresses — mirrors the decode asserts in `cycle_with`).
-fn ops_legal(cfg: &LaConfig, ops: &[BankOp]) -> bool {
-    let mut reads = 0;
-    let mut writes = 0;
-    for op in ops {
-        let addr = match *op {
-            BankOp::Read { addr, .. } => {
-                reads += 1;
-                addr
-            }
-            BankOp::Write { addr, .. } => {
-                writes += 1;
-                addr
-            }
-        };
-        if addr >= cfg.words_per_bank as u64 {
-            return false;
+impl ClosedRun {
+    /// A lane about to start priming; `plan == None` is the control.
+    fn new(config: &CampaignConfig, plan: Option<FaultPlan>, lane: (usize, usize)) -> ClosedRun {
+        let cfg = &config.la1;
+        let activation = plan.as_ref().map_or(0, |p| p.activation);
+        let (min_cycles, _) =
+            closed_loop_bounds(cfg, activation, config.watchdog_cycles, config.target_reads);
+        ClosedRun {
+            fault: plan.as_ref().map(|p| p.model),
+            injector: plan.map(Injector::new),
+            activation,
+            min_cycles,
+            lane,
+            completed: 0,
+            outstanding: false,
+            counter: 0,
+            last_progress: (cfg.banks * cfg.words_per_bank) as u64,
+            detections: BTreeMap::new(),
+            hung: false,
+            done: false,
+            driven: 0,
         }
     }
-    reads <= 1 && writes <= 1
 }
 
 /// Runs every seeded run of one RTL-family level through the batched
@@ -222,83 +240,46 @@ fn run_rtl_level_batched(
     level: Level,
     level_idx: usize,
     stats: &mut BatchStats,
-) -> (Vec<(FaultModel, RunResult)>, Option<bool>) {
+) -> LevelRuns {
     let cfg = &config.la1;
     let with_bench = level == Level::RtlOvl;
-    let window = activation_window(cfg);
     let mut groups: Vec<LaneGroup> = Vec::new();
     let mut open_runs: Vec<OpenRun> = Vec::new();
     let mut closed_runs: Vec<ClosedRun> = Vec::new();
 
     // ---- prepare: derive every run exactly as the scalar runner does
-    for (fault_idx, &fault) in config.faults.iter().enumerate() {
-        if !shard.includes(fault_idx) || !supports(fault, level) {
+    for (fault, plan, mut rng) in planned_runs(config, shard, level, level_idx) {
+        if fault.closed_loop() {
+            let lane = alloc_lane(&mut groups, cfg, GroupKind::Closed, with_bench);
+            closed_runs.push(ClosedRun::new(config, Some(plan), lane));
             continue;
         }
-        for run in 0..config.runs_per_fault {
-            let seed = run_seed(config.seed, fault_idx, level_idx, run);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let plan = FaultPlan::sample(fault, cfg, window, &mut rng);
-            if fault.closed_loop() {
-                let activation = plan.activation;
-                let lane = alloc_lane(&mut groups, cfg, GroupKind::Closed, with_bench);
-                closed_runs.push(ClosedRun {
-                    fault: Some(fault),
-                    injector: Some(Injector::new(plan)),
-                    activation,
-                    min_cycles: window.1.max(activation + READ_LATENCY as u64 + 4),
-                    lane,
-                    completed: 0,
-                    outstanding: false,
-                    counter: 0,
-                    last_progress: 0,
-                    detections: BTreeMap::new(),
-                    hung: false,
-                    done: false,
-                    driven: 0,
-                });
-                continue;
-            }
-            let intended = replay_script(cfg, open_loop_script(cfg, &mut rng));
-            let (injected, x_cycle) = inject_stream(cfg, &plan, &intended);
-            let guard_cycle = injected
-                .iter()
-                .position(|ops| !ops_legal(cfg, ops))
-                .map(|i| i as u64);
-            let parity = (fault == FaultModel::ParityFault).then_some(plan.bank);
-            let dut = alloc_lane(&mut groups, cfg, GroupKind::Open(parity), with_bench);
-            let gold = alloc_lane(&mut groups, cfg, GroupKind::Open(None), false);
-            open_runs.push(OpenRun {
-                fault,
-                activation: plan.activation,
-                intended,
-                injected,
-                x_cycle,
-                guard_cycle,
-                dut,
-                gold,
-            });
-        }
+        let intended = replay_script(cfg, open_loop_script(cfg, &mut rng));
+        let (injected, x_cycle) = inject_stream(cfg, &plan, &intended);
+        // the guard trips where the driver's decode would panic
+        let guard_cycle = injected
+            .iter()
+            .position(|ops| decode_cycle(cfg, ops).is_err())
+            .map(|i| i as u64);
+        let parity = (fault == FaultModel::ParityFault).then_some(plan.bank);
+        let dut = alloc_lane(&mut groups, cfg, GroupKind::Open(parity), with_bench);
+        let gold = alloc_lane(&mut groups, cfg, GroupKind::Open(None), false);
+        open_runs.push(OpenRun {
+            fault,
+            activation: plan.activation,
+            intended,
+            injected,
+            x_cycle,
+            guard_cycle,
+            dut,
+            gold,
+        });
     }
     // the healthy-design closed-loop control rides in the closed group
     // (only on the shard carrying the controls)
     if shard.healthy {
         let control_lane = alloc_lane(&mut groups, cfg, GroupKind::Closed, with_bench);
-        closed_runs.push(ClosedRun {
-            fault: None,
-            injector: None,
-            activation: 0,
-            min_cycles: window.1.max(READ_LATENCY as u64 + 4),
-            lane: control_lane,
-            completed: 0,
-            outstanding: false,
-            counter: 0,
-            last_progress: 0,
-            detections: BTreeMap::new(),
-            hung: false,
-            done: false,
-            driven: 0,
-        });
+        closed_runs.push(ClosedRun::new(config, None, control_lane));
     }
 
     stats.groups += groups.len() as u32;
@@ -312,16 +293,7 @@ fn run_rtl_level_batched(
     for ops in &config.preamble {
         for group in groups.iter_mut() {
             let refs: Vec<&[BankOp]> = vec![ops.as_slice(); group.used];
-            let LaneGroup {
-                driver, benches, ..
-            } = group;
-            driver.cycle_with(&refs, |sim| {
-                for (lane, bench) in benches.iter_mut().enumerate() {
-                    if let Some(bench) = bench.as_mut() {
-                        bench.on_cycle(&mut sim.lane_probe(lane));
-                    }
-                }
-            });
+            group.cycle(&refs, |_| true);
         }
     }
 
@@ -360,20 +332,9 @@ fn run_rtl_level_batched(
             }
         }
         for (gi, group) in groups.iter_mut().enumerate() {
-            if group.kind == GroupKind::Closed {
-                continue;
+            if group.kind != GroupKind::Closed {
+                group.cycle(&ops_buf[gi], |lane| sample_buf[gi][lane]);
             }
-            let LaneGroup {
-                driver, benches, ..
-            } = group;
-            let mask = &sample_buf[gi];
-            driver.cycle_with(&ops_buf[gi], |sim| {
-                for (lane, (bench, sample)) in benches.iter_mut().zip(mask).enumerate() {
-                    if let (Some(bench), true) = (bench.as_mut(), *sample) {
-                        bench.on_cycle(&mut sim.lane_probe(lane));
-                    }
-                }
-            });
         }
         for (i, run) in open_runs.iter().enumerate() {
             if sb_cycles[i].is_some() || cycle >= run.guard_cycle.unwrap_or(u64::MAX) {
@@ -395,16 +356,8 @@ fn run_rtl_level_batched(
     // ---- closed-loop: per-lane feedback, lanes retire as they finish
     let words = cfg.words_per_bank;
     let slots = cfg.banks * words;
-    let full_be = (1u32 << cfg.byte_enables()) - 1;
     let prime_len = slots as u64;
-    let hard_cap = prime_len
-        + (window.1 - window.0)
-        + (config.target_reads as u64 + 4) * (READ_LATENCY as u64 + 2)
-        + 2 * config.watchdog_cycles
-        + 16;
-    for run in &mut closed_runs {
-        run.last_progress = prime_len;
-    }
+    let (_, hard_cap) = closed_loop_bounds(cfg, 0, config.watchdog_cycles, config.target_reads);
     let closed_gis: Vec<usize> = (0..groups.len())
         .filter(|&gi| groups[gi].kind == GroupKind::Closed)
         .collect();
@@ -423,13 +376,7 @@ fn run_rtl_level_batched(
             run.driven += 1;
             let ops = &mut lane_ops[gi][lane];
             if cycle < prime_len {
-                let slot = cycle as u32;
-                ops.push(BankOp::write(
-                    slot / words,
-                    (slot % words) as u64,
-                    0x0100 + slot as u64,
-                    full_be,
-                ));
+                ops.push(prime_write(cfg, cycle as u32));
             } else {
                 if !run.outstanding {
                     let slot = run.counter % slots;
@@ -444,7 +391,7 @@ fn run_rtl_level_batched(
             // the closed-loop fault set only ever *removes* strobes, so
             // the guard (which the scalar runner arms every cycle)
             // provably never trips here
-            debug_assert!(ops_legal(cfg, ops));
+            debug_assert!(decode_cycle(cfg, ops).is_ok());
         }
         for &gi in &closed_gis {
             let used = groups[gi].used;
@@ -452,16 +399,7 @@ fn run_rtl_level_batched(
             let active: Vec<bool> = (0..used)
                 .map(|lane| closed_runs.iter().any(|r| r.lane == (gi, lane) && !r.done))
                 .collect();
-            let LaneGroup {
-                driver, benches, ..
-            } = &mut groups[gi];
-            driver.cycle_with(&refs, |sim| {
-                for (lane, (bench, live)) in benches.iter_mut().zip(&active).enumerate() {
-                    if let (Some(bench), true) = (bench.as_mut(), *live) {
-                        bench.on_cycle(&mut sim.lane_probe(lane));
-                    }
-                }
-            });
+            groups[gi].cycle(&refs, |lane| active[lane]);
         }
         if cycle < prime_len {
             continue;
@@ -501,13 +439,7 @@ fn run_rtl_level_batched(
             detections.insert("scoreboard".to_string(), m.saturating_sub(run.activation));
         }
         if let Some(bench) = &groups[run.dut.0].benches[run.dut.1] {
-            for v in bench.violations() {
-                let latency = v.cycle.saturating_sub(run.activation);
-                detections
-                    .entry(v.monitor.clone())
-                    .and_modify(|l| *l = (*l).min(latency))
-                    .or_insert(latency);
-            }
+            note_violations(&mut detections, violations(bench), run.activation);
         }
         // dropping stats: cycles the DUT/golden lanes did not consume
         let g = run.guard_cycle.unwrap_or(u64::MAX);
@@ -544,13 +476,7 @@ fn run_rtl_level_batched(
             run.hung = true;
         }
         if let Some(bench) = &groups[run.lane.0].benches[run.lane.1] {
-            for v in bench.violations() {
-                let latency = v.cycle.saturating_sub(run.activation);
-                run.detections
-                    .entry(v.monitor.clone())
-                    .and_modify(|l| *l = (*l).min(latency))
-                    .or_insert(latency);
-            }
+            note_violations(&mut run.detections, violations(bench), run.activation);
         }
         if run.driven < hard_cap {
             stats.lanes_retired_early += 1;
@@ -570,6 +496,14 @@ fn run_rtl_level_batched(
     (results, healthy_ok)
 }
 
+/// A lane bench's violations as `(monitor, cycle)` pairs.
+fn violations(bench: &OvlBench) -> impl Iterator<Item = (String, u64)> + '_ {
+    bench
+        .violations()
+        .iter()
+        .map(|v| (v.monitor.clone(), v.cycle))
+}
+
 /// Runs the full campaign with all RTL-level work on the 64-lane
 /// batched simulator, producing a matrix byte-identical to
 /// [`run_campaign`](crate::run_campaign) plus the bit-parallel
@@ -587,101 +521,12 @@ pub fn run_campaign_batched_shard(
     config: &CampaignConfig,
     shard: &CampaignShard,
 ) -> (DetectionMatrix, BatchStats) {
-    install_guard_hook();
-    let cfg = &config.la1;
     let mut stats = BatchStats::default();
-    let mut matrix = DetectionMatrix {
-        banks: cfg.banks,
-        seed: config.seed,
-        runs_per_fault: config.runs_per_fault,
-        cells: BTreeMap::new(),
-        healthy: BTreeMap::new(),
-        disagreements: Vec::new(),
-    };
-    // ASM / SystemC levels: scalar path, verbatim
-    for (fault_idx, &fault) in config.faults.iter().enumerate() {
-        if !shard.includes(fault_idx) {
-            continue;
+    let matrix = assemble_matrix(config, shard, |level, level_idx| match level {
+        Level::Rtl | Level::RtlOvl => {
+            run_rtl_level_batched(config, shard, level, level_idx, &mut stats)
         }
-        for (level_idx, &level) in config.levels.iter().enumerate() {
-            if matches!(level, Level::Rtl | Level::RtlOvl) || !supports(fault, level) {
-                continue;
-            }
-            let cell = matrix
-                .cells
-                .entry(fault.name().to_string())
-                .or_default()
-                .entry(level.name().to_string())
-                .or_default();
-            for run in 0..config.runs_per_fault {
-                let seed = run_seed(config.seed, fault_idx, level_idx, run);
-                let mut rng = StdRng::seed_from_u64(seed);
-                let plan = FaultPlan::sample(fault, cfg, activation_window(cfg), &mut rng);
-                let result = if fault.closed_loop() {
-                    closed_loop_run(
-                        level,
-                        cfg,
-                        Some(plan),
-                        config.watchdog_cycles,
-                        config.target_reads,
-                        &config.preamble,
-                    )
-                } else {
-                    open_loop_run(level, cfg, plan, &mut rng, &config.preamble)
-                };
-                cell.runs += 1;
-                cell.hung += u32::from(result.hung);
-                for (channel, latency) in result.detections {
-                    let stat = cell.monitors.entry(channel).or_default();
-                    stat.detected += 1;
-                    stat.latency_sum += latency;
-                }
-            }
-        }
-    }
-    // RTL / RTL+OVL levels: 64 runs per netlist evaluation
-    for (level_idx, &level) in config.levels.iter().enumerate() {
-        if !matches!(level, Level::Rtl | Level::RtlOvl) {
-            continue;
-        }
-        let (results, healthy_ok) =
-            run_rtl_level_batched(config, shard, level, level_idx, &mut stats);
-        for (fault, result) in results {
-            let cell = matrix
-                .cells
-                .entry(fault.name().to_string())
-                .or_default()
-                .entry(level.name().to_string())
-                .or_default();
-            cell.runs += 1;
-            cell.hung += u32::from(result.hung);
-            for (channel, latency) in result.detections {
-                let stat = cell.monitors.entry(channel).or_default();
-                stat.detected += 1;
-                stat.latency_sum += latency;
-            }
-        }
-        if let Some(ok) = healthy_ok {
-            matrix.healthy.insert(level.name().to_string(), ok);
-        }
-    }
-    // healthy-design controls for the scalar levels
-    if shard.healthy {
-        for &level in &config.levels {
-            if matches!(level, Level::Rtl | Level::RtlOvl) {
-                continue;
-            }
-            let result = closed_loop_run(
-                level,
-                cfg,
-                None,
-                config.watchdog_cycles,
-                config.target_reads,
-                &config.preamble,
-            );
-            matrix.healthy.insert(level.name().to_string(), !result.hung);
-        }
-    }
-    matrix.disagreements = compute_disagreements(&matrix.cells);
+        Level::Asm | Level::SystemC => scalar_level(config, shard, level, level_idx),
+    });
     (matrix, stats)
 }

@@ -3,43 +3,11 @@
 //! staging) is preallocated at construction, and per-step work reuses
 //! it. A counting global allocator proves it.
 
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::allocs_on_this_thread;
 use la1_rtl::{BatchedRtlSim, Expr, Netlist, RtlSim, SettleMode, LANES};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-struct CountingAlloc;
-
-// Per-thread counter: the libtest harness allocates on its own threads
-// (progress printing, panic plumbing) concurrently with a measurement
-// window, so a process-global counter flakes. `Cell<usize>` has no
-// destructor, so the const-initialized TLS access never allocates or
-// recurses into the allocator; `try_with` covers thread teardown.
-thread_local! {
-    static ALLOCS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn allocs_on_this_thread() -> usize {
-    ALLOCS.with(Cell::get)
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// A design exercising every sequential and combinational node kind the
 /// LA-1 netlist uses: DFF pipeline, masked RAM, tristate bus, reduction
