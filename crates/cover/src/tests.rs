@@ -844,6 +844,38 @@ fn golden_closure_reports_byte_identical() {
     check_golden("closure_reports.json", &out);
 }
 
+#[test]
+fn golden_collector_and_staged_renderings_byte_identical() {
+    let cfg = small_cfg(1);
+    let mut collector = CoverageCollector::new(CoverageModel::la1(&cfg));
+    let mut sc = LaSystemC::new(&cfg);
+    let mut mix = RandomMix::new(&cfg, 9, 0.5, 0.5);
+    run_abv_observed(&mut sc, &mut mix, 300, &mut collector);
+    check_golden("collector_report.json", &collector.to_json());
+
+    let mut staged = crate::staged::StagedConfig::new(small_cfg(2), 5);
+    staged.guided = false;
+    staged.closure.epoch = 20;
+    staged.stage1_budget = 40;
+    staged.streams = 2;
+    staged.stream_budget = 20;
+    let report = crate::staged::run_staged(&staged).expect("staged run");
+    check_golden("staged_report.json", &report.to_json());
+
+    // a guided stream checkpointed mid-plan
+    staged.guided = true;
+    let mut sc = LaSystemC::new(&staged.closure.config);
+    let mut collector = CoverageCollector::new(CoverageModel::la1(&staged.closure.config));
+    let mut generator =
+        crate::closure::Generator::for_stream(&staged.closure, staged.guided, staged.closure.seed);
+    run_abv_observed(&mut sc, &mut generator, 20, &mut collector);
+    generator.retarget(&collector.unhit());
+    run_abv_observed(&mut sc, &mut generator, 5, &mut collector);
+    let ckpt =
+        crate::staged::StageCheckpoint::capture(&staged, &sc, &collector, &generator).unwrap();
+    check_golden("stage_checkpoint.jsonl", &ckpt.to_jsonl());
+}
+
 // ---- staged closure and warm-start preambles --------------------------------
 
 /// Runs `run_closure`-style epochs straight through for `budget`

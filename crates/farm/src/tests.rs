@@ -180,16 +180,21 @@ fn serve_stream_is_ordered_and_worker_count_invariant() {
     assert_eq!(sequential, parallel, "worker count leaked into the stream");
 }
 
-#[test]
-fn explore_farm_summarizes_each_config() {
-    let plan = FarmPlan::Explore {
+/// A small exploration sweep: 1 and 2 banks, depth-bounded.
+fn small_explore_plan() -> FarmPlan {
+    FarmPlan::Explore {
         configs: vec![LaConfig::mc_small(1), LaConfig::mc_small(2)],
         explore: ExploreConfig {
             max_depth: Some(3),
             max_states: 20_000,
             ..ExploreConfig::default()
         },
-    };
+    }
+}
+
+#[test]
+fn explore_farm_summarizes_each_config() {
+    let plan = small_explore_plan();
     let sequential = plan.run(1);
     let parallel = plan.run(2);
     assert_eq!(sequential.to_json(), parallel.to_json());
@@ -521,4 +526,69 @@ mod props {
             prop_assert_eq!(resumed.to_json(), clean.to_json());
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// byte-pinned renderings
+
+/// Compares `produced` against the committed golden file (or rewrites
+/// it under `UPDATE_GOLDEN=1`).
+fn check_golden(file: &str, produced: &str) {
+    let path = format!("{}/golden/{}", env!("CARGO_MANIFEST_DIR"), file);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, produced).expect("update golden file");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).expect("read committed golden file");
+    assert_eq!(
+        produced, golden,
+        "rendering drifted from the committed golden (crates/farm/golden/{file}); \
+         if the change is intentional, regenerate with UPDATE_GOLDEN=1 cargo test -p la1-farm"
+    );
+}
+
+/// Runs `plan` on one worker, optionally under the default chaos
+/// campaign with no retries, journaling to a scratch file. Returns the
+/// merged report, the journal text and the `--serve` records.
+fn pinned_run(plan: &FarmPlan, chaos: bool, name: &str) -> (String, String, String) {
+    let chaos = chaos.then(|| ChaosConfig::new(0xC4A0).plan(plan.jobs().len()));
+    let path = scratch(name);
+    let mut journal = Journal::create(&path, plan).expect("create journal");
+    let mut records = String::new();
+    let (report, _) = plan.run_with(
+        1,
+        &RunPolicy::default(),
+        chaos.as_ref(),
+        Some(&mut journal),
+        |i, r, _| {
+            records.push_str(&r.record(i));
+            records.push('\n');
+        },
+    );
+    drop(journal);
+    let text = std::fs::read_to_string(&path).expect("read journal");
+    let _ = std::fs::remove_file(&path);
+    (report.to_json(), text, records)
+}
+
+#[test]
+fn golden_farm_reports_journals_and_records_byte_identical() {
+    let (mut reports, mut journals, mut records) = (String::new(), String::new(), String::new());
+    for (plan, chaos, name) in [
+        (small_campaign_plan(4, false), false, "golden-campaign"),
+        (small_campaign_plan(4, false), true, "golden-campaign-chaos"),
+        (small_closure_plan(4), false, "golden-closure"),
+        (small_closure_plan(4), true, "golden-closure-chaos"),
+        (small_explore_plan(), false, "golden-explore"),
+    ] {
+        let (report, journal, serve) = pinned_run(&plan, chaos, name);
+        reports.push_str(&report);
+        journals.push_str(&journal);
+        records.push_str(&serve);
+    }
+    assert!(reports.contains("\"kind\": \"degraded-farm\""));
+    assert!(journals.contains("\"kind\": \"failed\", \"job\""));
+    check_golden("reports.json", &reports);
+    check_golden("journals.jsonl", &journals);
+    check_golden("serve_records.jsonl", &records);
 }
