@@ -26,8 +26,11 @@
 //!   the RTL+OVL level and the healthy design never hangs. Combined
 //!   with `--batched`, additionally asserts batched == scalar.
 
-use la1_bench::{opt_speedup, write_json_array, BenchArgs, Gate};
-use la1_fault::{run_campaign, run_campaign_batched, CampaignConfig, FaultModel, Level};
+use la1_bench::{write_json, BenchArgs, Gate};
+use la1_core::json::Json;
+use la1_fault::{
+    run_campaign, run_campaign_batched, CampaignConfig, DetectionMatrix, FaultModel, Level,
+};
 use std::time::Instant;
 
 /// Seeded runs the campaign executes: per level, one per supported
@@ -44,6 +47,32 @@ fn pattern_count(config: &CampaignConfig) -> u64 {
         n += 1; // healthy control
     }
     n
+}
+
+/// The `"perf"` object a `--json` matrix carries: wall-clock figures,
+/// kept out of the deterministic matrix itself.
+fn perf_json(
+    mode: &str,
+    elapsed: f64,
+    patterns: u64,
+    speedup: Option<f64>,
+    batch: Option<Json>,
+) -> Json {
+    let mut fields = vec![
+        ("mode", Json::str(mode)),
+        ("elapsed_seconds", Json::fixed(elapsed, 4)),
+        ("patterns", Json::num(patterns)),
+        (
+            "patterns_per_second",
+            Json::fixed(patterns as f64 / elapsed.max(1e-9), 1),
+        ),
+        (
+            "speedup_vs_scalar",
+            speedup.map_or(Json::Null, |s| Json::fixed(s, 2)),
+        ),
+    ];
+    fields.extend(batch.map(|b| ("batch", b)));
+    Json::obj(fields)
 }
 
 fn parse_levels(spec: &str) -> Vec<Level> {
@@ -113,27 +142,28 @@ fn main() {
                     ));
                 }
             }
-            let speedup_json = opt_speedup(speedup);
-            let perf = format!(
-                "{{\"mode\": \"batched\", \"elapsed_seconds\": {elapsed:.4}, \
-                 \"patterns\": {patterns}, \"patterns_per_second\": {pps:.1}, \
-                 \"speedup_vs_scalar\": {speedup_json}, \"batch\": {}}}",
-                stats.to_json()
-            );
-            (matrix, Some(perf))
+            let batch = Json::obj([
+                ("rtl_lane_runs", Json::num(stats.rtl_lane_runs as u64)),
+                ("groups", Json::num(stats.groups as u64)),
+                (
+                    "lanes_retired_early",
+                    Json::num(stats.lanes_retired_early as u64),
+                ),
+                ("lane_cycles_saved", Json::num(stats.lane_cycles_saved)),
+            ]);
+            let perf = perf_json("batched", elapsed, patterns, speedup, Some(batch));
+            (matrix, perf)
         } else {
             let (matrix, elapsed) = scalar.expect("scalar mode always runs the scalar engine");
-            let pps = patterns as f64 / elapsed.max(1e-9);
-            let perf = format!(
-                "{{\"mode\": \"scalar\", \"elapsed_seconds\": {elapsed:.4}, \
-                 \"patterns\": {patterns}, \"patterns_per_second\": {pps:.1}, \
-                 \"speedup_vs_scalar\": null}}"
-            );
-            (matrix, Some(perf))
+            (matrix, perf_json("scalar", elapsed, patterns, None, None))
         };
 
         println!("{}", matrix.render());
-        jsons.push(matrix.to_json_with_perf(perf.as_deref()));
+        let mut doc = matrix.json();
+        if let Json::Obj(fields) = &mut doc {
+            fields.push(("perf".to_string(), perf));
+        }
+        jsons.push(doc);
         if smoke {
             let gate_rtl_ovl = config.levels.contains(&Level::RtlOvl);
             for fault in FaultModel::ALL {
@@ -153,7 +183,7 @@ fn main() {
         }
     }
     if let Some(path) = json_path {
-        write_json_array(&path, &jsons);
+        write_json(&path, jsons, DetectionMatrix::ROWS);
     }
     gate.finish(smoke || assert_speedup.is_some());
 }

@@ -34,8 +34,9 @@
 //!   configs, byte-equivalence enforced, no timing floor (timing on a
 //!   loaded CI box is noise; equivalence is not).
 
-use la1_bench::{write_json_array, BenchArgs, Gate};
+use la1_bench::{write_json, BenchArgs, Gate};
 use la1_core::checkpoint::{config_fingerprint, Snapshot, Trace};
+use la1_core::json::Json;
 use la1_core::rtl_model::{LaRtl, LaRtlBatchDriver, LaRtlDriver};
 use la1_core::spec::{BankOp, LaConfig};
 use la1_core::workloads::{RandomMix, Workload};
@@ -172,22 +173,24 @@ fn main() {
                 ));
             }
         }
-        jsons.push(format!(
-            "{{\"banks\": {banks}, \"preamble_cycles\": {cycles}, \
-             \"snapshot_bytes\": {}, \"batch_snapshot_bytes\": {}, \
-             \"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"speedup\": {speedup:.2}, \
-             \"batch_cold_ms\": {:.3}, \"batch_warm_ms\": {:.3}, \
-             \"batch_speedup\": {batch_speedup:.2}}}",
-            snap_text.len(),
-            batch_snap_text.len(),
-            cold_s * 1e3,
-            warm_s * 1e3,
-            batch_cold_s * 1e3,
-            batch_warm_s * 1e3,
-        ));
+        jsons.push(Json::obj([
+            ("banks", Json::num(banks as u64)),
+            ("preamble_cycles", Json::num(cycles)),
+            ("snapshot_bytes", Json::num(snap_text.len() as u64)),
+            (
+                "batch_snapshot_bytes",
+                Json::num(batch_snap_text.len() as u64),
+            ),
+            ("cold_ms", Json::fixed(cold_s * 1e3, 3)),
+            ("warm_ms", Json::fixed(warm_s * 1e3, 3)),
+            ("speedup", Json::fixed(speedup, 2)),
+            ("batch_cold_ms", Json::fixed(batch_cold_s * 1e3, 3)),
+            ("batch_warm_ms", Json::fixed(batch_warm_s * 1e3, 3)),
+            ("batch_speedup", Json::fixed(batch_speedup, 2)),
+        ]));
     }
     if let Some(path) = json_path {
-        write_json_array(&path, &jsons);
+        write_json(&path, jsons, &[]);
     }
     gate.finish(smoke || assert_speedup.is_some());
 }

@@ -28,7 +28,8 @@
 //!   `1 2`, budget to 40000, and the binary exits non-zero unless the
 //!   guided run closes 100% of tier-1 bins within the budget.
 
-use la1_bench::{indent_json, opt_speedup, write_json_array, BenchArgs, Gate};
+use la1_bench::{write_json, BenchArgs, Gate};
+use la1_core::json::Json;
 use la1_cover::{
     run_closure, run_closure_rtl, run_closure_rtl_batched, ClosureConfig, ClosureReport,
     MultiClosureReport,
@@ -157,17 +158,17 @@ fn main() {
                     guided.unhit
                 ));
             }
-            let speedup_json = opt_speedup(speedup);
-            let perf = format!(
-                "{{\"mode\": \"batched\", \"elapsed_seconds\": {elapsed:.4}, \
-                 \"patterns\": {}, \"patterns_per_second\": {pps:.0}, \
-                 \"speedup_vs_scalar\": {speedup_json}}}",
-                guided.lane_cycles
-            );
-            jsons.push(format!(
-                "{{\n  \"guided\": \n{},\n  \"perf\": {perf}\n}}",
-                indent_json(&guided.to_json())
-            ));
+            let perf = Json::obj([
+                ("mode", Json::str("batched")),
+                ("elapsed_seconds", Json::fixed(elapsed, 4)),
+                ("patterns", Json::num(guided.lane_cycles)),
+                ("patterns_per_second", Json::fixed(pps, 0)),
+                (
+                    "speedup_vs_scalar",
+                    speedup.map_or(Json::Null, |s| Json::fixed(s, 2)),
+                ),
+            ]);
+            jsons.push(Json::obj([("guided", guided.json()), ("perf", perf)]));
             continue;
         }
 
@@ -184,22 +185,18 @@ fn main() {
                     guided.unhit
                 ));
             }
-            jsons.push(format!(
-                "{{\n  \"guided\": \n{}\n}}",
-                indent_json(&guided.to_json())
-            ));
+            jsons.push(Json::obj([("guided", guided.json())]));
             continue;
         }
         let random = run_closure(&cfg, false);
         println!("{}", row(&random));
-        jsons.push(format!(
-            "{{\n  \"guided\": \n{},\n  \"random\": \n{}\n}}",
-            indent_json(&guided.to_json()),
-            indent_json(&random.to_json())
-        ));
+        jsons.push(Json::obj([
+            ("guided", guided.json()),
+            ("random", random.json()),
+        ]));
     }
     if let Some(path) = json_path {
-        write_json_array(&path, &jsons);
+        write_json(&path, jsons, &[]);
     }
     gate.finish(smoke || assert_speedup.is_some());
 }

@@ -74,7 +74,8 @@
 //!   serve stream, campaign merge == unsharded engine, tier-1 closure
 //!   and explore verdicts, no degraded shards.
 
-use la1_bench::{indent_json, opt_speedup, sout, write_json_array, BenchArgs, Gate};
+use la1_bench::{sout, write_json, BenchArgs, Gate};
+use la1_core::json::Json;
 use la1_core::spec::LaConfig;
 use la1_cover::{ClosureConfig, ClosurePreamble};
 use la1_farm::{
@@ -478,69 +479,78 @@ fn main() {
     if serve {
         // the closing record of the serve stream: what the whole run
         // cost in resilience terms (deterministic counters only)
-        sout(format!(
-            "{{\"kind\": \"farm-summary\", \"plans\": {}, \"jobs_run\": {}, \
-             \"retried\": {}, \"failed\": {}, \"replayed\": {}}}",
-            plans.len(),
-            totals.jobs_run,
-            totals.retried,
-            totals.failed,
-            totals.replayed
-        ));
+        sout(
+            Json::obj([
+                ("kind", Json::str("farm-summary")),
+                ("plans", Json::num(plans.len() as u64)),
+                ("jobs_run", Json::num(totals.jobs_run as u64)),
+                ("retried", Json::num(totals.retried as u64)),
+                ("failed", Json::num(totals.failed as u64)),
+                ("replayed", Json::num(totals.replayed as u64)),
+            ])
+            .render(),
+        );
     }
 
     if let Some(path) = merged_json_path {
         // merged reports only — the byte-diffable artifact for the
         // kill-and-resume gate (no perf, no counters)
-        let jsons: Vec<String> = results.iter().map(|r| r.report.to_json()).collect();
-        write_json_array(&path, &jsons);
+        write_json(
+            &path,
+            results.iter().map(|r| r.report.json()).collect(),
+            FarmReport::ROWS,
+        );
     }
     if let Some(path) = json_path {
-        let jsons: Vec<String> = results
+        let jsons = results
             .iter()
             .map(|r| {
-                let fmt_list =
-                    |f: &dyn Fn(usize) -> String| -> String {
-                        (0..r.elapsed.len())
-                            .map(f)
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    };
-                let elapsed = fmt_list(&|i| format!("{:.4}", r.elapsed[i]));
-                let jps = fmt_list(&|i| format!("{:.2}", r.jobs as f64 / r.elapsed[i].max(1e-9)));
-                let pps =
-                    fmt_list(&|i| format!("{:.0}", r.patterns as f64 / r.elapsed[i].max(1e-9)));
-                let speedup =
-                    fmt_list(&|i| opt_speedup(Some(r.elapsed[0] / r.elapsed[i].max(1e-9))));
-                let workers = fmt_list(&|i| workers_list[i].to_string());
-                let sites = match &r.chaos_sites {
-                    Some(s) => format!(
-                        "[{}]",
-                        s.iter().map(ToString::to_string).collect::<Vec<_>>().join(", ")
+                let per_pass =
+                    |f: &dyn Fn(f64) -> Json| Json::Arr(r.elapsed.iter().map(|&e| f(e)).collect());
+                Json::obj([
+                    ("plan", Json::str(&r.label)),
+                    ("banks", Json::num(r.banks as u64)),
+                    ("jobs", Json::num(r.jobs as u64)),
+                    ("cores", Json::num(cores as u64)),
+                    (
+                        "workers",
+                        Json::num_arr(workers_list.iter().map(|&w| w as u64)),
                     ),
-                    None => "null".to_string(),
-                };
-                format!(
-                    "{{\n  \"plan\": \"{}\",\n  \"banks\": {},\n  \"jobs\": {},\n  \
-                     \"cores\": {cores},\n  \"workers\": [{workers}],\n  \
-                     \"elapsed_seconds\": [{elapsed}],\n  \"jobs_per_second\": [{jps}],\n  \
-                     \"patterns\": {},\n  \"patterns_per_second\": [{pps}],\n  \
-                     \"speedup_vs_first\": [{speedup}],\n  \"resilience\": {{\"jobs_run\": {}, \
-                     \"retried\": {}, \"failed\": {}, \"replayed\": {}, \"max_retries\": \
-                     {max_retries}, \"chaos_sites\": {sites}}},\n  \"merged\": \n{}\n}}",
-                    r.label,
-                    r.banks,
-                    r.jobs,
-                    r.patterns,
-                    r.stats.jobs_run,
-                    r.stats.retried,
-                    r.stats.failed,
-                    r.stats.replayed,
-                    indent_json(&r.report.to_json())
-                )
+                    ("elapsed_seconds", per_pass(&|e| Json::fixed(e, 4))),
+                    (
+                        "jobs_per_second",
+                        per_pass(&|e| Json::fixed(r.jobs as f64 / e.max(1e-9), 2)),
+                    ),
+                    ("patterns", Json::num(r.patterns)),
+                    (
+                        "patterns_per_second",
+                        per_pass(&|e| Json::fixed(r.patterns as f64 / e.max(1e-9), 0)),
+                    ),
+                    (
+                        "speedup_vs_first",
+                        per_pass(&|e| Json::fixed(r.elapsed[0] / e.max(1e-9), 2)),
+                    ),
+                    (
+                        "resilience",
+                        Json::obj([
+                            ("jobs_run", Json::num(r.stats.jobs_run as u64)),
+                            ("retried", Json::num(r.stats.retried as u64)),
+                            ("failed", Json::num(r.stats.failed as u64)),
+                            ("replayed", Json::num(r.stats.replayed as u64)),
+                            ("max_retries", Json::num(max_retries as u64)),
+                            (
+                                "chaos_sites",
+                                r.chaos_sites.as_ref().map_or(Json::Null, |s| {
+                                    Json::num_arr(s.iter().map(|&j| j as u64))
+                                }),
+                            ),
+                        ]),
+                    ),
+                    ("merged", r.report.json()),
+                ])
             })
             .collect();
-        write_json_array(&path, &jsons);
+        write_json(&path, jsons, FarmReport::ROWS);
     }
     gate.finish(smoke || assert_scaling.is_some());
 }

@@ -7,17 +7,17 @@
 //! Usage: `table1 [depth] [--json <path>]` — the optional JSON sidecar
 //! records one machine-readable row object per bank count.
 
-use la1_bench::{secs, table1_row, Table1Row};
+use la1_bench::{secs, table1_row, write_json, Table1Row};
+use la1_core::json::Json;
 
-fn json_row(row: &Table1Row) -> String {
-    format!(
-        "{{\"banks\": {}, \"nodes\": {}, \"transitions\": {}, \"cpu_ms\": {:.3}, \"workers\": {}}}",
-        row.banks,
-        row.nodes,
-        row.transitions,
-        row.cpu_time.as_secs_f64() * 1e3,
-        row.workers
-    )
+fn json_row(row: &Table1Row) -> Json {
+    Json::obj([
+        ("banks", Json::num(row.banks as u64)),
+        ("nodes", Json::num(row.nodes as u64)),
+        ("transitions", Json::num(row.transitions as u64)),
+        ("cpu_ms", Json::fixed(row.cpu_time.as_secs_f64() * 1e3, 3)),
+        ("workers", Json::num(row.workers as u64)),
+    ])
 }
 
 fn main() {
@@ -59,9 +59,6 @@ fn main() {
         rows.push(row);
     }
     if let Some(path) = json_path {
-        let body = rows.iter().map(json_row).collect::<Vec<_>>().join(",\n  ");
-        let json = format!("[\n  {body}\n]\n");
-        std::fs::write(&path, json).expect("write JSON output");
-        eprintln!("wrote {path}");
+        write_json(&path, rows.iter().map(json_row).collect(), &[]);
     }
 }

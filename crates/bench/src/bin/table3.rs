@@ -9,16 +9,22 @@
 //! (the CI gate `scripts/check.sh` checks by exit code instead of
 //! parsing JSON).
 
-use la1_bench::{micros, table3_row, Table3Row};
+use la1_bench::{micros, table3_row, write_json, Table3Row};
+use la1_core::json::Json;
 
-fn json_row(row: &Table3Row) -> String {
-    format!(
-        "{{\"banks\": {}, \"sc_ns_per_cycle\": {:.1}, \"rtl_ns_per_cycle\": {:.1}, \"ratio\": {:.3}}}",
-        row.banks,
-        row.delta_sc.as_secs_f64() * 1e9,
-        row.delta_ovl.as_secs_f64() * 1e9,
-        row.ratio
-    )
+fn json_row(row: &Table3Row) -> Json {
+    Json::obj([
+        ("banks", Json::num(row.banks as u64)),
+        (
+            "sc_ns_per_cycle",
+            Json::fixed(row.delta_sc.as_secs_f64() * 1e9, 1),
+        ),
+        (
+            "rtl_ns_per_cycle",
+            Json::fixed(row.delta_ovl.as_secs_f64() * 1e9, 1),
+        ),
+        ("ratio", Json::fixed(row.ratio, 3)),
+    ])
 }
 
 fn main() {
@@ -72,10 +78,7 @@ fn main() {
         rows.push(row);
     }
     if let Some(path) = json_path {
-        let body = rows.iter().map(json_row).collect::<Vec<_>>().join(",\n  ");
-        let json = format!("[\n  {body}\n]\n");
-        std::fs::write(&path, json).expect("write JSON output");
-        eprintln!("wrote {path}");
+        write_json(&path, rows.iter().map(json_row).collect(), &[]);
     }
     if let Some(min) = assert_ratio {
         let bad: Vec<&Table3Row> = rows.iter().filter(|r| r.ratio < min).collect();

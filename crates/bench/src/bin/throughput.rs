@@ -19,7 +19,8 @@
 //! * `--assert-speedup X` — exit non-zero unless every row's batched
 //!   engine is at least `X`× faster than the scalar engine.
 
-use la1_bench::{write_json_array, BenchArgs, Gate};
+use la1_bench::{write_json, BenchArgs, Gate};
+use la1_core::json::Json;
 use la1_core::rtl_model::{LaRtl, LaRtlBatchDriver, LaRtlDriver};
 use la1_core::spec::{BankOp, LaConfig};
 use la1_core::stimulus::stream_seed;
@@ -114,16 +115,20 @@ fn main() {
                 ));
             }
         }
-        jsons.push(format!(
-            "{{\"banks\": {banks}, \"cycles\": {cycles}, \
-             \"scalar_ns_per_lane_cycle\": {scalar_ns:.1}, \
-             \"batched_ns_per_lane_cycle\": {batched_ns:.1}, \
-             \"patterns_per_second\": {:.0}, \"speedup\": {speedup:.2}}}",
-            lane_cycles / batched_elapsed.max(1e-9)
-        ));
+        jsons.push(Json::obj([
+            ("banks", Json::num(banks as u64)),
+            ("cycles", Json::num(cycles)),
+            ("scalar_ns_per_lane_cycle", Json::fixed(scalar_ns, 1)),
+            ("batched_ns_per_lane_cycle", Json::fixed(batched_ns, 1)),
+            (
+                "patterns_per_second",
+                Json::fixed(lane_cycles / batched_elapsed.max(1e-9), 0),
+            ),
+            ("speedup", Json::fixed(speedup, 2)),
+        ]));
     }
     if let Some(path) = json_path {
-        write_json_array(&path, &jsons);
+        write_json(&path, jsons, &[]);
     }
     gate.finish(assert_speedup.is_some());
 }

@@ -38,10 +38,11 @@
 //! fault detections are asserted on every run, not only under
 //! `--smoke`.
 
-use la1_bench::{write_json_array, BenchArgs, Gate};
+use la1_bench::{write_json, BenchArgs, Gate};
 use la1_core::asm_model::LaAsmModel;
 use la1_core::cycle_model::{BatchLaneModel, CycleModel, CycleObserver, RtlWithOvl};
 use la1_core::harness::run_abv_observed;
+use la1_core::json::Json;
 use la1_core::rtl_model::{LaRtl, LaRtlBatchDriver, LaRtlDriver};
 use la1_core::sc_model::LaSystemC;
 use la1_core::spec::{BankOp, LaConfig};
@@ -198,11 +199,13 @@ fn main() {
                     "{banks:>6} | {:>10} | {level:>8} | {:>9} | {lps:>12.0}",
                     sc.name, c.lookups
                 );
-                level_jsons.push(format!(
-                    "{{\"level\": \"{level}\", \"lookups\": {}, \"reads\": {}, \
-                     \"writes_committed\": {}, \"lookups_per_second\": {lps:.0}}}",
-                    c.lookups, c.reads, c.writes_committed
-                ));
+                level_jsons.push(Json::obj([
+                    ("level", Json::str(level)),
+                    ("lookups", Json::num(c.lookups)),
+                    ("reads", Json::num(c.reads)),
+                    ("writes_committed", Json::num(c.writes_committed)),
+                    ("lookups_per_second", Json::fixed(lps, 0)),
+                ]));
             }
             let reference = reference.expect("at least one level ran");
 
@@ -252,10 +255,11 @@ fn main() {
                 "{banks:>6} | {:>10} | {:>8} | {:>9} | {lps:>12.0}",
                 sc.name, "rtl x64", lookups
             );
-            level_jsons.push(format!(
-                "{{\"level\": \"rtl x64\", \"lookups\": {lookups}, \
-                 \"lookups_per_second\": {lps:.0}}}"
-            ));
+            level_jsons.push(Json::obj([
+                ("level", Json::str("rtl x64")),
+                ("lookups", Json::num(lookups)),
+                ("lookups_per_second", Json::fixed(lps, 0)),
+            ]));
 
             // --- tier-3 traffic coverage over the same stream ---
             let mut workload = (sc.make)(wseed);
@@ -295,17 +299,15 @@ fn main() {
                 }
             }
 
-            scenario_jsons.push(format!(
-                "{{\"workload\": \"{}\", \"reads\": {}, \"lookups\": {}, \
-                 \"writes_committed\": {}, \"coverage_hit\": {}, \"coverage_total\": {total}, \
-                 \"levels\": [{}]}}",
-                sc.name,
-                reference.reads,
-                reference.lookups,
-                reference.writes_committed,
-                hit.len(),
-                level_jsons.join(", ")
-            ));
+            scenario_jsons.push(Json::obj([
+                ("workload", Json::str(sc.name)),
+                ("reads", Json::num(reference.reads)),
+                ("lookups", Json::num(reference.lookups)),
+                ("writes_committed", Json::num(reference.writes_committed)),
+                ("coverage_hit", Json::num(hit.len() as u64)),
+                ("coverage_total", Json::num(total as u64)),
+                ("levels", Json::Arr(level_jsons)),
+            ]));
         }
 
         // --- fault visibility through the monitor's channels: drive
@@ -363,23 +365,25 @@ fn main() {
                     fault.name()
                 ));
             }
-            fault_jsons.push(format!(
-                "{{\"fault\": \"{}\", \"channel\": \"{channel}\", \"count\": {count}, \
-                 \"detected_runs\": {detected_runs}, \"runs\": {FAULT_RUNS}}}",
-                fault.name()
-            ));
+            fault_jsons.push(Json::obj([
+                ("fault", Json::str(fault.name())),
+                ("channel", Json::str(channel)),
+                ("count", Json::num(count)),
+                ("detected_runs", Json::num(detected_runs)),
+                ("runs", Json::num(FAULT_RUNS)),
+            ]));
         }
 
-        jsons.push(format!(
-            "{{\n  \"banks\": {banks},\n  \"cycles\": {cycles},\n  \"workloads\": [\n    {}\n  ],\n  \
-             \"faults\": [\n    {}\n  ]\n}}",
-            scenario_jsons.join(",\n    "),
-            fault_jsons.join(",\n    ")
-        ));
+        jsons.push(Json::obj([
+            ("banks", Json::num(banks as u64)),
+            ("cycles", Json::num(cycles)),
+            ("workloads", Json::Arr(scenario_jsons)),
+            ("faults", Json::Arr(fault_jsons)),
+        ]));
     }
 
     if let Some(path) = json_path {
-        write_json_array(&path, &jsons);
+        write_json(&path, jsons, &["workloads", "faults"]);
     }
     gate.finish(true);
 }

@@ -18,6 +18,7 @@
 
 use la1_asm::ExploreConfig;
 use la1_core::harness::{asm_model_check, rulebase_read_mode, run_rtl_ovl, run_systemc_abv};
+use la1_core::json::Json;
 use la1_core::spec::LaConfig;
 use la1_core::workloads::RandomMix;
 use la1_smc::{SmcConfig, SmcOutcome, Strategy};
@@ -293,36 +294,12 @@ pub fn sout(line: impl AsRef<str>) {
         .and_then(|()| h.flush());
 }
 
-/// Renders an optional speedup figure as a JSON number with two
-/// decimals, or `null` when no reference was timed — the bench
-/// binaries' shared `"speedup_vs_scalar"` / `"speedup_vs_first"`
-/// convention.
-pub fn opt_speedup(v: Option<f64>) -> String {
-    v.map(|s| format!("{s:.2}"))
-        .unwrap_or_else(|| "null".to_string())
-}
-
-/// Indents every line of a rendered JSON value by two spaces — the
-/// bench binaries' convention for nesting one report inside another.
-pub fn indent_json(json: &str) -> String {
-    json.trim_end()
-        .lines()
-        .map(|l| format!("  {l}"))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-/// Writes `items` as a JSON array to `path`, one indented item per
-/// array slot, and logs the path to stderr — the `--json` output
-/// convention shared by every bench binary (byte-stable for a given
-/// item list).
-pub fn write_json_array(path: &str, items: &[String]) {
-    let body = items
-        .iter()
-        .map(|j| indent_json(j))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    std::fs::write(path, format!("[\n{body}\n]\n")).expect("write JSON output");
+/// Writes `items` as a JSON array document to `path` — one block per
+/// item, the arrays named in `rows` one element per line — and logs the
+/// path to stderr: the `--json` output convention shared by every bench
+/// binary (byte-stable for a given item list).
+pub fn write_json(path: &str, items: Vec<Json>, rows: &[&str]) {
+    std::fs::write(path, Json::Arr(items).render_pretty(rows)).expect("write JSON output");
     eprintln!("wrote {path}");
 }
 

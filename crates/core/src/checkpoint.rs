@@ -359,38 +359,29 @@ impl Snapshot {
     /// included). Byte-stable: `parse(to_jsonl(s)).to_jsonl()` is
     /// identical.
     pub fn to_jsonl(&self) -> String {
-        let mut sections: Vec<Json> = Vec::new();
-        match &self.payload {
-            LevelSnap::Asm(s) => enc_asm(s, &mut sections),
-            LevelSnap::SystemC(s) => enc_sc(s, &mut sections),
-            LevelSnap::Rtl(s) => enc_rtl(s, &mut sections),
-            LevelSnap::RtlOvl(s) => {
-                enc_rtl(&s.driver, &mut sections);
-                enc_ovl(&s.bench, &mut sections);
-            }
-            LevelSnap::RtlBatch(s) => enc_rtl_batch(s, &mut sections),
-        }
-        let header = obj(vec![
+        let mut lines = vec![Json::obj([
             ("kind", Json::str("la1-snapshot")),
             ("version", Json::num(SNAPSHOT_VERSION)),
             ("level", Json::str(self.level())),
             ("fingerprint", fp_str(self.fingerprint)),
             ("cycle", Json::num(self.cycle)),
-        ]);
-        let footer = obj(vec![
-            ("end", Json::Bool(true)),
-            ("lines", Json::num(sections.len() as u64)),
-        ]);
-        let mut out = String::new();
-        out.push_str(&header.render());
-        out.push('\n');
-        for s in &sections {
-            out.push_str(&s.render());
-            out.push('\n');
+        ])];
+        match &self.payload {
+            LevelSnap::Asm(s) => enc_asm(s, &mut lines),
+            LevelSnap::SystemC(s) => enc_sc(s, &mut lines),
+            LevelSnap::Rtl(s) => enc_rtl(s, &mut lines),
+            LevelSnap::RtlOvl(s) => {
+                enc_rtl(&s.driver, &mut lines);
+                enc_ovl(&s.bench, &mut lines);
+            }
+            LevelSnap::RtlBatch(s) => enc_rtl_batch(s, &mut lines),
         }
-        out.push_str(&footer.render());
-        out.push('\n');
-        out
+        let payload = lines.len() as u64 - 1;
+        lines.push(Json::obj([
+            ("end", Json::Bool(true)),
+            ("lines", Json::num(payload)),
+        ]));
+        json::jsonl(&lines)
     }
 
     /// Parses a snapshot stream, strictly: every line must parse and
@@ -403,50 +394,11 @@ impl Snapshot {
     /// [`CheckpointError::Malformed`] for wrong-format input. Never
     /// panics.
     pub fn parse(text: &str) -> Result<Snapshot, CheckpointError> {
-        let lines = split_lines(text)?;
+        let lines = read_lines(text)?;
         let header = &lines[0];
-        if header.get("kind").and_then(Json::as_str) != Some("la1-snapshot") {
-            return Err(CheckpointError::Malformed {
-                line: 1,
-                reason: "not an la1-snapshot header".to_string(),
-            });
-        }
-        let version = header
-            .get("version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| CheckpointError::Malformed {
-                line: 1,
-                reason: "missing version".to_string(),
-            })?;
-        if version != SNAPSHOT_VERSION {
-            return Err(CheckpointError::VersionMismatch {
-                found: version,
-                expected: SNAPSHOT_VERSION,
-            });
-        }
-        let fingerprint = header
-            .get("fingerprint")
-            .and_then(Json::as_str)
-            .and_then(parse_fp)
-            .ok_or_else(|| CheckpointError::Malformed {
-                line: 1,
-                reason: "missing fingerprint".to_string(),
-            })?;
-        let cycle = header
-            .get("cycle")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| CheckpointError::Malformed {
-                line: 1,
-                reason: "missing cycle".to_string(),
-            })?;
-        let level = header
-            .get("level")
-            .and_then(Json::as_str)
-            .ok_or_else(|| CheckpointError::Malformed {
-                line: 1,
-                reason: "missing level".to_string(),
-            })?
-            .to_string();
+        let fingerprint = check_header(header, "la1-snapshot", SNAPSHOT_VERSION)?;
+        let cycle = header.at::<u64>("cycle").map_err(header_error)?;
+        let level = header.at::<String>("level").map_err(header_error)?;
 
         // The footer must close the stream; everything between is the
         // payload.
@@ -528,29 +480,21 @@ impl Trace {
     /// Renders the trace as a JSONL stream (trailing newline
     /// included).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        let header = obj(vec![
+        let mut lines = vec![Json::obj([
             ("kind", Json::str("la1-trace")),
             ("version", Json::num(TRACE_VERSION)),
             ("fingerprint", fp_str(self.fingerprint)),
-        ]);
-        out.push_str(&header.render());
-        out.push('\n');
-        for ops in &self.cycles {
-            let line = obj(vec![(
-                "ops",
-                Json::Arr(ops.iter().map(enc_op).collect()),
-            )]);
-            out.push_str(&line.render());
-            out.push('\n');
-        }
-        let footer = obj(vec![
+        ])];
+        lines.extend(
+            self.cycles
+                .iter()
+                .map(|ops| Json::obj([("ops", Json::Arr(ops.iter().map(enc_op).collect()))])),
+        );
+        lines.push(Json::obj([
             ("end", Json::Bool(true)),
             ("cycles", Json::num(self.cycles.len() as u64)),
-        ]);
-        out.push_str(&footer.render());
-        out.push('\n');
-        out
+        ]));
+        json::jsonl(&lines)
     }
 
     /// Parses a trace stream, strictly: the footer must be present and
@@ -611,33 +555,7 @@ impl Trace {
                 })
             }
         };
-        if header.get("kind").and_then(Json::as_str) != Some("la1-trace") {
-            return Err(CheckpointError::Malformed {
-                line: 1,
-                reason: "not an la1-trace header".to_string(),
-            });
-        }
-        let version = header
-            .get("version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| CheckpointError::Malformed {
-                line: 1,
-                reason: "missing version".to_string(),
-            })?;
-        if version != TRACE_VERSION {
-            return Err(CheckpointError::VersionMismatch {
-                found: version,
-                expected: TRACE_VERSION,
-            });
-        }
-        let fingerprint = header
-            .get("fingerprint")
-            .and_then(Json::as_str)
-            .and_then(parse_fp)
-            .ok_or_else(|| CheckpointError::Malformed {
-                line: 1,
-                reason: "missing fingerprint".to_string(),
-            })?;
+        let fingerprint = check_header(&header, "la1-trace", TRACE_VERSION)?;
 
         let mut trace = Trace::new(fingerprint);
         let mut complete = false;
@@ -673,14 +591,10 @@ impl Trace {
                 }
                 break;
             }
-            let ops = j
-                .get("ops")
-                .and_then(Json::as_arr)
-                .ok_or(CheckpointError::Malformed {
-                    line: i + 1,
-                    reason: "cycle line without ops".to_string(),
-                })?;
-            let decoded: Result<Vec<BankOp>, String> = ops.iter().map(dec_op).collect();
+            let decoded: Result<Vec<BankOp>, String> = j
+                .arr("ops")
+                .map_err(String::from)
+                .and_then(|ops| ops.iter().map(dec_op).collect());
             trace
                 .cycles
                 .push(decoded.map_err(|reason| CheckpointError::Malformed {
@@ -695,38 +609,64 @@ impl Trace {
 // ---------------------------------------------------------------------
 // line plumbing
 
-fn split_lines(text: &str) -> Result<Vec<Json>, CheckpointError> {
-    // Every record ends with a newline (the journal convention); a
-    // final line without one is torn mid-write.
+/// Parses a strict JSONL checkpoint stream into its lines — the reader
+/// snapshots and stage checkpoints share. A final line without its
+/// newline, or one that does not parse, is a torn write
+/// ([`CheckpointError::Truncated`]); an earlier line that does not
+/// parse is [`CheckpointError::Malformed`].
+pub fn read_lines(text: &str) -> Result<Vec<Json>, CheckpointError> {
     if !text.ends_with('\n') {
         return Err(CheckpointError::Truncated);
     }
-    let mut raw: Vec<&str> = text.split('\n').collect();
-    if raw.last() == Some(&"") {
-        raw.pop();
-    }
-    if raw.is_empty() {
-        return Err(CheckpointError::Truncated);
-    }
+    let raw: Vec<&str> = text[..text.len() - 1].split('\n').collect();
     let mut out = Vec::with_capacity(raw.len());
     for (i, line) in raw.iter().enumerate() {
         match json::parse(line) {
             Ok(j) => out.push(j),
+            // a proper prefix of a rendered object never parses
+            Err(_) if i + 1 == raw.len() => return Err(CheckpointError::Truncated),
             Err(e) => {
-                // A torn final line is truncation, not malformation: a
-                // proper prefix of a rendered object never parses.
-                return Err(if i + 1 == raw.len() {
-                    CheckpointError::Truncated
-                } else {
-                    CheckpointError::Malformed {
-                        line: i + 1,
-                        reason: format!("{e:?}"),
-                    }
-                });
+                return Err(CheckpointError::Malformed {
+                    line: i + 1,
+                    reason: format!("{e:?}"),
+                })
             }
         }
     }
     Ok(out)
+}
+
+/// Checks a checkpoint header line's `kind` and format `version` and
+/// reads its `fingerprint` — the preamble snapshots, traces and stage
+/// checkpoints share.
+///
+/// # Errors
+///
+/// [`CheckpointError::VersionMismatch`] for another format version,
+/// [`CheckpointError::Malformed`] (line 1) for anything else.
+pub fn check_header(header: &Json, kind: &str, version: u64) -> Result<u64, CheckpointError> {
+    if header.get("kind").and_then(Json::as_str) != Some(kind) {
+        return Err(header_error(format!("not an {kind} header")));
+    }
+    let found = header.at::<u64>("version").map_err(header_error)?;
+    if found != version {
+        return Err(CheckpointError::VersionMismatch {
+            found,
+            expected: version,
+        });
+    }
+    let fp = header.at::<String>("fingerprint").map_err(header_error)?;
+    match u64::from_str_radix(&fp, 16) {
+        Ok(fp_value) if fp.len() == 16 => Ok(fp_value),
+        _ => Err(header_error(format!("bad fingerprint `{fp}`"))),
+    }
+}
+
+fn header_error(reason: impl ToString) -> CheckpointError {
+    CheckpointError::Malformed {
+        line: 1,
+        reason: reason.to_string(),
+    }
 }
 
 /// Sequential reader over the payload lines (header excluded, so line
@@ -756,128 +696,13 @@ impl<'a> Sections<'a> {
     }
 
     /// Wraps a field-level decode error with the current line number.
-    fn field<T>(&self, r: Result<T, String>) -> Result<T, CheckpointError> {
-        r.map_err(|reason| self.malformed(reason))
+    fn field<T, E: ToString>(&self, r: Result<T, E>) -> Result<T, CheckpointError> {
+        r.map_err(|e| self.malformed(e.to_string()))
     }
-}
-
-// ---------------------------------------------------------------------
-// field helpers
-
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
 fn fp_str(fp: u64) -> Json {
     Json::str(format!("{fp:016x}"))
-}
-
-fn parse_fp(s: &str) -> Option<u64> {
-    (s.len() == 16).then(|| u64::from_str_radix(s, 16).ok()).flatten()
-}
-
-fn jopt(v: Option<u64>) -> Json {
-    match v {
-        Some(n) => Json::num(n),
-        None => Json::Null,
-    }
-}
-
-fn need<'a>(j: &'a Json, key: &str) -> Result<&'a Json, String> {
-    j.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-fn f_u64(j: &Json, key: &str) -> Result<u64, String> {
-    need(j, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field `{key}` is not an unsigned integer"))
-}
-
-fn f_u32(j: &Json, key: &str) -> Result<u32, String> {
-    u32::try_from(f_u64(j, key)?).map_err(|_| format!("field `{key}` exceeds u32"))
-}
-
-fn f_i64(j: &Json, key: &str) -> Result<i64, String> {
-    match need(j, key)? {
-        Json::Num(raw) => raw
-            .parse()
-            .map_err(|_| format!("field `{key}` is not an integer")),
-        _ => Err(format!("field `{key}` is not a number")),
-    }
-}
-
-fn f_bool(j: &Json, key: &str) -> Result<bool, String> {
-    need(j, key)?
-        .as_bool()
-        .ok_or_else(|| format!("field `{key}` is not a bool"))
-}
-
-fn f_str(j: &Json, key: &str) -> Result<String, String> {
-    Ok(need(j, key)?
-        .as_str()
-        .ok_or_else(|| format!("field `{key}` is not a string"))?
-        .to_string())
-}
-
-fn f_arr<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    need(j, key)?
-        .as_arr()
-        .ok_or_else(|| format!("field `{key}` is not an array"))
-}
-
-fn f_u64_vec(j: &Json, key: &str) -> Result<Vec<u64>, String> {
-    need(j, key)?
-        .as_u64_vec()
-        .ok_or_else(|| format!("field `{key}` is not an integer array"))
-}
-
-fn f_opt_u64(j: &Json, key: &str) -> Result<Option<u64>, String> {
-    need(j, key)?
-        .as_opt_u64()
-        .ok_or_else(|| format!("field `{key}` is not an integer or null"))
-}
-
-fn f_str_vec(j: &Json, key: &str) -> Result<Vec<String>, String> {
-    f_arr(j, key)?
-        .iter()
-        .map(|v| {
-            v.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("field `{key}` holds a non-string"))
-        })
-        .collect()
-}
-
-fn f_opt_u64_vec(j: &Json, key: &str) -> Result<Vec<Option<u64>>, String> {
-    f_arr(j, key)?
-        .iter()
-        .map(|v| {
-            v.as_opt_u64()
-                .ok_or_else(|| format!("field `{key}` holds a non-integer"))
-        })
-        .collect()
-}
-
-fn u64_vec(j: &Json, what: &str) -> Result<Vec<u64>, String> {
-    j.as_u64_vec()
-        .ok_or_else(|| format!("{what} is not an integer array"))
-}
-
-fn f_u64_vec_vec(j: &Json, key: &str) -> Result<Vec<Vec<u64>>, String> {
-    f_arr(j, key)?.iter().map(|v| u64_vec(v, key)).collect()
-}
-
-fn str_arr<I: IntoIterator<Item = S>, S: Into<String>>(items: I) -> Json {
-    Json::Arr(items.into_iter().map(Json::str).collect())
-}
-
-fn nested_num_arr<'a, I: IntoIterator<Item = &'a Vec<u64>>>(items: I) -> Json {
-    Json::Arr(
-        items
-            .into_iter()
-            .map(|v| Json::num_arr(v.iter().copied()))
-            .collect(),
-    )
 }
 
 // ---------------------------------------------------------------------
@@ -885,7 +710,7 @@ fn nested_num_arr<'a, I: IntoIterator<Item = &'a Vec<u64>>>(items: I) -> Json {
 
 fn enc_op(op: &BankOp) -> Json {
     match *op {
-        BankOp::Read { bank, addr } => obj(vec![
+        BankOp::Read { bank, addr } => Json::obj([
             ("op", Json::str("r")),
             ("b", Json::num(bank as u64)),
             ("a", Json::num(addr)),
@@ -895,7 +720,7 @@ fn enc_op(op: &BankOp) -> Json {
             addr,
             data,
             byte_en,
-        } => obj(vec![
+        } => Json::obj([
             ("op", Json::str("w")),
             ("b", Json::num(bank as u64)),
             ("a", Json::num(addr)),
@@ -906,16 +731,16 @@ fn enc_op(op: &BankOp) -> Json {
 }
 
 fn dec_op(j: &Json) -> Result<BankOp, String> {
-    match need(j, "op")?.as_str() {
+    match j.field("op")?.as_str() {
         Some("r") => Ok(BankOp::Read {
-            bank: f_u32(j, "b")?,
-            addr: f_u64(j, "a")?,
+            bank: j.at("b")?,
+            addr: j.at("a")?,
         }),
         Some("w") => Ok(BankOp::Write {
-            bank: f_u32(j, "b")?,
-            addr: f_u64(j, "a")?,
-            data: f_u64(j, "d")?,
-            byte_en: f_u32(j, "be")?,
+            bank: j.at("b")?,
+            addr: j.at("a")?,
+            data: j.at("d")?,
+            byte_en: j.at("be")?,
         }),
         _ => Err("unknown op tag".to_string()),
     }
@@ -939,7 +764,7 @@ pub fn op_from_json(j: &Json) -> Result<BankOp, String> {
 /// carry).
 pub fn item_to_json(item: &SequenceItem) -> Json {
     match item {
-        SequenceItem::Read { bank, addr } => obj(vec![
+        SequenceItem::Read { bank, addr } => Json::obj([
             ("it", Json::str("r")),
             ("b", Json::num(*bank as u64)),
             ("a", Json::num(*addr)),
@@ -949,21 +774,21 @@ pub fn item_to_json(item: &SequenceItem) -> Json {
             addr,
             data,
             byte_en,
-        } => obj(vec![
+        } => Json::obj([
             ("it", Json::str("w")),
             ("b", Json::num(*bank as u64)),
             ("a", Json::num(*addr)),
             ("d", Json::num(*data)),
             ("be", Json::num(*byte_en as u64)),
         ]),
-        SequenceItem::Burst { bank, addr } => obj(vec![
+        SequenceItem::Burst { bank, addr } => Json::obj([
             ("it", Json::str("burst")),
             ("b", Json::num(*bank as u64)),
             ("a", Json::num(*addr)),
         ]),
-        SequenceItem::Idle => obj(vec![("it", Json::str("idle"))]),
-        SequenceItem::InjectX => obj(vec![("it", Json::str("x"))]),
-        SequenceItem::Raw(ops) => obj(vec![
+        SequenceItem::Idle => Json::obj([("it", Json::str("idle"))]),
+        SequenceItem::InjectX => Json::obj([("it", Json::str("x"))]),
+        SequenceItem::Raw(ops) => Json::obj([
             ("it", Json::str("raw")),
             ("ops", Json::Arr(ops.iter().map(enc_op).collect())),
         ]),
@@ -972,25 +797,25 @@ pub fn item_to_json(item: &SequenceItem) -> Json {
 
 /// Inverts [`item_to_json`].
 pub fn item_from_json(j: &Json) -> Result<SequenceItem, String> {
-    match need(j, "it")?.as_str() {
+    match j.field("it")?.as_str() {
         Some("r") => Ok(SequenceItem::Read {
-            bank: f_u32(j, "b")?,
-            addr: f_u64(j, "a")?,
+            bank: j.at("b")?,
+            addr: j.at("a")?,
         }),
         Some("w") => Ok(SequenceItem::Write {
-            bank: f_u32(j, "b")?,
-            addr: f_u64(j, "a")?,
-            data: f_u64(j, "d")?,
-            byte_en: f_u32(j, "be")?,
+            bank: j.at("b")?,
+            addr: j.at("a")?,
+            data: j.at("d")?,
+            byte_en: j.at("be")?,
         }),
         Some("burst") => Ok(SequenceItem::Burst {
-            bank: f_u32(j, "b")?,
-            addr: f_u64(j, "a")?,
+            bank: j.at("b")?,
+            addr: j.at("a")?,
         }),
         Some("idle") => Ok(SequenceItem::Idle),
         Some("x") => Ok(SequenceItem::InjectX),
         Some("raw") => Ok(SequenceItem::Raw(
-            f_arr(j, "ops")?.iter().map(dec_op).collect::<Result<_, _>>()?,
+            j.arr("ops")?.iter().map(dec_op).collect::<Result<_, _>>()?,
         )),
         _ => Err("unknown item tag".to_string()),
     }
@@ -1001,30 +826,30 @@ pub fn item_from_json(j: &Json) -> Result<SequenceItem, String> {
 
 fn enc_value(v: &Value) -> Json {
     match v {
-        Value::Bool(b) => obj(vec![("t", Json::str("b")), ("v", Json::Bool(*b))]),
-        Value::Int(i) => obj(vec![("t", Json::str("i")), ("v", Json::Num(i.to_string()))]),
-        Value::Sym(s) => obj(vec![("t", Json::str("s")), ("v", Json::str(*s))]),
+        Value::Bool(b) => Json::obj([("t", Json::str("b")), ("v", Json::Bool(*b))]),
+        Value::Int(i) => Json::obj([("t", Json::str("i")), ("v", Json::Num(i.to_string()))]),
+        Value::Sym(s) => Json::obj([("t", Json::str("s")), ("v", Json::str(*s))]),
     }
 }
 
 fn dec_value(j: &Json) -> Result<Value, String> {
-    match need(j, "t")?.as_str() {
-        Some("b") => Ok(Value::Bool(f_bool(j, "v")?)),
-        Some("i") => Ok(Value::Int(f_i64(j, "v")?)),
+    match j.field("t")?.as_str() {
+        Some("b") => Ok(Value::Bool(j.at("v")?)),
+        Some("i") => Ok(Value::Int(j.at("v")?)),
         // `Value::Sym` holds a `&'static str`; the interner gives the
         // deserialized name the required lifetime.
-        Some("s") => Ok(Value::Sym(intern_sym(&f_str(j, "v")?))),
+        Some("s") => Ok(Value::Sym(intern_sym(&j.at::<String>("v")?))),
         _ => Err("unknown value tag".to_string()),
     }
 }
 
 fn enc_asm(s: &AsmSnap, out: &mut Vec<Json>) {
-    out.push(obj(vec![
+    out.push(Json::obj([
         ("sec", Json::str("asm")),
         ("initialized", Json::Bool(s.initialized)),
         ("cycles", Json::num(s.cycles)),
     ]));
-    out.push(obj(vec![
+    out.push(Json::obj([
         ("sec", Json::str("values")),
         ("vals", Json::Arr(s.values.iter().map(enc_value).collect())),
     ]));
@@ -1032,11 +857,14 @@ fn enc_asm(s: &AsmSnap, out: &mut Vec<Json>) {
 
 fn dec_asm(secs: &mut Sections<'_>) -> Result<AsmSnap, CheckpointError> {
     let head = secs.next_sec("asm")?;
-    let initialized = secs.field(f_bool(head, "initialized"))?;
-    let cycles = secs.field(f_u64(head, "cycles"))?;
+    let initialized = secs.field(head.at("initialized"))?;
+    let cycles = secs.field(head.at("cycles"))?;
     let vals = secs.next_sec("values")?;
-    let values: Result<Vec<Value>, String> =
-        secs.field(f_arr(vals, "vals"))?.iter().map(dec_value).collect();
+    let values: Result<Vec<Value>, String> = secs
+        .field(vals.arr("vals"))?
+        .iter()
+        .map(dec_value)
+        .collect();
     Ok(AsmSnap {
         values: secs.field(values)?,
         initialized,
@@ -1049,26 +877,26 @@ fn dec_asm(secs: &mut Sections<'_>) -> Result<AsmSnap, CheckpointError> {
 
 fn enc_sc(s: &ScSnap, out: &mut Vec<Json>) {
     let (t, ts, act, del, upd) = s.kernel;
-    out.push(obj(vec![
+    out.push(Json::obj([
         ("sec", Json::str("sc")),
         ("k", Json::Bool(s.k)),
         ("k_bar", Json::Bool(s.k_bar)),
         ("trace_enabled", Json::Bool(s.trace_enabled)),
-        ("parity_fault", jopt(s.parity_fault.map(u64::from))),
+        ("parity_fault", Json::opt_num(s.parity_fault.map(u64::from))),
         ("kernel", Json::num_arr([t, ts, act, del, upd])),
         ("cycles", Json::num(s.cycles)),
-        ("last_read", jopt(s.last_read)),
+        ("last_read", Json::opt_num(s.last_read)),
         ("banks", Json::num(s.banks.len() as u64)),
         ("monitors", Json::num(s.monitors.len() as u64)),
     ]));
     for b in &s.banks {
         out.push(enc_sc_bank(b));
     }
-    out.push(obj(vec![
+    out.push(Json::obj([
         ("sec", Json::str("trace")),
         ("msgs", Json::Arr(s.trace.iter().map(enc_msg).collect())),
     ]));
-    out.push(obj(vec![
+    out.push(Json::obj([
         ("sec", Json::str("sc-violations")),
         (
             "items",
@@ -1076,7 +904,7 @@ fn enc_sc(s: &ScSnap, out: &mut Vec<Json>) {
                 s.violations
                     .iter()
                     .map(|v| {
-                        obj(vec![
+                        Json::obj([
                             ("property", Json::str(&v.property)),
                             ("cycle", Json::num(v.cycle)),
                         ])
@@ -1092,56 +920,50 @@ fn enc_sc(s: &ScSnap, out: &mut Vec<Json>) {
 
 fn dec_sc(secs: &mut Sections<'_>) -> Result<ScSnap, CheckpointError> {
     let head = secs.next_sec("sc")?;
-    let k = secs.field(f_bool(head, "k"))?;
-    let k_bar = secs.field(f_bool(head, "k_bar"))?;
-    let trace_enabled = secs.field(f_bool(head, "trace_enabled"))?;
-    let parity_fault = match secs.field(f_opt_u64(head, "parity_fault"))? {
-        Some(n) => Some(
-            secs.field(u32::try_from(n).map_err(|_| "parity_fault exceeds u32".to_string()))?,
-        ),
-        None => None,
-    };
-    let kernel_vec = secs.field(f_u64_vec(head, "kernel"))?;
-    if kernel_vec.len() != 5 {
-        return Err(secs.malformed("kernel must have 5 counters".to_string()));
-    }
-    let kernel = (
-        kernel_vec[0],
-        kernel_vec[1],
-        kernel_vec[2],
-        kernel_vec[3],
-        kernel_vec[4],
-    );
-    let cycles = secs.field(f_u64(head, "cycles"))?;
-    let last_read = secs.field(f_opt_u64(head, "last_read"))?;
-    let n_banks = secs.field(f_u64(head, "banks"))? as usize;
-    let n_monitors = secs.field(f_u64(head, "monitors"))? as usize;
+    let k = secs.field(head.at("k"))?;
+    let k_bar = secs.field(head.at("k_bar"))?;
+    let trace_enabled = secs.field(head.at("trace_enabled"))?;
+    let parity_fault = secs.field(head.at("parity_fault"))?;
+    let kernel: [u64; 5] = secs.field(
+        head.at::<Vec<u64>>("kernel")
+            .map_err(String::from)
+            .and_then(|k| {
+                k.try_into()
+                    .map_err(|_| "kernel must have 5 counters".to_string())
+            }),
+    )?;
+    let cycles = secs.field(head.at("cycles"))?;
+    let last_read = secs.field(head.at("last_read"))?;
+    // the counts size loops, never allocations: a corrupt count runs
+    // out of sections instead of out of memory
+    let n_banks = secs.field(head.at::<u64>("banks"))?;
+    let n_monitors = secs.field(head.at::<u64>("monitors"))?;
 
-    let mut banks = Vec::with_capacity(n_banks);
+    let mut banks = Vec::new();
     for _ in 0..n_banks {
         let b = secs.next_sec("bank")?;
         banks.push(secs.field(dec_sc_bank(b))?);
     }
     let tr = secs.next_sec("trace")?;
     let msgs: Result<Vec<ObservedMessage>, String> =
-        secs.field(f_arr(tr, "msgs"))?.iter().map(dec_msg).collect();
+        secs.field(tr.arr("msgs"))?.iter().map(dec_msg).collect();
     let trace = secs.field(msgs)?;
     let vi = secs.next_sec("sc-violations")?;
     let items: Result<Vec<ScViolation>, String> = secs
-        .field(f_arr(vi, "items"))?
+        .field(vi.arr("items"))?
         .iter()
         .map(|v| {
             Ok(ScViolation {
-                property: f_str(v, "property")?,
-                cycle: f_u64(v, "cycle")?,
+                property: v.at("property")?,
+                cycle: v.at("cycle")?,
             })
         })
         .collect();
     let violations = secs.field(items)?;
-    let mut monitors = Vec::with_capacity(n_monitors);
+    let mut monitors = Vec::new();
     for _ in 0..n_monitors {
         let m = secs.next_sec("monitor")?;
-        let name = secs.field(f_str(m, "name"))?;
+        let name = secs.field(m.at("name"))?;
         monitors.push((name, secs.field(dec_monitor(m))?));
     }
     Ok(ScSnap {
@@ -1151,7 +973,7 @@ fn dec_sc(secs: &mut Sections<'_>) -> Result<ScSnap, CheckpointError> {
         trace,
         trace_enabled,
         parity_fault,
-        kernel,
+        kernel: kernel.into(),
         monitors,
         violations,
         cycles,
@@ -1160,7 +982,7 @@ fn dec_sc(secs: &mut Sections<'_>) -> Result<ScSnap, CheckpointError> {
 }
 
 fn enc_sc_bank(b: &ScBankSnap) -> Json {
-    obj(vec![
+    Json::obj([
         ("sec", Json::str("bank")),
         ("rd_req", Json::Bool(b.rd_req)),
         ("rd_addr", Json::num(b.rd_addr)),
@@ -1195,39 +1017,39 @@ fn enc_sc_bank(b: &ScBankSnap) -> Json {
 
 fn dec_sc_bank(j: &Json) -> Result<ScBankSnap, String> {
     Ok(ScBankSnap {
-        rd_req: f_bool(j, "rd_req")?,
-        rd_addr: f_u64(j, "rd_addr")?,
-        wr_req: f_bool(j, "wr_req")?,
-        wr_addr: f_u64(j, "wr_addr")?,
-        wr_data_lo: f_u64(j, "wr_data_lo")?,
-        wr_data_hi: f_u64(j, "wr_data_hi")?,
-        wr_byte_en: f_u32(j, "wr_byte_en")?,
-        rv1: f_bool(j, "rv1")?,
-        rv2: f_bool(j, "rv2")?,
-        dv: f_bool(j, "dv")?,
-        out_lo: f_u64(j, "out_lo")?,
-        out_hi: f_u64(j, "out_hi")?,
-        out_par_lo: f_u64(j, "out_par_lo")?,
-        out_par_hi: f_u64(j, "out_par_hi")?,
-        perr: f_bool(j, "perr")?,
-        wv: f_bool(j, "wv")?,
-        wdone: f_bool(j, "wdone")?,
-        ra1: f_u64(j, "ra1")?,
-        ra2: f_u64(j, "ra2")?,
-        word_hold: f_u64(j, "word_hold")?,
-        wa_c: f_u64(j, "wa_c")?,
-        wd_lo_c: f_u64(j, "wd_lo_c")?,
-        wd_hi_c: f_u64(j, "wd_hi_c")?,
-        be_c: f_u32(j, "be_c")?,
-        hi_err: f_bool(j, "hi_err")?,
-        beat2: f_bool(j, "beat2")?,
-        beat2_addr: f_u64(j, "beat2_addr")?,
-        sram: f_u64_vec(j, "sram")?,
+        rd_req: j.at("rd_req")?,
+        rd_addr: j.at("rd_addr")?,
+        wr_req: j.at("wr_req")?,
+        wr_addr: j.at("wr_addr")?,
+        wr_data_lo: j.at("wr_data_lo")?,
+        wr_data_hi: j.at("wr_data_hi")?,
+        wr_byte_en: j.at("wr_byte_en")?,
+        rv1: j.at("rv1")?,
+        rv2: j.at("rv2")?,
+        dv: j.at("dv")?,
+        out_lo: j.at("out_lo")?,
+        out_hi: j.at("out_hi")?,
+        out_par_lo: j.at("out_par_lo")?,
+        out_par_hi: j.at("out_par_hi")?,
+        perr: j.at("perr")?,
+        wv: j.at("wv")?,
+        wdone: j.at("wdone")?,
+        ra1: j.at("ra1")?,
+        ra2: j.at("ra2")?,
+        word_hold: j.at("word_hold")?,
+        wa_c: j.at("wa_c")?,
+        wd_lo_c: j.at("wd_lo_c")?,
+        wd_hi_c: j.at("wd_hi_c")?,
+        be_c: j.at("be_c")?,
+        hi_err: j.at("hi_err")?,
+        beat2: j.at("beat2")?,
+        beat2_addr: j.at("beat2_addr")?,
+        sram: j.at("sram")?,
     })
 }
 
 fn enc_msg(m: &ObservedMessage) -> Json {
-    obj(vec![
+    Json::obj([
         ("from", Json::str(&m.from)),
         ("to", Json::str(&m.to)),
         ("method", Json::str(&m.method)),
@@ -1243,16 +1065,16 @@ fn enc_msg(m: &ObservedMessage) -> Json {
 }
 
 fn dec_msg(j: &Json) -> Result<ObservedMessage, String> {
-    let clock = match need(j, "clock")?.as_str() {
+    let clock = match j.field("clock")?.as_str() {
         Some("K") => ClockRef::K,
         Some("K#") => ClockRef::KBar,
         _ => return Err("unknown clock tag".to_string()),
     };
     Ok(ObservedMessage {
-        from: f_str(j, "from")?,
-        to: f_str(j, "to")?,
-        method: f_str(j, "method")?,
-        cycle: f_u32(j, "cycle")?,
+        from: j.at("from")?,
+        to: j.at("to")?,
+        method: j.at("method")?,
+        cycle: j.at("cycle")?,
         clock,
     })
 }
@@ -1261,11 +1083,11 @@ fn dec_msg(j: &Json) -> Result<ObservedMessage, String> {
 // PSL monitor payload
 
 fn enc_monitor(name: &str, m: &MonitorSnap) -> Json {
-    obj(vec![
+    Json::obj([
         ("sec", Json::str("monitor")),
         ("name", Json::str(name)),
         ("cycle", Json::num(m.cycle)),
-        ("failed_at", jopt(m.failed_at)),
+        ("failed_at", Json::opt_num(m.failed_at)),
         ("determined_holds", Json::Bool(m.determined_holds)),
         ("covered", Json::Bool(m.covered)),
         ("obs", Json::Arr(m.obs.iter().map(enc_ob).collect())),
@@ -1273,28 +1095,28 @@ fn enc_monitor(name: &str, m: &MonitorSnap) -> Json {
 }
 
 fn dec_monitor(j: &Json) -> Result<MonitorSnap, String> {
-    let obs: Result<Vec<ObSnap>, String> = f_arr(j, "obs")?.iter().map(dec_ob).collect();
+    let obs: Result<Vec<ObSnap>, String> = j.arr("obs")?.iter().map(dec_ob).collect();
     Ok(MonitorSnap {
         obs: obs?,
-        cycle: f_u64(j, "cycle")?,
-        failed_at: f_opt_u64(j, "failed_at")?,
-        determined_holds: f_bool(j, "determined_holds")?,
-        covered: f_bool(j, "covered")?,
+        cycle: j.at("cycle")?,
+        failed_at: j.at("failed_at")?,
+        determined_holds: j.at("determined_holds")?,
+        covered: j.at("covered")?,
     })
 }
 
 fn enc_ob(ob: &ObSnap) -> Json {
     match ob {
-        ObSnap::Always { body } => obj(vec![
+        ObSnap::Always { body } => Json::obj([
             ("ob", Json::str("always")),
             ("body", Json::num(*body as u64)),
         ]),
-        ObSnap::Never { sere, active } => obj(vec![
+        ObSnap::Never { sere, active } => Json::obj([
             ("ob", Json::str("never")),
             ("sere", Json::num(*sere as u64)),
             ("active", Json::num_arr(active.iter().copied())),
         ]),
-        ObSnap::Eventually { sere, active } => obj(vec![
+        ObSnap::Eventually { sere, active } => Json::obj([
             ("ob", Json::str("eventually")),
             ("sere", Json::num(*sere as u64)),
             ("active", Json::num_arr(active.iter().copied())),
@@ -1303,7 +1125,7 @@ fn enc_ob(ob: &ObSnap) -> Json {
             sere,
             active,
             fresh,
-        } => obj(vec![
+        } => Json::obj([
             ("ob", Json::str("sere-strong")),
             ("sere", Json::num(*sere as u64)),
             ("active", Json::num_arr(active.iter().copied())),
@@ -1313,19 +1135,19 @@ fn enc_ob(ob: &ObSnap) -> Json {
             remaining,
             strong,
             body,
-        } => obj(vec![
+        } => Json::obj([
             ("ob", Json::str("defer")),
             ("remaining", Json::num(*remaining as u64)),
             ("strong", Json::Bool(*strong)),
             ("body", Json::num(*body as u64)),
         ]),
-        ObSnap::Until { p, q, strong } => obj(vec![
+        ObSnap::Until { p, q, strong } => Json::obj([
             ("ob", Json::str("until")),
             ("p", Json::num(*p as u64)),
             ("q", Json::num(*q as u64)),
             ("strong", Json::Bool(*strong)),
         ]),
-        ObSnap::Before { p, q, strong } => obj(vec![
+        ObSnap::Before { p, q, strong } => Json::obj([
             ("ob", Json::str("before")),
             ("p", Json::num(*p as u64)),
             ("q", Json::num(*q as u64)),
@@ -1338,7 +1160,7 @@ fn enc_ob(ob: &ObSnap) -> Json {
             overlap,
             persistent,
             fresh,
-        } => obj(vec![
+        } => Json::obj([
             ("ob", Json::str("suffix-impl")),
             ("pre", Json::num(*pre as u64)),
             ("active", Json::num_arr(active.iter().copied())),
@@ -1351,45 +1173,45 @@ fn enc_ob(ob: &ObSnap) -> Json {
 }
 
 fn dec_ob(j: &Json) -> Result<ObSnap, String> {
-    match need(j, "ob")?.as_str() {
+    match j.field("ob")?.as_str() {
         Some("always") => Ok(ObSnap::Always {
-            body: f_u32(j, "body")?,
+            body: j.at("body")?,
         }),
         Some("never") => Ok(ObSnap::Never {
-            sere: f_u32(j, "sere")?,
-            active: f_u64_vec(j, "active")?,
+            sere: j.at("sere")?,
+            active: j.at("active")?,
         }),
         Some("eventually") => Ok(ObSnap::Eventually {
-            sere: f_u32(j, "sere")?,
-            active: f_u64_vec(j, "active")?,
+            sere: j.at("sere")?,
+            active: j.at("active")?,
         }),
         Some("sere-strong") => Ok(ObSnap::SereStrong {
-            sere: f_u32(j, "sere")?,
-            active: f_u64_vec(j, "active")?,
-            fresh: f_bool(j, "fresh")?,
+            sere: j.at("sere")?,
+            active: j.at("active")?,
+            fresh: j.at("fresh")?,
         }),
         Some("defer") => Ok(ObSnap::Defer {
-            remaining: f_u32(j, "remaining")?,
-            strong: f_bool(j, "strong")?,
-            body: f_u32(j, "body")?,
+            remaining: j.at("remaining")?,
+            strong: j.at("strong")?,
+            body: j.at("body")?,
         }),
         Some("until") => Ok(ObSnap::Until {
-            p: f_u32(j, "p")?,
-            q: f_u32(j, "q")?,
-            strong: f_bool(j, "strong")?,
+            p: j.at("p")?,
+            q: j.at("q")?,
+            strong: j.at("strong")?,
         }),
         Some("before") => Ok(ObSnap::Before {
-            p: f_u32(j, "p")?,
-            q: f_u32(j, "q")?,
-            strong: f_bool(j, "strong")?,
+            p: j.at("p")?,
+            q: j.at("q")?,
+            strong: j.at("strong")?,
         }),
         Some("suffix-impl") => Ok(ObSnap::SuffixImpl {
-            pre: f_u32(j, "pre")?,
-            active: f_u64_vec(j, "active")?,
-            post: f_u32(j, "post")?,
-            overlap: f_bool(j, "overlap")?,
-            persistent: f_bool(j, "persistent")?,
-            fresh: f_bool(j, "fresh")?,
+            pre: j.at("pre")?,
+            active: j.at("active")?,
+            post: j.at("post")?,
+            overlap: j.at("overlap")?,
+            persistent: j.at("persistent")?,
+            fresh: j.at("fresh")?,
         }),
         _ => Err("unknown obligation tag".to_string()),
     }
@@ -1399,54 +1221,60 @@ fn dec_ob(j: &Json) -> Result<ObSnap, String> {
 // RTL payload
 
 fn enc_rtl(s: &RtlDriverSnap, out: &mut Vec<Json>) {
-    out.push(obj(vec![
+    out.push(Json::obj([
         ("sec", Json::str("rtl")),
         ("cycles", Json::num(s.cycles)),
         // the scalar driver's one lane, unwrapped
         (
             "captured_lo",
-            jopt(s.captured_lo.first().copied().flatten()),
+            Json::opt_num(s.captured_lo.first().copied().flatten()),
         ),
         (
             "outputs",
-            Json::Arr(s.outputs.iter().flatten().map(|o| jopt(*o)).collect()),
+            Json::Arr(
+                s.outputs
+                    .iter()
+                    .flatten()
+                    .map(|o| Json::opt_num(*o))
+                    .collect(),
+            ),
         ),
         ("steps", Json::num(s.sim.steps)),
         ("evals", Json::num(s.sim.evals)),
         ("prev_clk", Json::str(&s.sim.prev_clk)),
         ("rams", Json::num(s.sim.rams.len() as u64)),
     ]));
-    out.push(obj(vec![
+    out.push(Json::obj([
         ("sec", Json::str("rtl-vals")),
-        ("vals", str_arr(s.sim.vals.iter().map(String::as_str))),
+        ("vals", Json::str_arr(s.sim.vals.iter().map(String::as_str))),
     ]));
     for (i, words) in s.sim.rams.iter().enumerate() {
-        out.push(obj(vec![
+        out.push(Json::obj([
             ("sec", Json::str("rtl-ram")),
             ("idx", Json::num(i as u64)),
-            ("words", str_arr(words.iter().map(String::as_str))),
+            ("words", Json::str_arr(words.iter().map(String::as_str))),
         ]));
     }
 }
 
 fn dec_rtl(secs: &mut Sections<'_>) -> Result<RtlDriverSnap, CheckpointError> {
     let head = secs.next_sec("rtl")?;
-    let cycles = secs.field(f_u64(head, "cycles"))?;
-    let captured_lo = secs.field(f_opt_u64(head, "captured_lo"))?;
-    let outputs = secs.field(f_opt_u64_vec(head, "outputs"))?;
-    let steps = secs.field(f_u64(head, "steps"))?;
-    let evals = secs.field(f_u64(head, "evals"))?;
-    let prev_clk = secs.field(f_str(head, "prev_clk"))?;
-    let n_rams = secs.field(f_u64(head, "rams"))? as usize;
+    let cycles = secs.field(head.at("cycles"))?;
+    let captured_lo = secs.field(head.at("captured_lo"))?;
+    let outputs = secs.field(head.at("outputs"))?;
+    let steps = secs.field(head.at("steps"))?;
+    let evals = secs.field(head.at("evals"))?;
+    let prev_clk = secs.field(head.at("prev_clk"))?;
+    let n_rams = secs.field(head.at::<u64>("rams"))?;
     let vals_line = secs.next_sec("rtl-vals")?;
-    let vals = secs.field(f_str_vec(vals_line, "vals"))?;
-    let mut rams = Vec::with_capacity(n_rams);
+    let vals = secs.field(vals_line.at("vals"))?;
+    let mut rams = Vec::new();
     for i in 0..n_rams {
         let r = secs.next_sec("rtl-ram")?;
-        if secs.field(f_u64(r, "idx"))? != i as u64 {
+        if secs.field(r.at::<u64>("idx"))? != i {
             return Err(secs.malformed(format!("ram sections out of order at index {i}")));
         }
-        rams.push(secs.field(f_str_vec(r, "words"))?);
+        rams.push(secs.field(r.at("words"))?);
     }
     Ok(RtlDriverSnap {
         sim: RtlState {
@@ -1509,67 +1337,56 @@ fn kind_from(s: &str) -> Result<MonitorKind, String> {
 
 fn enc_dyn(d: &OvlDynState) -> Json {
     match d {
-        OvlDynState::None => obj(vec![("t", Json::str("none"))]),
-        OvlDynState::Counters(v) => obj(vec![
+        OvlDynState::None => Json::obj([("t", Json::str("none"))]),
+        OvlDynState::Counters(v) => Json::obj([
             ("t", Json::str("counters")),
             ("v", Json::num_arr(v.iter().map(|&c| c as u64))),
         ]),
-        OvlDynState::Threads(v) => obj(vec![
+        OvlDynState::Threads(v) => Json::obj([
             ("t", Json::str("threads")),
             ("v", Json::num_arr(v.iter().copied())),
         ]),
-        OvlDynState::ValueCounters(v) => obj(vec![
+        OvlDynState::ValueCounters(v) => Json::obj([
             ("t", Json::str("valctr")),
             ("v", Json::num_arr(v.iter().map(|&(val, _)| val))),
             ("c", Json::num_arr(v.iter().map(|&(_, c)| c as u64))),
         ]),
-        OvlDynState::Pulse(p) => obj(vec![
+        OvlDynState::Pulse(p) => Json::obj([
             ("t", Json::str("pulse")),
-            ("v", jopt(p.map(u64::from))),
+            ("v", Json::opt_num(p.map(u64::from))),
         ]),
     }
 }
 
 fn dec_dyn(j: &Json) -> Result<OvlDynState, String> {
-    let to_u32 = |n: u64| u32::try_from(n).map_err(|_| "counter exceeds u32".to_string());
-    match need(j, "t")?.as_str() {
+    match j.field("t")?.as_str() {
         Some("none") => Ok(OvlDynState::None),
-        Some("counters") => Ok(OvlDynState::Counters(
-            f_u64_vec(j, "v")?
-                .into_iter()
-                .map(to_u32)
-                .collect::<Result<_, _>>()?,
-        )),
-        Some("threads") => Ok(OvlDynState::Threads(f_u64_vec(j, "v")?)),
+        Some("counters") => Ok(OvlDynState::Counters(j.at("v")?)),
+        Some("threads") => Ok(OvlDynState::Threads(j.at("v")?)),
         Some("valctr") => {
-            let vals = f_u64_vec(j, "v")?;
-            let counts = f_u64_vec(j, "c")?;
+            let vals: Vec<u64> = j.at("v")?;
+            let counts: Vec<u32> = j.at("c")?;
             if vals.len() != counts.len() {
                 return Err("valctr arrays differ in length".to_string());
             }
-            vals.into_iter()
-                .zip(counts)
-                .map(|(v, c)| Ok((v, to_u32(c)?)))
-                .collect::<Result<Vec<_>, String>>()
-                .map(OvlDynState::ValueCounters)
+            Ok(OvlDynState::ValueCounters(
+                vals.into_iter().zip(counts).collect(),
+            ))
         }
-        Some("pulse") => Ok(OvlDynState::Pulse(match f_opt_u64(j, "v")? {
-            Some(n) => Some(to_u32(n)?),
-            None => None,
-        })),
+        Some("pulse") => Ok(OvlDynState::Pulse(j.at("v")?)),
         _ => Err("unknown dyn-state tag".to_string()),
     }
 }
 
 fn enc_ovl(s: &OvlSnap, out: &mut Vec<Json>) {
-    out.push(obj(vec![
+    out.push(Json::obj([
         ("sec", Json::str("ovl")),
         ("cycles", Json::num(s.cycles)),
         ("fatal", Json::Bool(s.fatal)),
         ("instances", Json::num(s.instances.len() as u64)),
     ]));
     for inst in &s.instances {
-        out.push(obj(vec![
+        out.push(Json::obj([
             ("sec", Json::str("ovl-inst")),
             ("name", Json::str(&inst.name)),
             ("kind", Json::str(inst.kind.ovl_name())),
@@ -1577,7 +1394,7 @@ fn enc_ovl(s: &OvlSnap, out: &mut Vec<Json>) {
             ("dyn", enc_dyn(&inst.dyn_state)),
         ]));
     }
-    out.push(obj(vec![
+    out.push(Json::obj([
         ("sec", Json::str("ovl-violations")),
         (
             "items",
@@ -1585,7 +1402,7 @@ fn enc_ovl(s: &OvlSnap, out: &mut Vec<Json>) {
                 s.violations
                     .iter()
                     .map(|v| {
-                        obj(vec![
+                        Json::obj([
                             ("monitor", Json::str(&v.monitor)),
                             ("kind", Json::str(v.kind.ovl_name())),
                             ("cycle", Json::num(v.cycle)),
@@ -1601,16 +1418,16 @@ fn enc_ovl(s: &OvlSnap, out: &mut Vec<Json>) {
 
 fn dec_ovl(secs: &mut Sections<'_>) -> Result<OvlSnap, CheckpointError> {
     let head = secs.next_sec("ovl")?;
-    let cycles = secs.field(f_u64(head, "cycles"))?;
-    let fatal = secs.field(f_bool(head, "fatal"))?;
-    let n = secs.field(f_u64(head, "instances"))? as usize;
-    let mut instances = Vec::with_capacity(n);
+    let cycles = secs.field(head.at("cycles"))?;
+    let fatal = secs.field(head.at("fatal"))?;
+    let n = secs.field(head.at::<u64>("instances"))?;
+    let mut instances = Vec::new();
     for _ in 0..n {
         let i = secs.next_sec("ovl-inst")?;
-        let name = secs.field(f_str(i, "name"))?;
-        let kind = secs.field(kind_from(&secs.field(f_str(i, "kind"))?))?;
-        let failures = secs.field(f_u64(i, "failures"))?;
-        let dyn_state = secs.field(need(i, "dyn").and_then(dec_dyn))?;
+        let name = secs.field(i.at("name"))?;
+        let kind = secs.field(kind_from(&secs.field(i.at::<String>("kind"))?))?;
+        let failures = secs.field(i.at("failures"))?;
+        let dyn_state = secs.field(i.field("dyn").map_err(String::from).and_then(dec_dyn))?;
         instances.push(OvlInstanceSnap {
             name,
             kind,
@@ -1620,15 +1437,15 @@ fn dec_ovl(secs: &mut Sections<'_>) -> Result<OvlSnap, CheckpointError> {
     }
     let vi = secs.next_sec("ovl-violations")?;
     let items: Result<Vec<OvlViolation>, String> = secs
-        .field(f_arr(vi, "items"))?
+        .field(vi.arr("items"))?
         .iter()
         .map(|v| {
             Ok(OvlViolation {
-                monitor: f_str(v, "monitor")?,
-                kind: kind_from(&f_str(v, "kind")?)?,
-                cycle: f_u64(v, "cycle")?,
-                severity: severity_from(&f_str(v, "severity")?)?,
-                message: f_str(v, "message")?,
+                monitor: v.at("monitor")?,
+                kind: kind_from(&v.at::<String>("kind")?)?,
+                cycle: v.at("cycle")?,
+                severity: severity_from(&v.at::<String>("severity")?)?,
+                message: v.at("message")?,
             })
         })
         .collect();
@@ -1643,107 +1460,89 @@ fn dec_ovl(secs: &mut Sections<'_>) -> Result<OvlSnap, CheckpointError> {
 // ---------------------------------------------------------------------
 // batched RTL payload
 
-fn enc_planes<'a, I: IntoIterator<Item = &'a (Vec<u64>, Vec<u64>)> + Clone>(
-    items: I,
-) -> (Json, Json) {
-    let a = nested_num_arr(items.clone().into_iter().map(|(a, _)| a));
-    let b = nested_num_arr(items.into_iter().map(|(_, b)| b));
-    (a, b)
+/// The `a` (value) and `b` (x) planes of a list of packed words, as
+/// two arrays of per-word plane vectors.
+fn enc_planes(words: &[(Vec<u64>, Vec<u64>)]) -> [(&'static str, Json); 2] {
+    let a = words.iter().map(|(a, _)| Json::num_arr(a.iter().copied()));
+    let b = words.iter().map(|(_, b)| Json::num_arr(b.iter().copied()));
+    [("a", Json::Arr(a.collect())), ("b", Json::Arr(b.collect()))]
 }
 
 /// A list of (value, x) packed plane pairs, one per batched state word.
 type PlanePairs = Vec<(Vec<u64>, Vec<u64>)>;
 
-fn dec_planes(j: &Json, ka: &str, kb: &str) -> Result<PlanePairs, String> {
-    let a = f_u64_vec_vec(j, ka)?;
-    let b = f_u64_vec_vec(j, kb)?;
+fn dec_planes(j: &Json) -> Result<PlanePairs, String> {
+    let a: Vec<Vec<u64>> = j.at("a")?;
+    let b: Vec<Vec<u64>> = j.at("b")?;
     if a.len() != b.len() {
-        return Err(format!("plane arrays `{ka}`/`{kb}` differ in length"));
+        return Err("plane arrays `a`/`b` differ in length".to_string());
     }
     Ok(a.into_iter().zip(b).collect())
 }
 
 fn enc_rtl_batch(s: &RtlBatchDriverSnap, out: &mut Vec<Json>) {
-    out.push(obj(vec![
+    out.push(Json::obj([
         ("sec", Json::str("rtl-batch")),
         ("cycles", Json::num(s.cycles)),
         (
             "captured_lo",
-            Json::Arr(s.captured_lo.iter().map(|o| jopt(*o)).collect()),
+            Json::Arr(s.captured_lo.iter().map(|o| Json::opt_num(*o)).collect()),
         ),
         ("steps", Json::num(s.sim.steps)),
         ("evals", Json::num(s.sim.evals)),
         ("prev_clk", Json::str(&s.sim.prev_clk)),
         ("rams", Json::num(s.sim.rams.len() as u64)),
     ]));
-    out.push(obj(vec![
+    out.push(Json::obj([
         ("sec", Json::str("batch-outputs")),
         (
             "lanes",
             Json::Arr(
                 s.outputs
                     .iter()
-                    .map(|lane| Json::Arr(lane.iter().map(|o| jopt(*o)).collect()))
+                    .map(|lane| Json::Arr(lane.iter().map(|o| Json::opt_num(*o)).collect()))
                     .collect(),
             ),
         ),
     ]));
-    let (a, b) = enc_planes(s.sim.vals.iter());
-    out.push(obj(vec![
-        ("sec", Json::str("batch-vals")),
-        ("a", a),
-        ("b", b),
-    ]));
+    let [a, b] = enc_planes(&s.sim.vals);
+    out.push(Json::obj([("sec", Json::str("batch-vals")), a, b]));
     for (i, words) in s.sim.rams.iter().enumerate() {
-        let (a, b) = enc_planes(words.iter());
-        out.push(obj(vec![
+        let [a, b] = enc_planes(words);
+        out.push(Json::obj([
             ("sec", Json::str("batch-ram")),
             ("idx", Json::num(i as u64)),
-            ("a", a),
-            ("b", b),
+            a,
+            b,
         ]));
     }
 }
 
 fn dec_rtl_batch(secs: &mut Sections<'_>) -> Result<RtlBatchDriverSnap, CheckpointError> {
     let head = secs.next_sec("rtl-batch")?;
-    let cycles = secs.field(f_u64(head, "cycles"))?;
-    let captured_lo = secs.field(f_opt_u64_vec(head, "captured_lo"))?;
+    let cycles = secs.field(head.at("cycles"))?;
+    let captured_lo = secs.field(head.at::<Vec<Option<u64>>>("captured_lo"))?;
     if captured_lo.len() != LANES {
         return Err(secs.malformed(format!("captured_lo must have {LANES} lanes")));
     }
-    let steps = secs.field(f_u64(head, "steps"))?;
-    let evals = secs.field(f_u64(head, "evals"))?;
-    let prev_clk = secs.field(f_str(head, "prev_clk"))?;
-    let n_rams = secs.field(f_u64(head, "rams"))? as usize;
+    let steps = secs.field(head.at("steps"))?;
+    let evals = secs.field(head.at("evals"))?;
+    let prev_clk = secs.field(head.at("prev_clk"))?;
+    let n_rams = secs.field(head.at::<u64>("rams"))?;
     let outs = secs.next_sec("batch-outputs")?;
-    let lanes = secs.field(f_arr(outs, "lanes"))?;
-    if lanes.len() != LANES {
+    let outputs = secs.field(outs.at::<Vec<Vec<Option<u64>>>>("lanes"))?;
+    if outputs.len() != LANES {
         return Err(secs.malformed(format!("outputs must have {LANES} lanes")));
     }
-    let outputs: Result<Vec<Vec<Option<u64>>>, String> = lanes
-        .iter()
-        .map(|lane| {
-            lane.as_arr()
-                .ok_or_else(|| "lane outputs must be an array".to_string())?
-                .iter()
-                .map(|o| {
-                    o.as_opt_u64()
-                        .ok_or_else(|| "lane output must be integer or null".to_string())
-                })
-                .collect()
-        })
-        .collect();
-    let outputs = secs.field(outputs)?;
     let vals_line = secs.next_sec("batch-vals")?;
-    let vals = secs.field(dec_planes(vals_line, "a", "b"))?;
-    let mut rams = Vec::with_capacity(n_rams);
+    let vals = secs.field(dec_planes(vals_line))?;
+    let mut rams = Vec::new();
     for i in 0..n_rams {
         let r = secs.next_sec("batch-ram")?;
-        if secs.field(f_u64(r, "idx"))? != i as u64 {
+        if secs.field(r.at::<u64>("idx"))? != i {
             return Err(secs.malformed(format!("ram sections out of order at index {i}")));
         }
-        rams.push(secs.field(dec_planes(r, "a", "b"))?);
+        rams.push(secs.field(dec_planes(r))?);
     }
     Ok(RtlBatchDriverSnap {
         sim: BatchedRtlState {

@@ -1,38 +1,31 @@
-//! Tiny hand-rolled JSON rendering helpers shared by every report
-//! type in the workspace.
+//! The workspace's one JSON module. Every document the suite writes is
+//! built as a [`Json`] value and laid out here; every document it reads
+//! back goes through [`parse`] and the typed field reader [`Json::at`].
 //!
-//! The verification reports (detection matrices, closure reports, farm
-//! results) are rendered as *deterministic* JSON — ordered keys, no
-//! floats derived from timing — so byte-equality doubles as a result
-//! check. Before this module each crate carried its own copy of the
-//! quoted-string-array and nullable-integer renderings; the farm's
-//! merged reports would have added a third. They all call here now.
+//! The documents are *deterministic* — ordered keys, numbers kept as
+//! their text, no timing in the pinned reports — so byte equality
+//! doubles as a result check (the goldens and the benchmark's FNV
+//! counters rest on it). There are two layouts:
+//!
+//! * [`Json::render`], one compact line: journals, snapshots, traces,
+//!   stage checkpoints and `--serve` records ([`jsonl`] writes a stream
+//!   of them);
+//! * [`Json::render_pretty`], the report layout: objects as blocks, one
+//!   field per line, and the arrays a report names as its `rows` one
+//!   compact element per line.
+//!
+//! Reading narrows through [`Field`], whose `u32` and `usize` impls are
+//! range-checked: a count that does not fit is a [`FieldError`], never a
+//! silent wrap.
 
-/// Renders strings as a JSON array body: `"a", "b", "c"` (empty string
-/// for an empty list). The caller provides the surrounding brackets,
-/// matching the existing report layouts.
-pub fn str_array_body<S: AsRef<str>>(items: &[S]) -> String {
-    items
-        .iter()
-        .map(|s| format!("\"{}\"", s.as_ref()))
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-/// Renders an optional integer as JSON: the number, or `null`.
-pub fn opt_u64(value: Option<u64>) -> String {
-    match value {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
+/// Appends `s` to `out` escaped for a JSON string literal (the quotes
+/// are the caller's). Panic payloads, fault descriptions and embedded
+/// snapshots carry quotes, backslashes and newlines.
+fn escape(s: &str, out: &mut String) {
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        return;
     }
-}
-
-/// Escapes a string for embedding inside a JSON string literal (the
-/// quotes are the caller's). Panic payloads and fault descriptions can
-/// carry quotes, backslashes and newlines; everything the farm journal
-/// round-trips goes through here.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -44,15 +37,11 @@ pub fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
-/// A parsed JSON value. Numbers keep their source text (`Num`), so
-/// 64-bit counters round-trip without a float detour; objects keep
-/// their key order. This is the read side of the workspace's
-/// deterministic hand-rolled JSON: just enough parser for the farm's
-/// write-ahead journal (and any other report we need to read back),
-/// not a general-purpose library.
+/// A JSON value. Numbers keep their text (`Num`), so 64-bit counters
+/// round-trip without a float detour and fixed-decimal figures keep
+/// their digits; objects keep their key order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -70,7 +59,7 @@ pub enum Json {
 }
 
 impl Json {
-    /// Object field lookup (linear scan; journal objects are small).
+    /// Object field lookup (linear scan; documents are small).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
@@ -110,22 +99,46 @@ impl Json {
         }
     }
 
-    /// `Some(u64)` for a `Num`, `None` for `null` — the inverse of
-    /// [`opt_u64`].
-    pub fn as_opt_u64(&self) -> Option<Option<u64>> {
-        match self {
-            Json::Null => Some(None),
-            Json::Num(raw) => raw.parse().map(Some).ok(),
-            _ => None,
-        }
+    /// The object field `key`, or a [`FieldError`] naming it.
+    pub fn field(&self, key: &str) -> Result<&Json, FieldError> {
+        self.get(key).ok_or_else(|| FieldError {
+            key: key.to_string(),
+            wanted: None,
+        })
     }
 
-    /// Renders the value as one compact JSON line fragment (no
-    /// newlines, `", "` / `": "` separators — the workspace's house
-    /// style for JSONL records). Deterministic: numbers render their
-    /// source text verbatim and objects keep their key order, so
-    /// `parse(render(v)) == v` and `render(parse(s))` is a canonical
-    /// form that is byte-stable under re-parsing.
+    /// The object field `key` read as a `T` — the one typed reader every
+    /// decoder in the workspace uses.
+    ///
+    /// # Errors
+    ///
+    /// A [`FieldError`] when the field is missing or does not hold a
+    /// `T` (a number out of `T`'s range included).
+    pub fn at<T: Field>(&self, key: &str) -> Result<T, FieldError> {
+        T::read(self.field(key)?).ok_or_else(|| FieldError {
+            key: key.to_string(),
+            wanted: Some(std::any::type_name::<T>()),
+        })
+    }
+
+    /// The object field `key` as an array slice, for element-wise
+    /// decoding.
+    ///
+    /// # Errors
+    ///
+    /// A [`FieldError`] when the field is missing or not an array.
+    pub fn arr(&self, key: &str) -> Result<&[Json], FieldError> {
+        self.field(key)?.as_arr().ok_or_else(|| FieldError {
+            key: key.to_string(),
+            wanted: Some("array"),
+        })
+    }
+
+    /// Renders the value as one compact line (`", "` / `": "`
+    /// separators — the house style for JSONL records). Deterministic:
+    /// numbers render their text verbatim and objects keep their key
+    /// order, so `parse(render(v)) == v` and `render(parse(s))` is a
+    /// canonical form that is byte-stable under re-parsing.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out);
@@ -139,7 +152,7 @@ impl Json {
             Json::Num(raw) => out.push_str(raw),
             Json::Str(s) => {
                 out.push('"');
-                out.push_str(&escape(s));
+                escape(s, out);
                 out.push('"');
             }
             Json::Arr(items) => {
@@ -159,7 +172,7 @@ impl Json {
                         out.push_str(", ");
                     }
                     out.push('"');
-                    out.push_str(&escape(k));
+                    escape(k, out);
                     out.push_str("\": ");
                     v.render_into(out);
                 }
@@ -168,9 +181,97 @@ impl Json {
         }
     }
 
+    /// Renders the value as a newline-terminated report document:
+    ///
+    /// * an object is a block, one field per line, indented two spaces
+    ///   per level;
+    /// * an array under a key listed in `rows` holds one compact
+    ///   element per line (an empty one renders as `[`, a blank line,
+    ///   `]`);
+    /// * a top-level array holds one block per element;
+    /// * everything else is compact, as [`Json::render`] writes it.
+    ///
+    /// Each report names its own `rows`, so the layout is a property of
+    /// the report, not of the caller. `parse` reads it back to the same
+    /// value.
+    pub fn render_pretty(&self, rows: &[&str]) -> String {
+        let mut out = String::new();
+        match self {
+            Json::Arr(items) => {
+                out.push_str("[\n");
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(",\n");
+                    }
+                    out.push_str("  ");
+                    v.pretty_into(&mut out, rows, 1);
+                }
+                out.push_str("\n]");
+            }
+            v => v.pretty_into(&mut out, rows, 0),
+        }
+        out.push('\n');
+        out
+    }
+
+    /// Writes `self` at nesting `depth`: objects as blocks, everything
+    /// else compact.
+    fn pretty_into(&self, out: &mut String, rows: &[&str], depth: usize) {
+        let Json::Obj(fields) = self else {
+            return self.render_into(out);
+        };
+        let pad = "  ".repeat(depth + 1);
+        out.push_str("{\n");
+        for (i, (k, v)) in fields.iter().enumerate() {
+            if i > 0 {
+                out.push_str(",\n");
+            }
+            out.push_str(&pad);
+            out.push('"');
+            escape(k, out);
+            out.push_str("\": ");
+            match v {
+                Json::Arr(items) if rows.contains(&k.as_str()) => {
+                    out.push_str("[\n");
+                    for (j, item) in items.iter().enumerate() {
+                        if j > 0 {
+                            out.push_str(",\n");
+                        }
+                        out.push_str(&pad);
+                        out.push_str("  ");
+                        item.render_into(out);
+                    }
+                    out.push('\n');
+                    out.push_str(&pad);
+                    out.push(']');
+                }
+                v => v.pretty_into(out, rows, depth + 1),
+            }
+        }
+        out.push('\n');
+        out.push_str(&pad[2..]);
+        out.push('}');
+    }
+
     /// Builds a `Num` from an unsigned integer.
     pub fn num(v: u64) -> Json {
         Json::Num(v.to_string())
+    }
+
+    /// Builds a `Num` with `places` decimals (`{:.N}`), for the
+    /// fixed-precision figures reports carry (mean latencies, timings);
+    /// `null` when `v` is not finite.
+    pub fn fixed(v: f64, places: usize) -> Json {
+        if v.is_finite() {
+            Json::Num(format!("{v:.places$}"))
+        } else {
+            Json::Null
+        }
+    }
+
+    /// Builds a `Num`, or `null` for `None`.
+    pub fn opt_num(v: Option<u64>) -> Json {
+        v.map_or(Json::Null, Json::num)
     }
 
     /// Builds a `Str`.
@@ -183,10 +284,115 @@ impl Json {
         Json::Arr(items.into_iter().map(Json::num).collect())
     }
 
-    /// The value as a `Vec<u64>`, when it is an array of parseable
-    /// `Num`s.
-    pub fn as_u64_vec(&self) -> Option<Vec<u64>> {
-        self.as_arr()?.iter().map(Json::as_u64).collect()
+    /// Builds an `Arr` of strings.
+    pub fn str_arr<I: IntoIterator<Item = S>, S: Into<String>>(items: I) -> Json {
+        Json::Arr(items.into_iter().map(Json::str).collect())
+    }
+
+    /// Builds an `Obj` from `(key, value)` pairs, in order.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+}
+
+/// Renders `lines` as JSONL: one [`Json::render`] line per value, each
+/// newline-terminated — the layout of every checkpoint stream.
+pub fn jsonl<'a>(lines: impl IntoIterator<Item = &'a Json>) -> String {
+    let mut out = String::new();
+    for line in lines {
+        line.render_into(&mut out);
+        out.push('\n');
+    }
+    out
+}
+
+/// A field [`Json::at`] could not read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldError {
+    /// The field's key.
+    pub key: String,
+    /// What the reader wanted; `None` when the field is missing.
+    pub wanted: Option<&'static str>,
+}
+
+impl std::fmt::Display for FieldError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.wanted {
+            None => write!(f, "missing field `{}`", self.key),
+            Some(wanted) => write!(f, "field `{}` is not a valid {wanted}", self.key),
+        }
+    }
+}
+
+impl From<FieldError> for String {
+    fn from(e: FieldError) -> String {
+        e.to_string()
+    }
+}
+
+/// A type [`Json::at`] reads a field as. The narrowing impls (`u32`,
+/// `usize`) reject a number that does not fit instead of wrapping it.
+pub trait Field: Sized {
+    /// `v` as a `Self`, when it holds one.
+    fn read(v: &Json) -> Option<Self>;
+}
+
+impl Field for u64 {
+    fn read(v: &Json) -> Option<u64> {
+        v.as_u64()
+    }
+}
+
+impl Field for u32 {
+    fn read(v: &Json) -> Option<u32> {
+        u32::try_from(v.as_u64()?).ok()
+    }
+}
+
+impl Field for usize {
+    fn read(v: &Json) -> Option<usize> {
+        usize::try_from(v.as_u64()?).ok()
+    }
+}
+
+impl Field for i64 {
+    fn read(v: &Json) -> Option<i64> {
+        match v {
+            Json::Num(raw) => raw.parse().ok(),
+            _ => None,
+        }
+    }
+}
+
+impl Field for bool {
+    fn read(v: &Json) -> Option<bool> {
+        v.as_bool()
+    }
+}
+
+impl Field for String {
+    fn read(v: &Json) -> Option<String> {
+        v.as_str().map(str::to_string)
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    fn read(v: &Json) -> Option<Option<T>> {
+        match v {
+            Json::Null => Some(None),
+            v => T::read(v).map(Some),
+        }
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn read(v: &Json) -> Option<Vec<T>> {
+        v.as_arr()?.iter().map(T::read).collect()
     }
 }
 
@@ -422,26 +628,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn str_array_body_quotes_and_joins() {
-        assert_eq!(str_array_body::<&str>(&[]), "");
-        assert_eq!(str_array_body(&["a"]), "\"a\"");
-        assert_eq!(str_array_body(&["a", "b"]), "\"a\", \"b\"");
-        assert_eq!(
-            str_array_body(&[String::from("x_0")]),
-            "\"x_0\""
-        );
+    fn str_arr_quotes_escapes_and_joins() {
+        assert_eq!(Json::str_arr(Vec::<String>::new()).render(), "[]");
+        assert_eq!(Json::str_arr(["a"]).render(), "[\"a\"]");
+        assert_eq!(Json::str_arr(["a", "b"]).render(), "[\"a\", \"b\"]");
+        assert_eq!(Json::str_arr(["q\"x"]).render(), "[\"q\\\"x\"]");
     }
 
     #[test]
-    fn opt_u64_renders_null() {
-        assert_eq!(opt_u64(None), "null");
-        assert_eq!(opt_u64(Some(7)), "7");
+    fn opt_num_renders_null() {
+        assert_eq!(Json::opt_num(None).render(), "null");
+        assert_eq!(Json::opt_num(Some(7)).render(), "7");
+        assert_eq!(Json::fixed(2.0 / 3.0, 1).render(), "0.7");
+        assert_eq!(Json::fixed(f64::NAN, 2), Json::Null);
     }
 
     #[test]
     fn escape_round_trips_through_parse() {
         let nasty = "a \"quoted\" \\ back\nslash\ttab \u{1} end";
-        let rendered = format!("{{\"k\": \"{}\"}}", escape(nasty));
+        let rendered = Json::obj([("k", Json::str(nasty))]).render();
         let parsed = parse(&rendered).expect("escaped string parses");
         assert_eq!(parsed.get("k").and_then(Json::as_str), Some(nasty));
     }
@@ -462,8 +667,34 @@ mod tests {
             v.get("o").and_then(|o| o.get("x")).and_then(Json::as_u64),
             Some(0)
         );
-        assert_eq!(v.get("n").and_then(Json::as_opt_u64), Some(None));
-        assert_eq!(v.get("u").and_then(Json::as_opt_u64), Some(Some(u64::MAX)));
+        assert_eq!(v.at::<Option<u64>>("n"), Ok(None));
+        assert_eq!(v.at::<Option<u64>>("u"), Ok(Some(u64::MAX)));
+    }
+
+    #[test]
+    fn typed_reader_range_checks_every_narrowing() {
+        let v = parse(
+            "{\"big\": 4294967297, \"max\": 4294967295, \"neg\": -3, \"s\": \"x\", \
+             \"v\": [[1, 2], []], \"o\": [1, null]}",
+        )
+        .unwrap();
+        assert_eq!(v.at::<u64>("big"), Ok(4_294_967_297));
+        assert_eq!(v.at::<u32>("max"), Ok(u32::MAX));
+        let err = v.at::<u32>("big").unwrap_err();
+        assert_eq!(err.key, "big");
+        assert!(err.to_string().contains("u32"), "{err}");
+        assert!(v.at::<u64>("neg").is_err());
+        assert_eq!(v.at::<i64>("neg"), Ok(-3));
+        assert_eq!(v.at::<String>("s"), Ok("x".to_string()));
+        assert!(v.at::<bool>("s").is_err());
+        assert_eq!(v.at::<Vec<Vec<u64>>>("v"), Ok(vec![vec![1, 2], vec![]]));
+        assert_eq!(v.at::<Vec<Option<u32>>>("o"), Ok(vec![Some(1), None]));
+        assert!(v.at::<Vec<u32>>("o").is_err());
+        assert_eq!(v.arr("v").map(<[Json]>::len), Ok(2));
+        assert!(v.arr("s").is_err());
+        let missing = v.at::<u64>("nope").unwrap_err();
+        assert_eq!(missing.wanted, None);
+        assert_eq!(missing.to_string(), "missing field `nope`");
     }
 
     #[test]
@@ -492,8 +723,8 @@ mod tests {
         assert_eq!(Json::num(7).render(), "7");
         assert_eq!(Json::num_arr([1, 2]).render(), "[1, 2]");
         assert_eq!(
-            parse("[3, 5, 8]").unwrap().as_u64_vec(),
-            Some(vec![3, 5, 8])
+            parse("{\"a\": [3, 5, 8]}").unwrap().at::<Vec<u64>>("a"),
+            Ok(vec![3, 5, 8])
         );
     }
 
@@ -502,5 +733,118 @@ mod tests {
         let v = parse("\"\\u00e9\\ud83d\\ude00\"").expect("unicode escapes");
         assert_eq!(v.as_str(), Some("é😀"));
         assert!(parse("\"\\ud83d\"").is_err(), "lone surrogate must fail");
+    }
+
+    #[test]
+    fn pretty_renders_empty_rows_as_a_blank_line() {
+        let v = Json::obj([("n", Json::num(1)), ("bins", Json::Arr(vec![]))]);
+        assert_eq!(
+            v.render_pretty(&["bins"]),
+            "{\n  \"n\": 1,\n  \"bins\": [\n\n  ]\n}\n"
+        );
+        // not a row: compact
+        assert_eq!(v.render_pretty(&[]), "{\n  \"n\": 1,\n  \"bins\": []\n}\n");
+    }
+
+    #[test]
+    fn pretty_indents_nested_objects_and_their_rows() {
+        let row = Json::obj([("a", Json::num(1)), ("o", Json::obj([("x", Json::Null)]))]);
+        let v = Json::obj([
+            ("kind", Json::str("outer")),
+            (
+                "inner",
+                Json::obj([
+                    ("rows", Json::Arr(vec![row.clone(), row])),
+                    ("flat", Json::num_arr([1, 2])),
+                ]),
+            ),
+        ]);
+        assert_eq!(
+            v.render_pretty(&["rows"]),
+            "{\n  \"kind\": \"outer\",\n  \"inner\": {\n    \"rows\": [\n      \
+             {\"a\": 1, \"o\": {\"x\": null}},\n      {\"a\": 1, \"o\": {\"x\": null}}\n    \
+             ],\n    \"flat\": [1, 2]\n  }\n}\n"
+        );
+    }
+
+    #[test]
+    fn pretty_escapes_keys_and_lays_out_top_level_arrays() {
+        let key = "we\"ird\nkey";
+        let v = Json::obj([(key, Json::str("v\\"))]);
+        let pretty = v.render_pretty(&[]);
+        assert_eq!(pretty, "{\n  \"we\\\"ird\\nkey\": \"v\\\\\"\n}\n");
+        assert_eq!(parse(&pretty), Ok(v.clone()));
+        let top = Json::Arr(vec![v, Json::num(3)]);
+        assert_eq!(
+            top.render_pretty(&[]),
+            "[\n  {\n    \"we\\\"ird\\nkey\": \"v\\\\\"\n  },\n  3\n]\n"
+        );
+        assert_eq!(Json::Arr(vec![]).render_pretty(&[]), "[\n\n]\n");
+    }
+
+    #[cfg(feature = "proptest")]
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        const CHARS: [char; 14] = [
+            'a', 'Z', '0', ' ', '/', '"', '\\', '\n', '\t', '\u{1}', '\u{1f}', '\u{7f}', 'é', '😀',
+        ];
+
+        fn arb_string() -> impl Strategy<Value = String> {
+            prop::collection::vec(0usize..CHARS.len(), 0..6)
+                .prop_map(|ix| ix.into_iter().map(|i| CHARS[i]).collect())
+        }
+
+        /// Keys mix the `rows` candidates with arbitrary text.
+        fn arb_key() -> impl Strategy<Value = String> {
+            prop_oneof![
+                Just("bins".to_string()),
+                Just("runs".to_string()),
+                arb_string()
+            ]
+        }
+
+        fn arb_json() -> impl Strategy<Value = Json> {
+            let leaf = prop_oneof![
+                Just(Json::Null),
+                any::<bool>().prop_map(Json::Bool),
+                any::<u64>().prop_map(Json::num),
+                any::<i64>().prop_map(|i| Json::Num(i.to_string())),
+                (any::<i32>(), 0usize..4).prop_map(|(v, p)| Json::fixed(v as f64 / 7.0, p)),
+                arb_string().prop_map(Json::Str),
+            ];
+            leaf.prop_recursive(4, 32, 4, |inner| {
+                prop_oneof![
+                    prop::collection::vec(inner.clone(), 0..4).prop_map(Json::Arr),
+                    prop::collection::vec((arb_key(), inner), 0..4).prop_map(Json::Obj),
+                ]
+            })
+        }
+
+        fn arb_rows() -> impl Strategy<Value = Vec<&'static str>> {
+            prop::collection::vec(prop_oneof![Just("bins"), Just("runs"), Just("x")], 0..3)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Both layouts parse back to the value, and re-rendering
+            /// the parse reproduces them byte for byte. A compact line
+            /// holds no raw control character (strings escape them),
+            /// so it is valid JSON and one JSONL record.
+            #[test]
+            fn both_layouts_round_trip_byte_stable(v in arb_json(), rows in arb_rows()) {
+                let line = v.render();
+                prop_assert!(!line.bytes().any(|b| b < 0x20), "raw control in {:?}", line);
+                let back = parse(&line).map_err(|e| e.to_string())?;
+                prop_assert_eq!(&back, &v);
+                prop_assert_eq!(back.render(), line);
+                let pretty = v.render_pretty(&rows);
+                let back = parse(&pretty).map_err(|e| e.to_string())?;
+                prop_assert_eq!(&back, &v);
+                prop_assert_eq!(back.render_pretty(&rows), pretty);
+            }
+        }
     }
 }

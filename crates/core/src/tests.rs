@@ -1819,6 +1819,46 @@ mod checkpoint_tests {
     }
 
     #[test]
+    fn snapshot_rejects_huge_section_counts_without_allocating() {
+        // a section count read from the file sizes a loop, never an
+        // allocation: each corrupt count runs out of sections and is a
+        // typed error instead of a capacity-overflow panic or an abort
+        let goldens = [
+            (
+                include_str!("../golden/snapshot_systemc_2bank_seed41.jsonl"),
+                "\"banks\": 2",
+            ),
+            (
+                include_str!("../golden/snapshot_systemc_2bank_seed41.jsonl"),
+                "\"monitors\": 10",
+            ),
+            (
+                include_str!("../golden/snapshot_rtl_2bank_seed41.jsonl"),
+                "\"rams\": 39",
+            ),
+            (
+                include_str!("../golden/snapshot_rtl_ovl_2bank_seed41.jsonl"),
+                "\"instances\": 10",
+            ),
+            (
+                include_str!("../golden/snapshot_rtl_batch_2bank_seed41.jsonl"),
+                "\"rams\": 39",
+            ),
+        ];
+        for (text, field) in goldens {
+            assert!(text.contains(field), "golden lacks {field}");
+            let key = field.split(':').next().unwrap();
+            for count in [u64::MAX, 1 << 40] {
+                let corrupt = text.replacen(field, &format!("{key}: {count}"), 1);
+                assert!(
+                    Snapshot::parse(&corrupt).is_err(),
+                    "{key} = {count} was accepted"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn trace_replays_into_a_model() {
         let cfg = small_cfg(2);
         let ops = mix(&cfg, 31, 25);

@@ -14,6 +14,7 @@ use crate::collect::CoverageCollector;
 use crate::guided::GuidedMix;
 use crate::model::{CoverBin, CoverageModel};
 use la1_core::harness::run_abv_observed;
+use la1_core::json::Json;
 use la1_core::sc_model::LaSystemC;
 use la1_core::spec::{BankOp, LaConfig};
 use la1_core::stimulus::{Driver, DriverSnap};
@@ -93,29 +94,28 @@ impl ClosureReport {
         }
     }
 
+    /// The report as a JSON value.
+    pub fn json(&self) -> Json {
+        Json::obj([
+            ("banks", Json::num(self.banks as u64)),
+            ("burst", Json::Bool(self.burst)),
+            ("guided", Json::Bool(self.guided)),
+            ("seed", Json::num(self.seed)),
+            ("budget", Json::num(self.budget)),
+            ("cycles_run", Json::num(self.cycles_run)),
+            ("bins_total", Json::num(self.bins_total as u64)),
+            ("bins_hit", Json::num(self.bins_hit as u64)),
+            ("tier1_total", Json::num(self.tier1_total as u64)),
+            ("tier1_hit", Json::num(self.tier1_hit as u64)),
+            ("closed", Json::Bool(self.closed)),
+            ("cycles_to_closure", Json::opt_num(self.cycles_to_closure)),
+            ("unhit", Json::str_arr(&self.unhit)),
+        ])
+    }
+
     /// Renders the deterministic JSON report.
     pub fn to_json(&self) -> String {
-        let ctc = la1_core::json::opt_u64(self.cycles_to_closure);
-        let unhit = la1_core::json::str_array_body(&self.unhit);
-        format!(
-            "{{\n  \"banks\": {},\n  \"burst\": {},\n  \"guided\": {},\n  \"seed\": {},\n  \
-             \"budget\": {},\n  \"cycles_run\": {},\n  \"bins_total\": {},\n  \
-             \"bins_hit\": {},\n  \"tier1_total\": {},\n  \"tier1_hit\": {},\n  \
-             \"closed\": {},\n  \"cycles_to_closure\": {},\n  \"unhit\": [{}]\n}}\n",
-            self.banks,
-            self.burst,
-            self.guided,
-            self.seed,
-            self.budget,
-            self.cycles_run,
-            self.bins_total,
-            self.bins_hit,
-            self.tier1_total,
-            self.tier1_hit,
-            self.closed,
-            ctc,
-            unhit
-        )
+        self.json().render_pretty(&[])
     }
 }
 

@@ -12,6 +12,7 @@
 
 use crate::model::{BinKind, BinStat, BinStats, CoverBin, CoverageModel};
 use la1_core::cycle_model::{CycleModel, CycleObserver};
+use la1_core::json::Json;
 use la1_core::spec::{BankOp, READ_LATENCY};
 
 /// What one bank showed in one cycle: the driven operations and the
@@ -458,26 +459,28 @@ impl CoverageCollector {
         })
     }
 
-    /// Renders the deterministic JSON coverage report.
+    /// The coverage report as a JSON value.
+    pub fn json(&self) -> Json {
+        let bins = self.model.bins().iter().enumerate().map(|(i, bin)| {
+            Json::obj([
+                ("name", Json::str(bin.name())),
+                ("tier", Json::num(bin.tier() as u64)),
+                ("hits", Json::num(self.hits[i])),
+                ("first_hit", Json::opt_num(self.first_hit[i])),
+            ])
+        });
+        Json::obj([
+            ("cycles", Json::num(self.cycle)),
+            ("bins_total", Json::num(self.model.len() as u64)),
+            ("bins_hit", Json::num(self.covered() as u64)),
+            ("bins", Json::Arr(bins.collect())),
+        ])
+    }
+
+    /// Renders the deterministic JSON coverage report, one bin per
+    /// line.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"cycles\": {},\n", self.cycle));
-        out.push_str(&format!("  \"bins_total\": {},\n", self.model.len()));
-        out.push_str(&format!("  \"bins_hit\": {},\n", self.covered()));
-        out.push_str("  \"bins\": [\n");
-        let n = self.model.len();
-        for (i, bin) in self.model.bins().iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"tier\": {}, \"hits\": {}, \"first_hit\": {}}}{}\n",
-                bin.name(),
-                bin.tier(),
-                self.hits[i],
-                la1_core::json::opt_u64(self.first_hit[i]),
-                if i + 1 < n { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        self.json().render_pretty(&["bins"])
     }
 }
 

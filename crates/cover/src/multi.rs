@@ -32,6 +32,7 @@ use crate::collect::CoverageCollector;
 use crate::model::{BinStats, CoverBin, CoverageModel};
 use la1_core::checkpoint::{config_fingerprint, CheckpointError, Snapshot, Trace};
 use la1_core::cycle_model::{CycleObserver, LaneModel};
+use la1_core::json::Json;
 use la1_core::rtl_model::{LaDriver, LaRtl, LaRtlBatchDriver, LaRtlDriver, LaneSim};
 use la1_core::spec::{BankOp, LaConfig};
 use la1_core::stimulus::stream_seed;
@@ -192,32 +193,30 @@ impl MultiClosureReport {
         }
     }
 
+    /// The report as a JSON value (without [`Self::bins`]).
+    pub fn json(&self) -> Json {
+        Json::obj([
+            ("banks", Json::num(self.banks as u64)),
+            ("burst", Json::Bool(self.burst)),
+            ("guided", Json::Bool(self.guided)),
+            ("seed", Json::num(self.seed)),
+            ("streams", Json::num(self.streams as u64)),
+            ("budget", Json::num(self.budget)),
+            ("cycles_run", Json::num(self.cycles_run)),
+            ("lane_cycles", Json::num(self.lane_cycles)),
+            ("bins_total", Json::num(self.bins_total as u64)),
+            ("bins_hit", Json::num(self.bins_hit as u64)),
+            ("tier1_total", Json::num(self.tier1_total as u64)),
+            ("tier1_hit", Json::num(self.tier1_hit as u64)),
+            ("closed", Json::Bool(self.closed)),
+            ("cycles_to_closure", Json::opt_num(self.cycles_to_closure)),
+            ("unhit", Json::str_arr(&self.unhit)),
+        ])
+    }
+
     /// Renders the deterministic JSON report.
     pub fn to_json(&self) -> String {
-        let ctc = la1_core::json::opt_u64(self.cycles_to_closure);
-        let unhit = la1_core::json::str_array_body(&self.unhit);
-        format!(
-            "{{\n  \"banks\": {},\n  \"burst\": {},\n  \"guided\": {},\n  \"seed\": {},\n  \
-             \"streams\": {},\n  \"budget\": {},\n  \"cycles_run\": {},\n  \
-             \"lane_cycles\": {},\n  \"bins_total\": {},\n  \"bins_hit\": {},\n  \
-             \"tier1_total\": {},\n  \"tier1_hit\": {},\n  \"closed\": {},\n  \
-             \"cycles_to_closure\": {},\n  \"unhit\": [{}]\n}}\n",
-            self.banks,
-            self.burst,
-            self.guided,
-            self.seed,
-            self.streams,
-            self.budget,
-            self.cycles_run,
-            self.lane_cycles,
-            self.bins_total,
-            self.bins_hit,
-            self.tier1_total,
-            self.tier1_hit,
-            self.closed,
-            ctc,
-            unhit
-        )
+        self.json().render_pretty(&[])
     }
 }
 

@@ -28,7 +28,10 @@ use crate::closure::{ClosureConfig, Generator, GeneratorSnap};
 use crate::collect::{BankSampleSnap, CollectorSnap, CoverageCollector};
 use crate::guided::GuidedMixSnap;
 use crate::model::CoverageModel;
-use la1_core::checkpoint::{item_from_json, item_to_json, op_from_json, op_to_json, CheckpointError, Snapshot};
+use la1_core::checkpoint::{
+    check_header, item_from_json, item_to_json, op_from_json, op_to_json, read_lines,
+    CheckpointError, Snapshot,
+};
 use la1_core::harness::run_abv_observed;
 use la1_core::json::{self, Json};
 use la1_core::sc_model::LaSystemC;
@@ -154,26 +157,29 @@ impl StageCheckpoint {
     /// Serializes the checkpoint as JSONL: a header line, one line per
     /// section, an `end` footer, every line newline-terminated.
     pub fn to_jsonl(&self) -> String {
-        let mut lines = Vec::new();
-        lines.push(format!(
-            "{{\"kind\": \"la1-stage\", \"version\": {STAGE_VERSION}, \
-             \"fingerprint\": \"{:016x}\", \"cycle\": {}}}",
-            self.fingerprint, self.cycle
-        ));
-        lines.push(
-            obj(vec![
+        let mut lines = vec![
+            Json::obj([
+                ("kind", Json::str("la1-stage")),
+                ("version", Json::num(STAGE_VERSION)),
+                (
+                    "fingerprint",
+                    Json::str(format!("{:016x}", self.fingerprint)),
+                ),
+                ("cycle", Json::num(self.cycle)),
+            ]),
+            Json::obj([
                 ("sec", Json::str("model")),
                 ("jsonl", Json::str(self.model.to_jsonl())),
-            ])
-            .render(),
-        );
-        lines.push(enc_collector(&self.collector).render());
-        lines.push(enc_driver(&self.driver).render());
-        lines.push(enc_generator(&self.generator).render());
-        lines.push(format!("{{\"end\": true, \"lines\": {}}}", lines.len() + 1));
-        let mut out = lines.join("\n");
-        out.push('\n');
-        out
+            ]),
+            enc_collector(&self.collector),
+            enc_driver(&self.driver),
+            enc_generator(&self.generator),
+        ];
+        lines.push(Json::obj([
+            ("end", Json::Bool(true)),
+            ("lines", Json::num(lines.len() as u64 + 1)),
+        ]));
+        json::jsonl(&lines)
     }
 
     /// Strict parser for [`StageCheckpoint::to_jsonl`] output. A file
@@ -181,53 +187,28 @@ impl StageCheckpoint {
     /// (torn trailing line or missing footer); a damaged middle line
     /// yields [`CheckpointError::Malformed`] naming it.
     pub fn parse(text: &str) -> Result<StageCheckpoint, CheckpointError> {
-        if text.is_empty() || !text.ends_with('\n') {
-            return Err(CheckpointError::Truncated);
-        }
-        let lines: Vec<&str> = text.lines().collect();
         const TOTAL: usize = 6;
+        let lines = read_lines(text)?;
         if lines.len() > TOTAL {
             return Err(mal(TOTAL + 1, "unexpected line after footer"));
         }
-        let mut parsed = Vec::with_capacity(lines.len());
-        for (i, l) in lines.iter().enumerate() {
-            parsed.push(json::parse(l).map_err(|e| mal(i + 1, format!("{e:?}")))?);
-        }
         // every present line is intact; fewer than expected means the
         // file was cut at a line boundary
-        if parsed.len() < TOTAL {
+        if lines.len() < TOTAL {
             return Err(CheckpointError::Truncated);
         }
-        let header = &parsed[0];
-        if header.get("kind").and_then(Json::as_str) != Some("la1-stage") {
-            return Err(mal(1, "not a la1-stage header"));
-        }
-        let version = header
-            .get("version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| mal(1, "missing version"))?;
-        if version != STAGE_VERSION {
-            return Err(CheckpointError::VersionMismatch {
-                found: version,
-                expected: STAGE_VERSION,
-            });
-        }
-        let fingerprint = parse_fp(header.get("fingerprint").and_then(Json::as_str))
-            .ok_or_else(|| mal(1, "bad fingerprint"))?;
-        let cycle = header
-            .get("cycle")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| mal(1, "missing cycle"))?;
-        let model_line = sec(&parsed[1], 2, "model")?;
-        let model_text = model_line
-            .get("jsonl")
-            .and_then(Json::as_str)
-            .ok_or_else(|| mal(2, "missing embedded model"))?;
-        let model = Snapshot::parse(model_text).map_err(|e| mal(2, format!("embedded model: {e}")))?;
-        let collector = dec_collector(sec(&parsed[2], 3, "collector")?, 3)?;
-        let driver = dec_driver(sec(&parsed[3], 4, "driver")?, 4)?;
-        let generator = dec_generator(sec(&parsed[4], 5, "gen")?, 5)?;
-        let footer = &parsed[5];
+        let header = &lines[0];
+        let fingerprint = check_header(header, "la1-stage", STAGE_VERSION)?;
+        let cycle = header.at("cycle").map_err(|e| mal(1, e))?;
+        let model_text = sec(&lines[1], 2, "model")?
+            .at::<String>("jsonl")
+            .map_err(|e| mal(2, e))?;
+        let model =
+            Snapshot::parse(&model_text).map_err(|e| mal(2, format!("embedded model: {e}")))?;
+        let collector = dec_collector(sec(&lines[2], 3, "collector")?).map_err(|e| mal(3, e))?;
+        let driver = dec_driver(sec(&lines[3], 4, "driver")?).map_err(|e| mal(4, e))?;
+        let generator = dec_generator(sec(&lines[4], 5, "gen")?).map_err(|e| mal(5, e))?;
+        let footer = &lines[5];
         if footer.get("end").and_then(Json::as_bool) != Some(true)
             || footer.get("lines").and_then(Json::as_u64) != Some(TOTAL as u64)
         {
@@ -305,39 +286,43 @@ impl StagedReport {
         }
     }
 
-    /// Renders the deterministic JSON report.
+    /// The report as a JSON value.
+    pub fn json(&self) -> Json {
+        let stream = |s: &StreamOutcome| {
+            Json::obj([
+                ("stream", Json::num(s.stream as u64)),
+                ("seed", Json::num(s.seed)),
+                ("reseeded", Json::Bool(s.reseeded)),
+                ("cycles_run", Json::num(s.cycles_run)),
+                ("bins_hit", Json::num(s.bins_hit as u64)),
+                ("new_hits", Json::num(s.new_hits as u64)),
+                ("closed", Json::Bool(s.closed)),
+            ])
+        };
+        Json::obj([
+            ("kind", Json::str("staged-closure")),
+            ("banks", Json::num(self.banks as u64)),
+            ("burst", Json::Bool(self.burst)),
+            ("guided", Json::Bool(self.guided)),
+            ("seed", Json::num(self.seed)),
+            ("stage1_budget", Json::num(self.stage1_budget)),
+            ("stage1_cycles", Json::num(self.stage1_cycles)),
+            ("stage1_bins_hit", Json::num(self.stage1_bins_hit as u64)),
+            ("bins_total", Json::num(self.bins_total as u64)),
+            ("checkpoint_bytes", Json::num(self.checkpoint_bytes as u64)),
+            ("bins_hit", Json::num(self.bins_hit as u64)),
+            ("closed", Json::Bool(self.closed)),
+            ("unhit", Json::str_arr(&self.unhit)),
+            (
+                "streams",
+                Json::Arr(self.streams.iter().map(stream).collect()),
+            ),
+        ])
+    }
+
+    /// Renders the deterministic JSON report, one stream per line.
     pub fn to_json(&self) -> String {
-        let streams = self
-            .streams
-            .iter()
-            .map(|s| {
-                format!(
-                    "    {{\"stream\": {}, \"seed\": {}, \"reseeded\": {}, \
-                     \"cycles_run\": {}, \"bins_hit\": {}, \"new_hits\": {}, \"closed\": {}}}",
-                    s.stream, s.seed, s.reseeded, s.cycles_run, s.bins_hit, s.new_hits, s.closed
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            "{{\n  \"kind\": \"staged-closure\",\n  \"banks\": {},\n  \"burst\": {},\n  \
-             \"guided\": {},\n  \"seed\": {},\n  \"stage1_budget\": {},\n  \
-             \"stage1_cycles\": {},\n  \"stage1_bins_hit\": {},\n  \"bins_total\": {},\n  \
-             \"checkpoint_bytes\": {},\n  \"bins_hit\": {},\n  \"closed\": {},\n  \
-             \"unhit\": [{}],\n  \"streams\": [\n{streams}\n  ]\n}}\n",
-            self.banks,
-            self.burst,
-            self.guided,
-            self.seed,
-            self.stage1_budget,
-            self.stage1_cycles,
-            self.stage1_bins_hit,
-            self.bins_total,
-            self.checkpoint_bytes,
-            self.bins_hit,
-            self.closed,
-            la1_core::json::str_array_body(&self.unhit)
-        )
+        self.json().render_pretty(&["streams"])
     }
 }
 
@@ -436,23 +421,11 @@ pub fn run_staged(cfg: &StagedConfig) -> Result<StagedReport, CheckpointError> {
 // ---------------------------------------------------------------------
 // section codecs
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn mal(line: usize, reason: impl Into<String>) -> CheckpointError {
+fn mal(line: usize, reason: impl ToString) -> CheckpointError {
     CheckpointError::Malformed {
         line,
-        reason: reason.into(),
+        reason: reason.to_string(),
     }
-}
-
-fn parse_fp(s: Option<&str>) -> Option<u64> {
-    let s = s?;
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok()
 }
 
 fn sec<'a>(j: &'a Json, line: usize, want: &str) -> Result<&'a Json, CheckpointError> {
@@ -463,45 +436,14 @@ fn sec<'a>(j: &'a Json, line: usize, want: &str) -> Result<&'a Json, CheckpointE
     }
 }
 
-fn f_u64(j: &Json, key: &str, line: usize) -> Result<u64, CheckpointError> {
-    j.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| mal(line, format!("missing field {key:?}")))
-}
-
-fn f_bool(j: &Json, key: &str, line: usize) -> Result<bool, CheckpointError> {
-    j.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| mal(line, format!("missing field {key:?}")))
-}
-
-fn f_arr<'a>(j: &'a Json, key: &str, line: usize) -> Result<&'a [Json], CheckpointError> {
-    j.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| mal(line, format!("missing field {key:?}")))
-}
-
-fn f_opt_u64(j: &Json, key: &str, line: usize) -> Result<Option<u64>, CheckpointError> {
-    j.get(key)
-        .and_then(Json::as_opt_u64)
-        .ok_or_else(|| mal(line, format!("missing field {key:?}")))
-}
-
-fn jopt(v: Option<u64>) -> Json {
-    match v {
-        Some(n) => Json::num(n),
-        None => Json::Null,
-    }
-}
-
 fn enc_collector(c: &CollectorSnap) -> Json {
-    obj(vec![
+    Json::obj([
         ("sec", Json::str("collector")),
         ("cycle", Json::num(c.cycle)),
         ("hits", Json::num_arr(c.hits.iter().copied())),
         (
             "first_hit",
-            Json::Arr(c.first_hit.iter().map(|f| jopt(*f)).collect()),
+            Json::Arr(c.first_hit.iter().map(|f| Json::opt_num(*f)).collect()),
         ),
         (
             "history",
@@ -513,8 +455,8 @@ fn enc_collector(c: &CollectorSnap) -> Json {
                             banks
                                 .iter()
                                 .map(|b| {
-                                    obj(vec![
-                                        ("r", jopt(b.read)),
+                                    Json::obj([
+                                        ("r", Json::opt_num(b.read)),
                                         (
                                             "w",
                                             match b.write {
@@ -525,7 +467,7 @@ fn enc_collector(c: &CollectorSnap) -> Json {
                                                 None => Json::Null,
                                             },
                                         ),
-                                        ("dv", jopt(b.dv)),
+                                        ("dv", Json::opt_num(b.dv)),
                                         ("wd", Json::Bool(b.wdone)),
                                         ("pe", Json::Bool(b.perr)),
                                     ])
@@ -539,54 +481,42 @@ fn enc_collector(c: &CollectorSnap) -> Json {
     ])
 }
 
-fn dec_collector(j: &Json, line: usize) -> Result<CollectorSnap, CheckpointError> {
+fn dec_collector(j: &Json) -> Result<CollectorSnap, String> {
     let mut history = Vec::new();
-    for cyc in f_arr(j, "history", line)? {
-        let banks = cyc
-            .as_arr()
-            .ok_or_else(|| mal(line, "history entry is not an array"))?;
-        let mut row = Vec::with_capacity(banks.len());
+    for cyc in j.arr("history")? {
+        let banks = cyc.as_arr().ok_or("history entry is not an array")?;
+        let mut row = Vec::new();
         for b in banks {
-            let write = match b.get("w").ok_or_else(|| mal(line, "missing sample write"))? {
-                Json::Null => None,
-                w => {
-                    let pair = w
-                        .as_u64_vec()
-                        .filter(|p| p.len() == 2)
-                        .ok_or_else(|| mal(line, "bad sample write pair"))?;
-                    Some((pair[0], pair[1] as u32))
-                }
+            let write = match b.at::<Option<Vec<u64>>>("w")? {
+                None => None,
+                Some(pair) => match pair[..] {
+                    [a, be] => Some((a, u32::try_from(be).map_err(|_| "byte enable exceeds u32")?)),
+                    _ => return Err("bad sample write pair".to_string()),
+                },
             };
             row.push(BankSampleSnap {
-                read: f_opt_u64(b, "r", line)?,
+                read: b.at("r")?,
                 write,
-                dv: f_opt_u64(b, "dv", line)?,
-                wdone: f_bool(b, "wd", line)?,
-                perr: f_bool(b, "pe", line)?,
+                dv: b.at("dv")?,
+                wdone: b.at("wd")?,
+                perr: b.at("pe")?,
             });
         }
         history.push(row);
     }
     Ok(CollectorSnap {
-        hits: j
-            .get("hits")
-            .and_then(Json::as_u64_vec)
-            .ok_or_else(|| mal(line, "missing field \"hits\""))?,
-        first_hit: f_arr(j, "first_hit", line)?
-            .iter()
-            .map(|f| f.as_opt_u64())
-            .collect::<Option<_>>()
-            .ok_or_else(|| mal(line, "bad first_hit entry"))?,
+        hits: j.at("hits")?,
+        first_hit: j.at("first_hit")?,
         history,
-        cycle: f_u64(j, "cycle", line)?,
+        cycle: j.at("cycle")?,
     })
 }
 
 fn enc_driver(d: &DriverSnap) -> Json {
-    obj(vec![
+    Json::obj([
         ("sec", Json::str("driver")),
         ("cycle", Json::num(d.cycle)),
-        ("last_read", jopt(d.last_read)),
+        ("last_read", Json::opt_num(d.last_read)),
         ("rr_next", Json::num(d.rr_next)),
         ("inject_x", Json::Bool(d.inject_x)),
         (
@@ -603,7 +533,7 @@ fn enc_driver(d: &DriverSnap) -> Json {
         ),
         (
             "stats",
-            obj(vec![
+            Json::obj([
                 ("ri", Json::num(d.stats.reads_issued)),
                 ("wi", Json::num(d.stats.writes_issued)),
                 ("ic", Json::num(d.stats.idle_cycles)),
@@ -614,36 +544,35 @@ fn enc_driver(d: &DriverSnap) -> Json {
     ])
 }
 
-fn dec_driver(j: &Json, line: usize) -> Result<DriverSnap, CheckpointError> {
-    let mut pending = Vec::new();
-    for p in f_arr(j, "pending", line)? {
-        pending.push(match p {
-            Json::Null => None,
-            item => Some(item_from_json(item).map_err(|e| mal(line, e))?),
-        });
-    }
-    let stats = j
-        .get("stats")
-        .ok_or_else(|| mal(line, "missing field \"stats\""))?;
+fn dec_driver(j: &Json) -> Result<DriverSnap, String> {
+    let pending = j
+        .arr("pending")?
+        .iter()
+        .map(|p| match p {
+            Json::Null => Ok(None),
+            item => item_from_json(item).map(Some),
+        })
+        .collect::<Result<_, _>>()?;
+    let stats = j.field("stats")?;
     Ok(DriverSnap {
-        cycle: f_u64(j, "cycle", line)?,
-        last_read: f_opt_u64(j, "last_read", line)?,
+        cycle: j.at("cycle")?,
+        last_read: j.at("last_read")?,
         pending,
-        rr_next: f_u64(j, "rr_next", line)?,
-        inject_x: f_bool(j, "inject_x", line)?,
+        rr_next: j.at("rr_next")?,
+        inject_x: j.at("inject_x")?,
         stats: DriverStats {
-            reads_issued: f_u64(stats, "ri", line)?,
-            writes_issued: f_u64(stats, "wi", line)?,
-            idle_cycles: f_u64(stats, "ic", line)?,
-            items_delayed: f_u64(stats, "dl", line)?,
-            raw_cycles: f_u64(stats, "rc", line)?,
+            reads_issued: stats.at("ri")?,
+            writes_issued: stats.at("wi")?,
+            idle_cycles: stats.at("ic")?,
+            items_delayed: stats.at("dl")?,
+            raw_cycles: stats.at("rc")?,
         },
     })
 }
 
 fn enc_generator(g: &GeneratorSnap) -> Json {
     match g {
-        GeneratorSnap::Guided(s) => obj(vec![
+        GeneratorSnap::Guided(s) => Json::obj([
             ("sec", Json::str("gen")),
             ("t", Json::str("guided")),
             ("rng", Json::num(s.rng)),
@@ -661,7 +590,7 @@ fn enc_generator(g: &GeneratorSnap) -> Json {
                 Json::Arr(s.items.iter().map(item_to_json).collect()),
             ),
         ]),
-        GeneratorSnap::Random(s) => obj(vec![
+        GeneratorSnap::Random(s) => Json::obj([
             ("sec", Json::str("gen")),
             ("t", Json::str("random")),
             ("rng", Json::num(s.rng)),
@@ -673,30 +602,27 @@ fn enc_generator(g: &GeneratorSnap) -> Json {
     }
 }
 
-fn dec_generator(j: &Json, line: usize) -> Result<GeneratorSnap, CheckpointError> {
-    let rng = f_u64(j, "rng", line)?;
-    let items = f_arr(j, "items", line)?
+fn dec_generator(j: &Json) -> Result<GeneratorSnap, String> {
+    let rng = j.at("rng")?;
+    let items = j
+        .arr("items")?
         .iter()
         .map(item_from_json)
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| mal(line, e))?;
-    match j.get("t").and_then(Json::as_str) {
+        .collect::<Result<Vec<_>, _>>()?;
+    match j.field("t")?.as_str() {
         Some("guided") => {
             let mut plan = Vec::new();
-            for cyc in f_arr(j, "plan", line)? {
-                let ops = cyc
-                    .as_arr()
-                    .ok_or_else(|| mal(line, "plan cycle is not an array"))?;
+            for cyc in j.arr("plan")? {
+                let ops = cyc.as_arr().ok_or("plan cycle is not an array")?;
                 plan.push(
                     ops.iter()
                         .map(op_from_json)
-                        .collect::<Result<Vec<_>, _>>()
-                        .map_err(|e| mal(line, e))?,
+                        .collect::<Result<Vec<_>, _>>()?,
                 );
             }
             Ok(GeneratorSnap::Guided(GuidedMixSnap { rng, plan, items }))
         }
         Some("random") => Ok(GeneratorSnap::Random(RandomMixSnap { rng, items })),
-        _ => Err(mal(line, "unknown generator tag")),
+        _ => Err("unknown generator tag".to_string()),
     }
 }

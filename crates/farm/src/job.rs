@@ -11,7 +11,7 @@
 
 use la1_asm::ExploreConfig;
 use la1_core::asm_model::LaAsmModel;
-use la1_core::json::opt_u64;
+use la1_core::json::Json;
 use la1_core::spec::LaConfig;
 use la1_core::stimulus::stream_seed;
 use la1_cover::{
@@ -233,6 +233,25 @@ pub struct ExploreSummary {
     pub all_pass: bool,
 }
 
+impl ExploreSummary {
+    /// The summary as a JSON value: an explore-farm `runs` row, and the
+    /// body of the journal's explore payload.
+    pub fn json(&self) -> Json {
+        Json::obj([
+            ("banks", Json::num(self.banks as u64)),
+            ("states", Json::num(self.states as u64)),
+            ("transitions", Json::num(self.transitions as u64)),
+            (
+                "max_depth_reached",
+                Json::num(self.max_depth_reached as u64),
+            ),
+            ("complete", Json::Bool(self.complete)),
+            ("budget", self.budget.as_ref().map_or(Json::Null, Json::str)),
+            ("all_pass", Json::Bool(self.all_pass)),
+        ])
+    }
+}
+
 /// The result of one [`FarmJob`], in mergeable form.
 #[derive(Debug, Clone)]
 pub enum JobResult {
@@ -291,42 +310,44 @@ impl JobResult {
     /// this result. Deterministic: no timing, no worker identity —
     /// byte-identical for every worker count.
     pub fn record(&self, job: usize) -> String {
+        let mut fields = vec![
+            ("job", Json::num(job as u64)),
+            ("kind", Json::str(self.kind())),
+        ];
         match self {
             JobResult::Campaign(m) => {
-                let cells = m
-                    .cells
-                    .values()
-                    .map(|levels| levels.len())
-                    .sum::<usize>();
-                let detected = m
-                    .cells
-                    .values()
-                    .flat_map(|levels| levels.values())
-                    .filter(|c| c.detected())
-                    .count();
-                let healthy_ok = m.healthy.values().all(|&ok| ok);
-                format!(
-                    "{{\"job\": {job}, \"kind\": \"campaign\", \"banks\": {}, \
-                     \"cells\": {cells}, \"detected\": {detected}, \"healthy_ok\": {healthy_ok}}}",
-                    m.banks
-                )
+                let cells = m.cells.values().flat_map(|levels| levels.values());
+                fields.extend([
+                    ("banks", Json::num(m.banks as u64)),
+                    ("cells", Json::num(cells.clone().count() as u64)),
+                    (
+                        "detected",
+                        Json::num(cells.filter(|c| c.detected()).count() as u64),
+                    ),
+                    ("healthy_ok", Json::Bool(m.healthy.values().all(|&ok| ok))),
+                ]);
             }
-            JobResult::Closure(r) => format!(
-                "{{\"job\": {job}, \"kind\": \"closure\", \"banks\": {}, \"seed\": {}, \
-                 \"streams\": {}, \"cycles_run\": {}, \"bins_hit\": {}, \"bins_total\": {}, \
-                 \"closed\": {}}}",
-                r.banks, r.seed, r.streams, r.cycles_run, r.bins_hit, r.bins_total, r.closed
-            ),
-            JobResult::Explore(s) => format!(
-                "{{\"job\": {job}, \"kind\": \"explore\", \"banks\": {}, \"states\": {}, \
-                 \"transitions\": {}, \"complete\": {}, \"all_pass\": {}}}",
-                s.banks, s.states, s.transitions, s.complete, s.all_pass
-            ),
-            JobResult::Failed { reason, .. } => format!(
-                "{{\"job\": {job}, \"kind\": \"failed\", \"reason\": \"{}\"}}",
-                la1_core::json::escape(&reason.to_string())
-            ),
+            JobResult::Closure(r) => fields.extend([
+                ("banks", Json::num(r.banks as u64)),
+                ("seed", Json::num(r.seed)),
+                ("streams", Json::num(r.streams as u64)),
+                ("cycles_run", Json::num(r.cycles_run)),
+                ("bins_hit", Json::num(r.bins_hit as u64)),
+                ("bins_total", Json::num(r.bins_total as u64)),
+                ("closed", Json::Bool(r.closed)),
+            ]),
+            JobResult::Explore(s) => fields.extend([
+                ("banks", Json::num(s.banks as u64)),
+                ("states", Json::num(s.states as u64)),
+                ("transitions", Json::num(s.transitions as u64)),
+                ("complete", Json::Bool(s.complete)),
+                ("all_pass", Json::Bool(s.all_pass)),
+            ]),
+            JobResult::Failed { reason, .. } => {
+                fields.push(("reason", Json::str(reason.to_string())));
+            }
         }
+        Json::obj(fields).render()
     }
 }
 
@@ -628,6 +649,39 @@ pub struct ClosureFarmReport {
     pub bins: BinStats,
 }
 
+impl ClosureFarmReport {
+    /// The report as a JSON value, one merged bin per `bins` row.
+    pub fn json(&self) -> Json {
+        let bins = self.bins.iter().map(|(name, s)| {
+            Json::obj([
+                ("bin", Json::str(name)),
+                ("tier", Json::num(s.tier as u64)),
+                ("hits", Json::num(s.hits)),
+                ("first_hit", Json::opt_num(s.first_hit)),
+            ])
+        });
+        Json::obj([
+            ("kind", Json::str("closure-farm")),
+            ("banks", Json::num(self.banks as u64)),
+            ("burst", Json::Bool(self.burst)),
+            ("guided", Json::Bool(self.guided)),
+            ("seed", Json::num(self.seed)),
+            ("jobs", Json::num(self.jobs as u64)),
+            ("streams_per_job", Json::num(self.streams_per_job as u64)),
+            ("lane_cycles", Json::num(self.lane_cycles)),
+            ("bins_total", Json::num(self.bins_total as u64)),
+            ("bins_hit", Json::num(self.bins_hit as u64)),
+            ("tier1_total", Json::num(self.tier1_total as u64)),
+            ("tier1_hit", Json::num(self.tier1_hit as u64)),
+            ("closed", Json::Bool(self.closed)),
+            ("cycles_to_closure", Json::opt_num(self.cycles_to_closure)),
+            ("total_hits", Json::num(self.total_hits)),
+            ("unhit", Json::str_arr(&self.unhit)),
+            ("bins", Json::Arr(bins.collect())),
+        ])
+    }
+}
+
 /// Merged explore-farm report: the per-configuration summaries in job
 /// order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -645,6 +699,29 @@ impl ExploreFarmReport {
     /// Whether every run exhausted its reachable graph.
     pub fn complete(&self) -> bool {
         self.runs.iter().all(|r| r.complete)
+    }
+
+    /// The report as a JSON value, one [`ExploreSummary`] per `runs`
+    /// row.
+    pub fn json(&self) -> Json {
+        Json::obj([
+            ("kind", Json::str("explore-farm")),
+            ("jobs", Json::num(self.runs.len() as u64)),
+            (
+                "states",
+                Json::num(self.runs.iter().map(|s| s.states as u64).sum()),
+            ),
+            (
+                "transitions",
+                Json::num(self.runs.iter().map(|s| s.transitions as u64).sum()),
+            ),
+            ("complete", Json::Bool(self.complete())),
+            ("all_pass", Json::Bool(self.all_pass())),
+            (
+                "runs",
+                Json::Arr(self.runs.iter().map(ExploreSummary::json).collect()),
+            ),
+        ])
     }
 }
 
@@ -681,44 +758,39 @@ impl FarmReport {
         self.degraded.is_empty()
     }
 
-    /// Renders the deterministic JSON report (no timing, no worker
-    /// count): byte-identical for every worker count. A clean run
-    /// renders exactly [`MergedReport::to_json`] — for campaign plans
-    /// byte-identical to the unsharded engine's
-    /// [`DetectionMatrix::to_json`] — while a degraded run wraps the
-    /// merged body in a `degraded-farm` object listing the gaps.
-    pub fn to_json(&self) -> String {
+    /// The report as a JSON value: the merged body itself for a clean
+    /// run, or a `degraded-farm` object listing the gaps and nesting
+    /// the merged body.
+    pub fn json(&self) -> Json {
         if self.degraded.is_empty() {
-            return self.merged.to_json();
+            return self.merged.json();
         }
-        let entries = self
-            .degraded
-            .iter()
-            .map(|d| {
-                format!(
-                    "    {{\"job\": {}, \"kind\": \"{}\", \"reason\": \"{}\"}}",
-                    d.job,
-                    d.kind,
-                    la1_core::json::escape(&d.reason)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let merged = self
-            .merged
-            .to_json()
-            .trim_end()
-            .lines()
-            .map(|l| format!("  {l}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-            .trim_start()
-            .to_string();
-        format!(
-            "{{\n  \"kind\": \"degraded-farm\",\n  \"degraded\": [\n{entries}\n  ],\n  \
-             \"merged\": {merged}\n}}\n"
-        )
+        let degraded = self.degraded.iter().map(|d| {
+            Json::obj([
+                ("job", Json::num(d.job as u64)),
+                ("kind", Json::str(d.kind)),
+                ("reason", Json::str(&d.reason)),
+            ])
+        });
+        Json::obj([
+            ("kind", Json::str("degraded-farm")),
+            ("degraded", Json::Arr(degraded.collect())),
+            ("merged", self.merged.json()),
+        ])
     }
+
+    /// Renders the deterministic JSON report (no timing, no worker
+    /// count): byte-identical for every worker count. A clean campaign
+    /// run is byte-identical to the unsharded engine's
+    /// [`DetectionMatrix::to_json`].
+    pub fn to_json(&self) -> String {
+        self.json().render_pretty(Self::ROWS)
+    }
+
+    /// The arrays [`Self::to_json`] lays out one element per line: the
+    /// degraded shards, the matrix cells, the merged bins and the
+    /// explore runs.
+    pub const ROWS: &'static [&'static str] = &["degraded", "matrix", "bins", "runs"];
 }
 
 /// The merged body of a farm report, one variant per plan kind.
@@ -734,84 +806,12 @@ pub enum MergedReport {
 }
 
 impl MergedReport {
-    /// Renders the deterministic JSON body (no timing, no worker
-    /// count).
-    pub fn to_json(&self) -> String {
+    /// The merged body as a JSON value (no timing, no worker count).
+    pub fn json(&self) -> Json {
         match self {
-            MergedReport::Campaign(m) => m.to_json(),
-            MergedReport::Closure(r) => {
-                let bins = r
-                    .bins
-                    .iter()
-                    .map(|(name, s)| {
-                        format!(
-                            "    {{\"bin\": \"{name}\", \"tier\": {}, \"hits\": {}, \
-                             \"first_hit\": {}}}",
-                            s.tier,
-                            s.hits,
-                            opt_u64(s.first_hit)
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(",\n");
-                format!(
-                    "{{\n  \"kind\": \"closure-farm\",\n  \"banks\": {},\n  \"burst\": {},\n  \
-                     \"guided\": {},\n  \"seed\": {},\n  \"jobs\": {},\n  \
-                     \"streams_per_job\": {},\n  \"lane_cycles\": {},\n  \"bins_total\": {},\n  \
-                     \"bins_hit\": {},\n  \"tier1_total\": {},\n  \"tier1_hit\": {},\n  \
-                     \"closed\": {},\n  \"cycles_to_closure\": {},\n  \"total_hits\": {},\n  \
-                     \"unhit\": [{}],\n  \"bins\": [\n{bins}\n  ]\n}}\n",
-                    r.banks,
-                    r.burst,
-                    r.guided,
-                    r.seed,
-                    r.jobs,
-                    r.streams_per_job,
-                    r.lane_cycles,
-                    r.bins_total,
-                    r.bins_hit,
-                    r.tier1_total,
-                    r.tier1_hit,
-                    r.closed,
-                    opt_u64(r.cycles_to_closure),
-                    r.total_hits,
-                    la1_core::json::str_array_body(&r.unhit)
-                )
-            }
-            MergedReport::Explore(r) => {
-                let runs = r
-                    .runs
-                    .iter()
-                    .map(|s| {
-                        format!(
-                            "    {{\"banks\": {}, \"states\": {}, \"transitions\": {}, \
-                             \"max_depth_reached\": {}, \"complete\": {}, \"budget\": {}, \
-                             \"all_pass\": {}}}",
-                            s.banks,
-                            s.states,
-                            s.transitions,
-                            s.max_depth_reached,
-                            s.complete,
-                            match &s.budget {
-                                Some(b) => format!("\"{b}\""),
-                                None => "null".to_string(),
-                            },
-                            s.all_pass
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(",\n");
-                format!(
-                    "{{\n  \"kind\": \"explore-farm\",\n  \"jobs\": {},\n  \"states\": {},\n  \
-                     \"transitions\": {},\n  \"complete\": {},\n  \"all_pass\": {},\n  \
-                     \"runs\": [\n{runs}\n  ]\n}}\n",
-                    r.runs.len(),
-                    r.runs.iter().map(|s| s.states).sum::<usize>(),
-                    r.runs.iter().map(|s| s.transitions).sum::<usize>(),
-                    r.complete(),
-                    r.all_pass()
-                )
-            }
+            MergedReport::Campaign(m) => m.json(),
+            MergedReport::Closure(r) => r.json(),
+            MergedReport::Explore(r) => r.json(),
         }
     }
 }

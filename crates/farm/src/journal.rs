@@ -26,7 +26,7 @@
 //! resumed run must be byte-identical to an uninterrupted one.
 
 use crate::job::{ExploreSummary, FailReason, FarmPlan, JobResult};
-use la1_core::json::{escape, opt_u64, parse, Json};
+use la1_core::json::{parse, FieldError, Json};
 use la1_cover::{BinStat, BinStats, MultiClosureReport};
 use la1_fault::{CellStats, DetectionMatrix, MonitorStat};
 use std::collections::BTreeMap;
@@ -52,12 +52,17 @@ impl Journal {
     /// the header line.
     pub fn create(path: &Path, plan: &FarmPlan) -> std::io::Result<Journal> {
         let mut file = File::create(path)?;
-        let header = format!(
-            "{{\"kind\": \"farm-journal\", \"version\": {JOURNAL_VERSION}, \
-             \"fingerprint\": \"{:016x}\", \"jobs\": {}}}\n",
-            plan.fingerprint(),
-            plan.jobs().len()
-        );
+        let mut header = Json::obj([
+            ("kind", Json::str("farm-journal")),
+            ("version", Json::num(JOURNAL_VERSION)),
+            (
+                "fingerprint",
+                Json::str(format!("{:016x}", plan.fingerprint())),
+            ),
+            ("jobs", Json::num(plan.jobs().len() as u64)),
+        ])
+        .render();
+        header.push('\n');
         file.write_all(header.as_bytes())?;
         file.flush()?;
         Ok(Journal {
@@ -84,10 +89,13 @@ impl Journal {
     /// Appends one committed result, flushed so a crash right after
     /// the commit point still finds the line on recovery.
     pub fn append(&mut self, job: usize, attempts: u32, result: &JobResult) {
-        let line = format!(
-            "{{\"job\": {job}, \"attempts\": {attempts}, \"result\": {}}}\n",
-            result_to_json(result)
-        );
+        let mut line = Json::obj([
+            ("job", Json::num(job as u64)),
+            ("attempts", Json::num(attempts as u64)),
+            ("result", result_json(result)),
+        ])
+        .render();
+        line.push('\n');
         self.append_line(&line);
     }
 
@@ -192,9 +200,9 @@ pub fn load(path: &Path, plan: &FarmPlan) -> Result<Recovered, JournalError> {
                 return Err(JournalError::PlanMismatch {
                     found: format!(
                         "version {} fingerprint {} jobs {}",
-                        opt_u64(version),
+                        Json::opt_num(version).render(),
                         fp.unwrap_or("?"),
-                        opt_u64(jobs)
+                        Json::opt_num(jobs).render()
                     ),
                     expected: format!(
                         "version {JOURNAL_VERSION} fingerprint {expected_fp} jobs {njobs}"
@@ -202,18 +210,17 @@ pub fn load(path: &Path, plan: &FarmPlan) -> Result<Recovered, JournalError> {
                 });
             }
         } else {
-            let job = parsed.get("job").and_then(Json::as_u64);
-            let attempts = parsed.get("attempts").and_then(Json::as_u64);
-            let result = parsed.get("result").and_then(result_from_json);
-            let (Some(job), Some(attempts), Some(result)) = (job, attempts, result) else {
+            // a mistyped or out-of-range field is corruption like any
+            // other: trust only the lines before it
+            let Ok((job, attempts, result)) = read_entry(&parsed) else {
                 break;
             };
             // commits are strictly in job-id order; a gap means the
             // line belongs to some other history — stop trusting here
-            if job as usize != results.len() || results.len() >= njobs {
+            if job != results.len() || results.len() >= njobs {
                 break;
             }
-            results.push((result, attempts as u32));
+            results.push((result, attempts));
         }
         valid_bytes += line.len() as u64;
     }
@@ -223,6 +230,12 @@ pub fn load(path: &Path, plan: &FarmPlan) -> Result<Recovered, JournalError> {
     })
 }
 
+/// One result line: `(job, attempts, result)`.
+fn read_entry(line: &Json) -> Result<(usize, u32, JobResult), FieldError> {
+    let result = result_from_json(line.field("result")?)?;
+    Ok((line.at("job")?, line.at("attempts")?, result))
+}
+
 // ---------------------------------------------------------------------
 // full-fidelity result payloads
 
@@ -230,235 +243,189 @@ pub fn load(path: &Path, plan: &FarmPlan) -> Result<Recovered, JournalError> {
 /// field the merge and the serve record consume — the journal's
 /// round-trip contract ([`result_from_json`] inverts it exactly).
 pub fn result_to_json(result: &JobResult) -> String {
+    result_json(result).render()
+}
+
+/// The payload [`result_to_json`] renders: the result kind, then the
+/// result's own fields.
+fn result_json(result: &JobResult) -> Json {
+    let tagged = |body: Json, extra: Option<(&str, Json)>| {
+        let mut fields = vec![("kind".to_string(), Json::str(result.kind()))];
+        if let Json::Obj(body) = body {
+            fields.extend(body);
+        }
+        fields.extend(extra.map(|(k, v)| (k.to_string(), v)));
+        Json::Obj(fields)
+    };
     match result {
         JobResult::Campaign(m) => {
-            let cells = m
-                .cells
-                .iter()
-                .flat_map(|(fault, levels)| {
-                    levels.iter().map(move |(level, cell)| {
-                        let monitors = cell
-                            .monitors
-                            .iter()
-                            .map(|(name, s)| {
-                                format!(
-                                    "{{\"name\": \"{}\", \"detected\": {}, \"latency_sum\": {}}}",
-                                    escape(name),
-                                    s.detected,
-                                    s.latency_sum
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                            .join(", ");
-                        format!(
-                            "{{\"fault\": \"{}\", \"level\": \"{}\", \"runs\": {}, \
-                             \"hung\": {}, \"monitors\": [{monitors}]}}",
-                            escape(fault),
-                            escape(level),
-                            cell.runs,
-                            cell.hung
-                        )
-                    })
+            let cells = m.cells.iter().flat_map(|(fault, levels)| {
+                levels.iter().map(move |(level, cell)| {
+                    let monitors = cell.monitors.iter().map(|(name, s)| {
+                        Json::obj([
+                            ("name", Json::str(name)),
+                            ("detected", Json::num(s.detected as u64)),
+                            ("latency_sum", Json::num(s.latency_sum)),
+                        ])
+                    });
+                    Json::obj([
+                        ("fault", Json::str(fault)),
+                        ("level", Json::str(level)),
+                        ("runs", Json::num(cell.runs as u64)),
+                        ("hung", Json::num(cell.hung as u64)),
+                        ("monitors", Json::Arr(monitors.collect())),
+                    ])
                 })
-                .collect::<Vec<_>>()
-                .join(", ");
-            let healthy = m
-                .healthy
-                .iter()
-                .map(|(level, ok)| format!("{{\"level\": \"{}\", \"ok\": {ok}}}", escape(level)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let disagreements = m
-                .disagreements
-                .iter()
-                .map(|d| format!("\"{}\"", escape(d)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                "{{\"kind\": \"campaign\", \"banks\": {}, \"seed\": {}, \
-                 \"runs_per_fault\": {}, \"cells\": [{cells}], \"healthy\": [{healthy}], \
-                 \"disagreements\": [{disagreements}]}}",
-                m.banks, m.seed, m.runs_per_fault
+            });
+            let healthy = m.healthy.iter().map(|(level, ok)| {
+                Json::obj([("level", Json::str(level)), ("ok", Json::Bool(*ok))])
+            });
+            tagged(
+                Json::obj([
+                    ("banks", Json::num(m.banks as u64)),
+                    ("seed", Json::num(m.seed)),
+                    ("runs_per_fault", Json::num(m.runs_per_fault as u64)),
+                    ("cells", Json::Arr(cells.collect())),
+                    ("healthy", Json::Arr(healthy.collect())),
+                    ("disagreements", Json::str_arr(&m.disagreements)),
+                ]),
+                None,
             )
         }
         JobResult::Closure(r) => {
-            let bins = r
-                .bins
-                .iter()
-                .map(|(name, s)| {
-                    format!(
-                        "{{\"name\": \"{}\", \"tier\": {}, \"hits\": {}, \"first_hit\": {}}}",
-                        escape(name),
-                        s.tier,
-                        s.hits,
-                        opt_u64(s.first_hit)
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
-            let unhit = r
-                .unhit
-                .iter()
-                .map(|u| format!("\"{}\"", escape(u)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                "{{\"kind\": \"closure\", \"banks\": {}, \"burst\": {}, \"guided\": {}, \
-                 \"seed\": {}, \"streams\": {}, \"budget\": {}, \"cycles_run\": {}, \
-                 \"lane_cycles\": {}, \"bins_total\": {}, \"bins_hit\": {}, \
-                 \"tier1_total\": {}, \"tier1_hit\": {}, \"closed\": {}, \
-                 \"cycles_to_closure\": {}, \"unhit\": [{unhit}], \"bins\": [{bins}]}}",
-                r.banks,
-                r.burst,
-                r.guided,
-                r.seed,
-                r.streams,
-                r.budget,
-                r.cycles_run,
-                r.lane_cycles,
-                r.bins_total,
-                r.bins_hit,
-                r.tier1_total,
-                r.tier1_hit,
-                r.closed,
-                opt_u64(r.cycles_to_closure)
-            )
+            let bins = r.bins.iter().map(|(name, s)| {
+                Json::obj([
+                    ("name", Json::str(name)),
+                    ("tier", Json::num(s.tier as u64)),
+                    ("hits", Json::num(s.hits)),
+                    ("first_hit", Json::opt_num(s.first_hit)),
+                ])
+            });
+            tagged(r.json(), Some(("bins", Json::Arr(bins.collect()))))
         }
-        JobResult::Explore(s) => format!(
-            "{{\"kind\": \"explore\", \"banks\": {}, \"states\": {}, \"transitions\": {}, \
-             \"max_depth_reached\": {}, \"complete\": {}, \"budget\": {}, \"all_pass\": {}}}",
-            s.banks,
-            s.states,
-            s.transitions,
-            s.max_depth_reached,
-            s.complete,
-            match &s.budget {
-                Some(b) => format!("\"{}\"", escape(b)),
-                None => "null".to_string(),
-            },
-            s.all_pass
-        ),
+        JobResult::Explore(s) => tagged(s.json(), None),
         JobResult::Failed { job, reason } => {
             let (kind, detail) = match reason {
-                FailReason::Panic(msg) => ("panic", format!("\"{}\"", escape(msg))),
-                FailReason::Timeout { budget_ms } => ("timeout", budget_ms.to_string()),
+                FailReason::Panic(msg) => ("panic", Json::str(msg)),
+                FailReason::Timeout { budget_ms } => ("timeout", Json::num(*budget_ms)),
             };
-            format!(
-                "{{\"kind\": \"failed\", \"job\": {job}, \"reason\": \"{kind}\", \
-                 \"detail\": {detail}}}"
+            tagged(
+                Json::obj([
+                    ("job", Json::num(*job as u64)),
+                    ("reason", Json::str(kind)),
+                    ("detail", detail),
+                ]),
+                None,
             )
         }
     }
 }
 
-/// Deserializes a [`result_to_json`] payload; `None` on any missing or
-/// mistyped field (the caller treats the line — and the rest of the
-/// journal — as torn).
-pub fn result_from_json(v: &Json) -> Option<JobResult> {
-    match v.get("kind")?.as_str()? {
+/// Deserializes a [`result_to_json`] payload.
+///
+/// # Errors
+///
+/// A [`FieldError`] for any missing or mistyped field — a count that
+/// does not fit its type included — or an unknown `kind` (the caller
+/// treats the line, and the rest of the journal, as torn).
+pub fn result_from_json(v: &Json) -> Result<JobResult, FieldError> {
+    match v.at::<String>("kind")?.as_str() {
         "campaign" => {
             let mut cells: BTreeMap<String, BTreeMap<String, CellStats>> = BTreeMap::new();
-            for cell in v.get("cells")?.as_arr()? {
-                let fault = cell.get("fault")?.as_str()?.to_string();
-                let level = cell.get("level")?.as_str()?.to_string();
+            for cell in v.arr("cells")? {
                 let mut monitors = BTreeMap::new();
-                for m in cell.get("monitors")?.as_arr()? {
+                for m in cell.arr("monitors")? {
                     monitors.insert(
-                        m.get("name")?.as_str()?.to_string(),
+                        m.at("name")?,
                         MonitorStat {
-                            detected: m.get("detected")?.as_u64()? as u32,
-                            latency_sum: m.get("latency_sum")?.as_u64()?,
+                            detected: m.at("detected")?,
+                            latency_sum: m.at("latency_sum")?,
                         },
                     );
                 }
-                cells.entry(fault).or_default().insert(
-                    level,
+                cells.entry(cell.at("fault")?).or_default().insert(
+                    cell.at("level")?,
                     CellStats {
-                        runs: cell.get("runs")?.as_u64()? as u32,
-                        hung: cell.get("hung")?.as_u64()? as u32,
+                        runs: cell.at("runs")?,
+                        hung: cell.at("hung")?,
                         monitors,
                     },
                 );
             }
             let mut healthy = BTreeMap::new();
-            for h in v.get("healthy")?.as_arr()? {
-                healthy.insert(h.get("level")?.as_str()?.to_string(), h.get("ok")?.as_bool()?);
+            for h in v.arr("healthy")? {
+                healthy.insert(h.at("level")?, h.at("ok")?);
             }
-            let disagreements = v
-                .get("disagreements")?
-                .as_arr()?
-                .iter()
-                .map(|d| d.as_str().map(str::to_string))
-                .collect::<Option<Vec<_>>>()?;
-            Some(JobResult::Campaign(DetectionMatrix {
-                banks: v.get("banks")?.as_u64()? as u32,
-                seed: v.get("seed")?.as_u64()?,
-                runs_per_fault: v.get("runs_per_fault")?.as_u64()? as u32,
+            Ok(JobResult::Campaign(DetectionMatrix {
+                banks: v.at("banks")?,
+                seed: v.at("seed")?,
+                runs_per_fault: v.at("runs_per_fault")?,
                 cells,
                 healthy,
-                disagreements,
+                disagreements: v.at("disagreements")?,
             }))
         }
         "closure" => {
             let mut bins = BinStats::new();
-            for b in v.get("bins")?.as_arr()? {
+            for b in v.arr("bins")? {
                 bins.insert(
-                    b.get("name")?.as_str()?.to_string(),
+                    b.at("name")?,
                     BinStat {
-                        tier: b.get("tier")?.as_u64()? as u32,
-                        hits: b.get("hits")?.as_u64()?,
-                        first_hit: b.get("first_hit")?.as_opt_u64()?,
+                        tier: b.at("tier")?,
+                        hits: b.at("hits")?,
+                        first_hit: b.at("first_hit")?,
                     },
                 );
             }
-            let unhit = v
-                .get("unhit")?
-                .as_arr()?
-                .iter()
-                .map(|u| u.as_str().map(str::to_string))
-                .collect::<Option<Vec<_>>>()?;
-            Some(JobResult::Closure(MultiClosureReport {
-                banks: v.get("banks")?.as_u64()? as u32,
-                burst: v.get("burst")?.as_bool()?,
-                guided: v.get("guided")?.as_bool()?,
-                seed: v.get("seed")?.as_u64()?,
-                streams: v.get("streams")?.as_u64()? as u32,
-                budget: v.get("budget")?.as_u64()?,
-                cycles_run: v.get("cycles_run")?.as_u64()?,
-                lane_cycles: v.get("lane_cycles")?.as_u64()?,
-                bins_total: v.get("bins_total")?.as_u64()? as usize,
-                bins_hit: v.get("bins_hit")?.as_u64()? as usize,
-                tier1_total: v.get("tier1_total")?.as_u64()? as usize,
-                tier1_hit: v.get("tier1_hit")?.as_u64()? as usize,
-                closed: v.get("closed")?.as_bool()?,
-                cycles_to_closure: v.get("cycles_to_closure")?.as_opt_u64()?,
-                unhit,
+            Ok(JobResult::Closure(MultiClosureReport {
+                banks: v.at("banks")?,
+                burst: v.at("burst")?,
+                guided: v.at("guided")?,
+                seed: v.at("seed")?,
+                streams: v.at("streams")?,
+                budget: v.at("budget")?,
+                cycles_run: v.at("cycles_run")?,
+                lane_cycles: v.at("lane_cycles")?,
+                bins_total: v.at("bins_total")?,
+                bins_hit: v.at("bins_hit")?,
+                tier1_total: v.at("tier1_total")?,
+                tier1_hit: v.at("tier1_hit")?,
+                closed: v.at("closed")?,
+                cycles_to_closure: v.at("cycles_to_closure")?,
+                unhit: v.at("unhit")?,
                 bins,
             }))
         }
-        "explore" => Some(JobResult::Explore(ExploreSummary {
-            banks: v.get("banks")?.as_u64()? as u32,
-            states: v.get("states")?.as_u64()? as usize,
-            transitions: v.get("transitions")?.as_u64()? as usize,
-            max_depth_reached: v.get("max_depth_reached")?.as_u64()? as usize,
-            complete: v.get("complete")?.as_bool()?,
-            budget: match v.get("budget")? {
-                Json::Null => None,
-                b => Some(b.as_str()?.to_string()),
-            },
-            all_pass: v.get("all_pass")?.as_bool()?,
+        "explore" => Ok(JobResult::Explore(ExploreSummary {
+            banks: v.at("banks")?,
+            states: v.at("states")?,
+            transitions: v.at("transitions")?,
+            max_depth_reached: v.at("max_depth_reached")?,
+            complete: v.at("complete")?,
+            budget: v.at("budget")?,
+            all_pass: v.at("all_pass")?,
         })),
         "failed" => {
-            let job = v.get("job")?.as_u64()? as usize;
-            let reason = match v.get("reason")?.as_str()? {
-                "panic" => FailReason::Panic(v.get("detail")?.as_str()?.to_string()),
+            let reason = match v.at::<String>("reason")?.as_str() {
+                "panic" => FailReason::Panic(v.at("detail")?),
                 "timeout" => FailReason::Timeout {
-                    budget_ms: v.get("detail")?.as_u64()?,
+                    budget_ms: v.at("detail")?,
                 },
-                _ => return None,
+                _ => return Err(unknown("reason")),
             };
-            Some(JobResult::Failed { job, reason })
+            Ok(JobResult::Failed {
+                job: v.at("job")?,
+                reason,
+            })
         }
-        _ => None,
+        _ => Err(unknown("kind")),
+    }
+}
+
+/// The error for a tag no decoder knows.
+fn unknown(key: &str) -> FieldError {
+    FieldError {
+        key: key.to_string(),
+        wanted: Some("known tag"),
     }
 }

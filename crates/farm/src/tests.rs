@@ -453,6 +453,41 @@ fn journaled_failures_replay_as_failures() {
     let _ = std::fs::remove_file(&path);
 }
 
+#[test]
+fn journal_rejects_out_of_range_counts() {
+    let plan = small_campaign_plan(2, false);
+    let path = scratch("out-of-range");
+    let mut journal = Journal::create(&path, &plan).expect("create journal");
+    plan.run_with(
+        1,
+        &RunPolicy::default(),
+        None,
+        Some(&mut journal),
+        |_, _, _| {},
+    );
+    drop(journal);
+    let text = std::fs::read_to_string(&path).expect("read journal");
+    let header_len = text.find('\n').expect("header line") + 1;
+    let first_len = text[header_len..].find('\n').expect("first result line") + 1;
+    let (header, rest) = text.split_at(header_len);
+    let (first, tail) = rest.split_at(first_len);
+    // 2^32 + 1 would wrap to 1 in a u32; the typed reader refuses it,
+    // so the line counts as corrupt and nothing from it on replays
+    for (from, to) in [
+        ("\"runs\": 1,", "\"runs\": 4294967297,"),
+        ("\"attempts\": 1,", "\"attempts\": 4294967297,"),
+        ("\"banks\": 1,", "\"banks\": 4294967297,"),
+    ] {
+        assert!(first.contains(from), "first result lacks {from}");
+        let patched = format!("{header}{}{tail}", first.replacen(from, to, 1));
+        std::fs::write(&path, patched).expect("write patched journal");
+        let recovered = crate::journal::load(&path, &plan).expect("header still matches");
+        assert_eq!(recovered.results.len(), 0, "{to} was accepted");
+        assert_eq!(recovered.valid_bytes, header_len as u64);
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 #[cfg(feature = "proptest")]
 mod props {
     use super::*;

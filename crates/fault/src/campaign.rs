@@ -30,6 +30,7 @@ use crate::models::{FaultModel, FaultPlan, HostileMasterSeq, Injector};
 use la1_core::asm_model::LaAsmModel;
 use la1_core::checkpoint::Trace;
 use la1_core::cycle_model::{CycleModel, RtlWithOvl};
+use la1_core::json::Json;
 use la1_core::rtl_model::{LaRtl, LaRtlDriver, XPin};
 use la1_core::sc_model::LaSystemC;
 use la1_core::spec::{BankOp, LaConfig, READ_LATENCY};
@@ -422,67 +423,53 @@ impl DetectionMatrix {
         out
     }
 
-    /// Serializes the matrix as deterministic JSON (ordered keys, no
-    /// timing data): the same seed and config give byte-identical
-    /// output.
-    pub fn to_json(&self) -> String {
-        self.to_json_with_perf(None)
-    }
-
-    /// [`Self::to_json`] with an optional `"perf"` object appended —
-    /// throughput figures are wall-clock measurements, so they live
-    /// outside the deterministic core (passing `None` reproduces
-    /// [`Self::to_json`] byte-for-byte, golden files included).
-    pub fn to_json_with_perf(&self, perf: Option<&str>) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"banks\": {},\n", self.banks));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"runs_per_fault\": {},\n", self.runs_per_fault));
-        out.push_str("  \"matrix\": [\n");
+    /// The matrix as a JSON value: one row per (fault, level) cell in
+    /// key order, no timing data.
+    pub fn json(&self) -> Json {
         let mut rows = Vec::new();
         for (fault, levels) in &self.cells {
             for (level, cell) in levels {
-                let monitors = cell
-                    .monitors
-                    .iter()
-                    .map(|(name, m)| {
-                        format!(
-                            "{{\"monitor\": \"{name}\", \"detected\": {}, \"mean_latency\": {:.1}}}",
-                            m.detected,
-                            m.latency_sum as f64 / m.detected.max(1) as f64
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                rows.push(format!(
-                    "    {{\"fault\": \"{fault}\", \"level\": \"{level}\", \"runs\": {}, \"hung\": {}, \"monitors\": [{monitors}]}}",
-                    cell.runs, cell.hung
-                ));
+                let monitors = cell.monitors.iter().map(|(name, m)| {
+                    Json::obj([
+                        ("monitor", Json::str(name)),
+                        ("detected", Json::num(m.detected as u64)),
+                        (
+                            "mean_latency",
+                            Json::fixed(m.latency_sum as f64 / m.detected.max(1) as f64, 1),
+                        ),
+                    ])
+                });
+                rows.push(Json::obj([
+                    ("fault", Json::str(fault)),
+                    ("level", Json::str(level)),
+                    ("runs", Json::num(cell.runs as u64)),
+                    ("hung", Json::num(cell.hung as u64)),
+                    ("monitors", Json::Arr(monitors.collect())),
+                ]));
             }
         }
-        out.push_str(&rows.join(",\n"));
-        out.push_str("\n  ],\n");
-        out.push_str("  \"healthy\": [");
         let healthy = self
             .healthy
             .iter()
-            .map(|(level, ok)| format!("{{\"level\": \"{level}\", \"ok\": {ok}}}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&healthy);
-        out.push_str("],\n");
-        out.push_str("  \"disagreements\": [");
-        out.push_str(&la1_core::json::str_array_body(&self.disagreements));
-        match perf {
-            Some(perf) => {
-                out.push_str("],\n");
-                out.push_str(&format!("  \"perf\": {perf}\n}}\n"));
-            }
-            None => out.push_str("]\n}\n"),
-        }
-        out
+            .map(|(level, ok)| Json::obj([("level", Json::str(level)), ("ok", Json::Bool(*ok))]));
+        Json::obj([
+            ("banks", Json::num(self.banks as u64)),
+            ("seed", Json::num(self.seed)),
+            ("runs_per_fault", Json::num(self.runs_per_fault as u64)),
+            ("matrix", Json::Arr(rows)),
+            ("healthy", Json::Arr(healthy.collect())),
+            ("disagreements", Json::str_arr(&self.disagreements)),
+        ])
     }
+
+    /// Serializes the matrix as deterministic JSON, one cell per line:
+    /// the same seed and config give byte-identical output.
+    pub fn to_json(&self) -> String {
+        self.json().render_pretty(Self::ROWS)
+    }
+
+    /// The arrays [`Self::to_json`] lays out one element per line.
+    pub const ROWS: &'static [&'static str] = &["matrix"];
 }
 
 /// One model at one level, owning everything it simulates.

@@ -79,14 +79,6 @@ impl BatchStats {
             self.rtl_lane_runs, self.groups, self.lanes_retired_early, self.lane_cycles_saved
         )
     }
-
-    /// Deterministic JSON object (no timing data).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"rtl_lane_runs\": {}, \"groups\": {}, \"lanes_retired_early\": {}, \"lane_cycles_saved\": {}}}",
-            self.rtl_lane_runs, self.groups, self.lanes_retired_early, self.lane_cycles_saved
-        )
-    }
 }
 
 /// Which netlist a lane group simulates.

@@ -6,6 +6,13 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 cargo clippy --all-targets -- -D warnings
+# One serialization path (DESIGN.md §14): every JSON document is a
+# `la1_core::json::Json` value laid out by its renderers, so an escaped
+# JSON key in a non-test source anywhere else is JSON built by hand.
+if grep -rn --include=*.rs -E '\\"[A-Za-z0-9_]+\\": ' crates src examples \
+    | grep -v -E '/tests\.rs:|/tests/|crates/core/src/json\.rs:'; then
+    echo "check.sh: JSON built by hand outside la1_core::json" >&2; exit 1
+fi
 # Value-type equivalence gate (DESIGN.md §6): the RTL crate's proptests
 # pin both simulator value types, `LogicVec` and the 64-lane `PackedVec`,
 # kernel by kernel and lane by lane to the `Logic` truth tables.
