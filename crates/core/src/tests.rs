@@ -382,6 +382,22 @@ fn rulebase_read_mode_one_bank_golden() {
     assert_eq!(r.stats.iterations, 11);
 }
 
+/// Extraction numbers the DAG in declaration order, so every call —
+/// in this process or another — yields the same transition system.
+#[test]
+fn extract_is_deterministic() {
+    let rtl = LaRtl::build(&LaConfig::mc_small(2), None);
+    let first = rtl.extract();
+    for _ in 0..10 {
+        let ts = rtl.extract();
+        assert_eq!(ts.nodes, first.nodes);
+        assert_eq!(ts.next, first.next);
+        assert_eq!(ts.init, first.init);
+        assert_eq!(ts.state_bits, first.state_bits);
+        assert_eq!(ts.input_bits, first.input_bits);
+    }
+}
+
 #[test]
 fn rtl_smc_proves_full_suite_small() {
     let cfg = LaConfig::mc_small(1);
