@@ -7,7 +7,9 @@
 //! `follow(pi)`, `pn` final, and the i-th cycle satisfying `guard(pi)`.
 //!
 //! This construction handles all SERE operators without ε-elimination,
-//! including fusion (`:`) and length-matching conjunction (`&&`).
+//! including fusion (`:`) and length-matching conjunction (`&&`). It is
+//! the only one in the workspace: `la1-smc` reads the positions through
+//! [`Nfa`]'s accessors to lay out its monitor circuits.
 
 use crate::ast::{BoolExpr, Sere};
 use crate::Valuation;
@@ -344,6 +346,27 @@ impl Nfa {
     /// Whether the SERE matches the empty trace segment.
     pub fn nullable(&self) -> bool {
         self.nullable
+    }
+
+    /// Guard of position `p`: the Boolean that must hold in the cycle
+    /// the position is visited.
+    pub fn guard(&self, p: usize) -> &BoolExpr {
+        &self.guards[p]
+    }
+
+    /// Positions a match may start in, ascending.
+    pub fn first(&self) -> &[usize] {
+        &self.first
+    }
+
+    /// Positions that may be visited the cycle after position `p`.
+    pub fn follow(&self, p: usize) -> &[usize] {
+        &self.follow[p]
+    }
+
+    /// Whether a match may end in position `p`.
+    pub fn is_last(&self, p: usize) -> bool {
+        self.last[p]
     }
 
     pub(crate) fn new_active(&self) -> BitSet {

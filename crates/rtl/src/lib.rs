@@ -23,7 +23,8 @@
 //!   stimulus lanes per slot in a [`PackedVec`]);
 //! * [`TransitionSystem`] — a bit-blasted next-state-function view of a
 //!   two-valued netlist for the `la1-smc` symbolic model checker
-//!   ([`Netlist::extract`]);
+//!   ([`Netlist::extract`]), built through the hash-consing
+//!   [`BitBuilder`];
 //! * [`Netlist::to_verilog`] — emits the design as synthesizable
 //!   Verilog-2001 text, the flow's final artefact;
 //! * [`VcdWriter`] — IEEE-1364 Value Change Dump output for waveform
@@ -62,7 +63,7 @@ pub use engine::{
     BatchedRtlSim, BatchedRtlState, LaneProbe, RtlProbe, RtlSim, RtlState, SettleMode, Sim,
     SimState,
 };
-pub use extract::{BitExpr, BitId, TransitionSystem};
+pub use extract::{BitBuilder, BitExpr, BitId, TransitionSystem};
 pub use logic::{Logic, LogicVec};
 pub use netlist::{Edge, Expr, Item, NetId, NetKind, Netlist};
 pub use packed::{PackedVec, LANES};

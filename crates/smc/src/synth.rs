@@ -6,11 +6,11 @@
 //! `AG !fail` — the construction commercial formal tools apply to PSL's
 //! simple subset.
 
-use la1_psl::{BoolExpr, Property, Sere};
-use la1_rtl::{BitExpr, BitId, TransitionSystem};
-use std::collections::HashMap;
+use la1_psl::{BoolExpr, Nfa, Property, Sere};
+use la1_rtl::{BitBuilder, BitId, TransitionSystem};
 use std::error::Error;
 use std::fmt;
+use std::mem::take;
 
 /// Error for properties outside the supported safety subset
 /// (strong/liveness operators need fairness machinery RuleBase-era
@@ -40,76 +40,24 @@ pub(crate) struct SynthesizedMonitor {
     pub(crate) fail: BitId,
 }
 
-/// Node builder over a transition system's DAG (mirrors the private
-/// builder in `la1-rtl` with light constant folding).
+/// A transition system being extended with monitor state: `dag` holds
+/// its nodes (taken out of `ts`) while the monitor is built.
 struct TsBuilder {
     ts: TransitionSystem,
-    dedup: HashMap<BitExpr, BitId>,
+    dag: BitBuilder,
 }
 
 impl TsBuilder {
     fn new(ts: &TransitionSystem) -> Self {
-        let ts = ts.clone();
-        let dedup = ts
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i as BitId))
-            .collect();
-        TsBuilder { ts, dedup }
+        let mut ts = ts.clone();
+        let dag = BitBuilder::from_nodes(take(&mut ts.nodes));
+        TsBuilder { ts, dag }
     }
 
-    fn mk(&mut self, e: BitExpr) -> BitId {
-        if let Some(&id) = self.dedup.get(&e) {
-            return id;
-        }
-        let id = self.ts.nodes.len() as BitId;
-        self.ts.nodes.push(e);
-        self.dedup.insert(e, id);
-        id
-    }
-
-    fn konst(&mut self, b: bool) -> BitId {
-        self.mk(BitExpr::Const(b))
-    }
-
-    fn not(&mut self, a: BitId) -> BitId {
-        match self.ts.nodes[a as usize] {
-            BitExpr::Const(b) => self.konst(!b),
-            BitExpr::Not(x) => x,
-            _ => self.mk(BitExpr::Not(a)),
-        }
-    }
-
-    fn and(&mut self, a: BitId, b: BitId) -> BitId {
-        match (self.ts.nodes[a as usize], self.ts.nodes[b as usize]) {
-            (BitExpr::Const(false), _) | (_, BitExpr::Const(false)) => self.konst(false),
-            (BitExpr::Const(true), _) => b,
-            (_, BitExpr::Const(true)) => a,
-            _ if a == b => a,
-            _ => self.mk(BitExpr::And(a.min(b), a.max(b))),
-        }
-    }
-
-    fn or(&mut self, a: BitId, b: BitId) -> BitId {
-        match (self.ts.nodes[a as usize], self.ts.nodes[b as usize]) {
-            (BitExpr::Const(true), _) | (_, BitExpr::Const(true)) => self.konst(true),
-            (BitExpr::Const(false), _) => b,
-            (_, BitExpr::Const(false)) => a,
-            _ if a == b => a,
-            _ => self.mk(BitExpr::Or(a.min(b), a.max(b))),
-        }
-    }
-
-    fn xor(&mut self, a: BitId, b: BitId) -> BitId {
-        match (self.ts.nodes[a as usize], self.ts.nodes[b as usize]) {
-            (BitExpr::Const(false), _) => b,
-            (_, BitExpr::Const(false)) => a,
-            (BitExpr::Const(true), _) => self.not(b),
-            (_, BitExpr::Const(true)) => self.not(a),
-            _ if a == b => self.konst(false),
-            _ => self.mk(BitExpr::Xor(a.min(b), a.max(b))),
-        }
+    fn finish(self) -> TransitionSystem {
+        let mut ts = self.ts;
+        ts.nodes = self.dag.into_nodes();
+        ts
     }
 
     /// Adds a monitor register; its next-state function must be patched
@@ -122,7 +70,7 @@ impl TsBuilder {
         self.ts.state_bits.push(name);
         self.ts.init.push(init);
         // placeholder next (hold); fixed up by set_next
-        let cur = self.mk(BitExpr::Var(var));
+        let cur = self.dag.var(var);
         self.ts.next.push(cur);
         (state_index, cur)
     }
@@ -162,38 +110,40 @@ impl TsBuilder {
 
     fn bool_expr(&mut self, e: &BoolExpr) -> Result<BitId, UnsupportedPropertyError> {
         Ok(match e {
-            BoolExpr::Const(b) => self.konst(*b),
+            BoolExpr::Const(b) => self.dag.konst(*b),
             BoolExpr::Var(n) => self.atom(n)?,
             BoolExpr::Not(a) => {
                 let x = self.bool_expr(a)?;
-                self.not(x)
+                self.dag.not(x)
             }
             BoolExpr::And(a, b) => {
                 let (x, y) = (self.bool_expr(a)?, self.bool_expr(b)?);
-                self.and(x, y)
+                self.dag.and(x, y)
             }
             BoolExpr::Or(a, b) => {
                 let (x, y) = (self.bool_expr(a)?, self.bool_expr(b)?);
-                self.or(x, y)
+                self.dag.or(x, y)
             }
             BoolExpr::Xor(a, b) => {
                 let (x, y) = (self.bool_expr(a)?, self.bool_expr(b)?);
-                self.xor(x, y)
+                self.dag.xor(x, y)
             }
             BoolExpr::Implies(a, b) => {
                 let (x, y) = (self.bool_expr(a)?, self.bool_expr(b)?);
-                let nx = self.not(x);
-                self.or(nx, y)
+                let nx = self.dag.not(x);
+                self.dag.or(nx, y)
             }
             BoolExpr::Iff(a, b) => {
                 let (x, y) = (self.bool_expr(a)?, self.bool_expr(b)?);
-                let d = self.xor(x, y);
-                self.not(d)
+                let d = self.dag.xor(x, y);
+                self.dag.not(d)
             }
         })
     }
 
-    /// Builds the NFA position registers for a SERE.
+    /// Lays out one register per position of the SERE's [`Nfa`],
+    /// creating nodes position by position and, within a position,
+    /// predecessor by predecessor (the order `golden/circuits.txt` pins).
     ///
     /// Returns `(accepted_now, any_active_now)`: `accepted_now` is true
     /// in every step where a match ends; matches are seeded each step
@@ -204,250 +154,40 @@ impl TsBuilder {
         seed_now: BitId,
         tag: &str,
     ) -> Result<(BitId, BitId), UnsupportedPropertyError> {
-        let nfa = NfaView::build(sere);
+        let nfa = Nfa::from_sere(sere);
+        let n = nfa.num_positions();
         // one register per position: "entered at the previous step"
-        let regs: Vec<(u32, BitId)> = (0..nfa.guards.len())
+        let regs: Vec<(u32, BitId)> = (0..n)
             .map(|i| self.register(format!("psl::{tag}::pos{i}"), false))
             .collect();
-        let mut accepted = self.konst(false);
-        let mut any = self.konst(false);
-        let mut now_active: Vec<BitId> = Vec::with_capacity(regs.len());
-        for (i, guard) in nfa.guards.iter().enumerate() {
-            let g = self.bool_expr(guard)?;
+        let mut accepted = self.dag.konst(false);
+        let mut any = self.dag.konst(false);
+        let mut now_active: Vec<BitId> = Vec::with_capacity(n);
+        for i in 0..n {
+            let g = self.bool_expr(nfa.guard(i))?;
             // entered now if guard holds and (seeded-first or followed)
-            let mut entry = if nfa.first.contains(&i) {
+            let mut entry = if nfa.first().contains(&i) {
                 seed_now
             } else {
-                self.konst(false)
+                self.dag.konst(false)
             };
-            for (j, follows) in nfa.follow.iter().enumerate() {
-                if follows.contains(&i) {
-                    entry = self.or(entry, regs[j].1);
-                }
+            for j in (0..n).filter(|&j| nfa.follow(j).contains(&i)) {
+                entry = self.dag.or(entry, regs[j].1);
             }
-            let act = self.and(g, entry);
+            let act = self.dag.and(g, entry);
             now_active.push(act);
-            if nfa.last[i] {
-                accepted = self.or(accepted, act);
+            if nfa.is_last(i) {
+                accepted = self.dag.or(accepted, act);
             }
-            any = self.or(any, act);
+            any = self.dag.or(any, act);
         }
-        for (i, &(var, _)) in regs.iter().enumerate() {
-            self.set_next(var, now_active[i]);
+        for (&(var, _), &act) in regs.iter().zip(&now_active) {
+            self.set_next(var, act);
         }
-        if nfa.nullable {
-            accepted = self.or(accepted, seed_now);
+        if nfa.nullable() {
+            accepted = self.dag.or(accepted, seed_now);
         }
         Ok((accepted, any))
-    }
-}
-
-/// Minimal re-derivation of the Glushkov construction over `la1-psl`
-/// SEREs (the `Nfa` type in `la1-psl` does not expose its internals;
-/// for circuits we need positions/guards explicitly).
-struct NfaView {
-    guards: Vec<BoolExpr>,
-    first: Vec<usize>,
-    follow: Vec<Vec<usize>>,
-    last: Vec<bool>,
-    nullable: bool,
-}
-
-struct NfaFrag {
-    first: Vec<usize>,
-    last: Vec<usize>,
-    nullable: bool,
-}
-
-impl NfaView {
-    fn build(sere: &Sere) -> NfaView {
-        let mut guards = Vec::new();
-        let mut follow: Vec<Vec<usize>> = Vec::new();
-        let frag = Self::rec(sere, &mut guards, &mut follow);
-        let mut last = vec![false; guards.len()];
-        for &l in &frag.last {
-            last[l] = true;
-        }
-        NfaView {
-            guards,
-            first: frag.first,
-            follow,
-            last,
-            nullable: frag.nullable,
-        }
-    }
-
-    fn rec(sere: &Sere, guards: &mut Vec<BoolExpr>, follow: &mut Vec<Vec<usize>>) -> NfaFrag {
-        let link = |follow: &mut Vec<Vec<usize>>, from: &[usize], to: &[usize]| {
-            for &f in from {
-                for &t in to {
-                    if !follow[f].contains(&t) {
-                        follow[f].push(t);
-                    }
-                }
-            }
-        };
-        match sere {
-            Sere::Bool(b) => {
-                guards.push(b.clone());
-                follow.push(Vec::new());
-                let p = guards.len() - 1;
-                NfaFrag {
-                    first: vec![p],
-                    last: vec![p],
-                    nullable: false,
-                }
-            }
-            Sere::Concat(a, b) => {
-                let fa = Self::rec(a, guards, follow);
-                let fb = Self::rec(b, guards, follow);
-                link(follow, &fa.last, &fb.first);
-                let mut first = fa.first;
-                if fa.nullable {
-                    first.extend_from_slice(&fb.first);
-                }
-                let mut last = fb.last;
-                if fb.nullable {
-                    last.extend_from_slice(&fa.last);
-                }
-                NfaFrag {
-                    first,
-                    last,
-                    nullable: fa.nullable && fb.nullable,
-                }
-            }
-            Sere::Or(a, b) => {
-                let fa = Self::rec(a, guards, follow);
-                let fb = Self::rec(b, guards, follow);
-                NfaFrag {
-                    first: [fa.first, fb.first].concat(),
-                    last: [fa.last, fb.last].concat(),
-                    nullable: fa.nullable || fb.nullable,
-                }
-            }
-            Sere::Fusion(a, b) => {
-                let fa = Self::rec(a, guards, follow);
-                let fb = Self::rec(b, guards, follow);
-                let mut bridge = Vec::new();
-                for &l in &fa.last {
-                    for &f in &fb.first {
-                        let g = BoolExpr::And(
-                            Box::new(guards[l].clone()),
-                            Box::new(guards[f].clone()),
-                        );
-                        guards.push(g);
-                        follow.push(follow[f].clone());
-                        bridge.push((l, f, guards.len() - 1));
-                    }
-                }
-                let snapshot = follow.clone();
-                for &(l, _, p) in &bridge {
-                    for (src, succs) in snapshot.iter().enumerate() {
-                        if succs.contains(&l) && !follow[src].contains(&p) {
-                            follow[src].push(p);
-                        }
-                    }
-                }
-                let mut first = fa.first.clone();
-                let mut last = fb.last.clone();
-                for &(l, f, p) in &bridge {
-                    if fa.first.contains(&l) {
-                        first.push(p);
-                    }
-                    if fb.last.contains(&f) {
-                        last.push(p);
-                    }
-                }
-                NfaFrag {
-                    first,
-                    last,
-                    nullable: false,
-                }
-            }
-            Sere::And(a, b) => {
-                let na = NfaView::build(a);
-                let nb = NfaView::build(b);
-                let base = guards.len();
-                let idx = |pa: usize, pb: usize| base + pa * nb.guards.len() + pb;
-                for ga in &na.guards {
-                    for gb in &nb.guards {
-                        guards.push(BoolExpr::And(Box::new(ga.clone()), Box::new(gb.clone())));
-                        follow.push(Vec::new());
-                    }
-                }
-                for pa in 0..na.guards.len() {
-                    for pb in 0..nb.guards.len() {
-                        for &qa in &na.follow[pa] {
-                            for &qb in &nb.follow[pb] {
-                                follow[idx(pa, pb)].push(idx(qa, qb));
-                            }
-                        }
-                    }
-                }
-                let mut first = Vec::new();
-                for &pa in &na.first {
-                    for &pb in &nb.first {
-                        first.push(idx(pa, pb));
-                    }
-                }
-                let mut last = Vec::new();
-                for pa in 0..na.guards.len() {
-                    for pb in 0..nb.guards.len() {
-                        if na.last[pa] && nb.last[pb] {
-                            last.push(idx(pa, pb));
-                        }
-                    }
-                }
-                NfaFrag {
-                    first,
-                    last,
-                    nullable: na.nullable && nb.nullable,
-                }
-            }
-            Sere::Repeat { sere, min, max } => {
-                if max == &Some(0) {
-                    return NfaFrag {
-                        first: Vec::new(),
-                        last: Vec::new(),
-                        nullable: true,
-                    };
-                }
-                let total = max.unwrap_or(min + 1).max(1);
-                let mut tails: Vec<usize> = Vec::new();
-                let mut first: Vec<usize> = Vec::new();
-                let mut last: Vec<usize> = Vec::new();
-                let mut prefix_nullable = true;
-                let mut inner_nullable = false;
-                for i in 0..total {
-                    let c = Self::rec(sere, guards, follow);
-                    inner_nullable = c.nullable;
-                    link(follow, &tails, &c.first);
-                    if prefix_nullable {
-                        first.extend_from_slice(&c.first);
-                    }
-                    if i + 1 >= *min {
-                        last.extend_from_slice(&c.last);
-                    }
-                    let copy_optional = i >= *min || c.nullable;
-                    if copy_optional {
-                        tails.extend_from_slice(&c.last);
-                    } else {
-                        tails = c.last.clone();
-                    }
-                    if max.is_none() && i + 1 == total {
-                        let lasts = c.last.clone();
-                        let firsts = c.first.clone();
-                        link(follow, &lasts, &firsts);
-                    }
-                    prefix_nullable = prefix_nullable && copy_optional;
-                }
-                NfaFrag {
-                    first,
-                    last,
-                    nullable: *min == 0 || inner_nullable,
-                }
-            }
-        }
     }
 }
 
@@ -459,11 +199,11 @@ pub(crate) fn synthesize(
     tag: &str,
 ) -> Result<SynthesizedMonitor, UnsupportedPropertyError> {
     let mut b = TsBuilder::new(ts);
-    let true_bit = b.konst(true);
+    let true_bit = b.dag.konst(true);
     // the root property is armed once, at step 0, unless wrapped in
     // `always` (PSL: an un-quantified property applies to the first cycle)
     let fail = synth_fail(&mut b, property, true_bit, tag, false)?;
-    Ok(SynthesizedMonitor { ts: b.ts, fail })
+    Ok(SynthesizedMonitor { ts: b.finish(), fail })
 }
 
 /// Returns a bit that is 1 in any step where the property (required to
@@ -480,14 +220,14 @@ fn synth_fail(
         Property::Always(body) => synth_fail(b, body, trigger, tag, true),
         Property::Bool(e) => {
             let v = b.bool_expr(e)?;
-            let nv = b.not(v);
+            let nv = b.dag.not(v);
             let armed = arm(b, trigger, tag, top)?;
-            Ok(b.and(armed, nv))
+            Ok(b.dag.and(armed, nv))
         }
         Property::Implies(cond, body) => {
             let c = b.bool_expr(cond)?;
             let armed = arm(b, trigger, tag, top)?;
-            let t = b.and(armed, c);
+            let t = b.dag.and(armed, c);
             synth_fail_consequent(b, body, t, tag)
         }
         Property::Never(s) => {
@@ -516,7 +256,7 @@ fn synth_fail(
         Property::And(p, q) => {
             let f1 = synth_fail(b, p, trigger, tag, top)?;
             let f2 = synth_fail(b, q, trigger, tag, top)?;
-            Ok(b.or(f1, f2))
+            Ok(b.dag.or(f1, f2))
         }
         Property::Eventually(_) | Property::SereStrong(_) => Err(UnsupportedPropertyError {
             construct: "a strong (liveness) operator".to_string(),
@@ -536,9 +276,9 @@ fn arm(
         return Ok(trigger);
     }
     let (var, cur) = b.register(format!("psl::{tag}::first"), true);
-    let zero = b.konst(false);
+    let zero = b.dag.konst(false);
     b.set_next(var, zero);
-    Ok(b.and(trigger, cur))
+    Ok(b.dag.and(trigger, cur))
 }
 
 /// Fails when `prop`, obligated to hold starting at every step where
@@ -552,18 +292,18 @@ fn synth_fail_consequent(
     match prop {
         Property::Bool(e) => {
             let v = b.bool_expr(e)?;
-            let nv = b.not(v);
-            Ok(b.and(trigger, nv))
+            let nv = b.dag.not(v);
+            Ok(b.dag.and(trigger, nv))
         }
         Property::Implies(cond, body) => {
             let c = b.bool_expr(cond)?;
-            let t = b.and(trigger, c);
+            let t = b.dag.and(trigger, c);
             synth_fail_consequent(b, body, t, tag)
         }
         Property::And(p, q) => {
             let f1 = synth_fail_consequent(b, p, trigger, tag)?;
             let f2 = synth_fail_consequent(b, q, trigger, tag)?;
-            Ok(b.or(f1, f2))
+            Ok(b.dag.or(f1, f2))
         }
         Property::Next { n, strong: _, body } => {
             // shift the obligation n steps (weak and strong coincide on
@@ -587,12 +327,12 @@ fn synth_fail_consequent(
             // active obligation: triggered now or pending from before,
             // not yet released by q
             let (var, pending) = b.register(format!("psl::{tag}::until"), false);
-            let active = b.or(trigger, pending);
-            let nq = b.not(qv);
-            let open = b.and(active, nq);
+            let active = b.dag.or(trigger, pending);
+            let nq = b.dag.not(qv);
+            let open = b.dag.and(active, nq);
             b.set_next(var, open);
-            let np = b.not(pv);
-            Ok(b.and(open, np))
+            let np = b.dag.not(pv);
+            Ok(b.dag.and(open, np))
         }
         Property::Before { p, q, strong } => {
             if *strong {
@@ -605,15 +345,15 @@ fn synth_fail_consequent(
             // obligation open until p occurs (without q); fails when q
             // occurs while p has not
             let (var, pending) = b.register(format!("psl::{tag}::before"), false);
-            let active = b.or(trigger, pending);
-            let nq = b.not(qv);
-            let np = b.not(pv);
-            let still_open = b.and(active, np);
-            let keep = b.and(still_open, nq);
+            let active = b.dag.or(trigger, pending);
+            let nq = b.dag.not(qv);
+            let np = b.dag.not(pv);
+            let still_open = b.dag.and(active, np);
+            let keep = b.dag.and(still_open, nq);
             b.set_next(var, keep);
             // matches the runtime monitor: q arriving while the
             // obligation is open (even together with p) is a failure
-            Ok(b.and(active, qv))
+            Ok(b.dag.and(active, qv))
         }
         Property::SuffixImpl { pre, post, overlap } => {
             let (accepted, _) = b.sere_monitor(pre, trigger, &format!("{tag}::pre2"))?;
@@ -633,7 +373,7 @@ fn synth_fail_consequent(
         Property::Always(body) => {
             // `always` inside a consequent: once triggered, applies forever
             let (var, latched) = b.register(format!("psl::{tag}::latch"), false);
-            let on = b.or(latched, trigger);
+            let on = b.dag.or(latched, trigger);
             b.set_next(var, on);
             synth_fail_consequent(b, body, on, tag)
         }
