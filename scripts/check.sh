@@ -17,10 +17,12 @@ fi
 # pin both simulator value types, `LogicVec` and the 64-lane `PackedVec`,
 # kernel by kernel and lane by lane to the `Logic` truth tables.
 cargo test -q -p la1-rtl --features proptest > /dev/null
-# Crate proptest gate: the core, cover, fault and farm property sweeps,
-# among them SystemC vs RTL on random programs and the checkpoint-restore
+# Crate proptest gate: every other crate's property sweeps, among them
+# the SERE automaton vs a reference matcher, the monitor circuits vs that
+# automaton, SystemC vs RTL on random programs and the checkpoint-restore
 # sweeps that pin both LA-1 driver instances (scalar and 64-lane).
-cargo test -q -p la1-core -p la1-cover -p la1-fault -p la1-farm --features proptest > /dev/null
+cargo test -q -p la1-bdd -p la1-psl -p la1-asm -p la1-eventsim -p la1-smc -p la1-ovl \
+    -p la1-core -p la1-cover -p la1-fault -p la1-farm --features proptest > /dev/null
 
 # Table 3 direction gate: the SystemC-level flow must stay at least as
 # fast per cycle as the RTL+OVL flow at every bank count (the paper's
