@@ -19,12 +19,16 @@
 //!    exhausted — reports **state explosion**, the paper's Table 2
 //!    outcome for the 4-bank configuration.
 //!
+//! Monitor circuits are laid out from `la1-psl`'s [`la1_psl::Nfa`]
+//! positions and hash-consed into the extracted DAG through
+//! [`la1_rtl::BitBuilder`], the builder extraction itself uses.
+//!
 //! Two image-computation strategies are provided:
 //! [`Strategy::Monolithic`] conjoins the whole transition relation up
 //! front (RuleBase-1.5-era behaviour, used for Table 2) and
 //! [`Strategy::Partitioned`] keeps per-bit relations with early
-//! quantification (the ablation showing the limitation is a tool-era
-//! artefact).
+//! quantification (an ablation: on the read-mode instance it explodes
+//! at 3 banks, one bank before the monolithic strategy).
 //!
 //! # Example
 //!

@@ -14,7 +14,9 @@ pub enum Strategy {
     #[default]
     Monolithic,
     /// Per-bit relation partitions with early quantification — the
-    /// ablation showing Table 2's limit is a tool-era artefact.
+    /// Table 2 ablation. On the read-mode instance it peaks higher than
+    /// `Monolithic` (1 and 2 banks) and explodes earlier (3 banks), so
+    /// it does not show the limit to be a tool-era artefact.
     Partitioned,
 }
 
