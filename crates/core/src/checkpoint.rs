@@ -42,7 +42,7 @@ use std::fmt;
 
 use la1_asm::{intern_sym, Value};
 use la1_ovl::{MonitorKind, OvlDynState, OvlInstanceSnap, OvlSnap, OvlViolation, Severity};
-use la1_psl::{MonitorSnap, ObSnap};
+use la1_psl::{MonitorSnap, Obligation, Positions};
 use la1_rtl::{BatchedRtlState, RtlState, LANES};
 
 use crate::asm_model::{AsmSnap, LaAsmModel};
@@ -1095,7 +1095,7 @@ fn enc_monitor(name: &str, m: &MonitorSnap) -> Json {
 }
 
 fn dec_monitor(j: &Json) -> Result<MonitorSnap, String> {
-    let obs: Result<Vec<ObSnap>, String> = j.arr("obs")?.iter().map(dec_ob).collect();
+    let obs: Result<Vec<Obligation>, String> = j.arr("obs")?.iter().map(dec_ob).collect();
     Ok(MonitorSnap {
         obs: obs?,
         cycle: j.at("cycle")?,
@@ -1105,33 +1105,46 @@ fn dec_monitor(j: &Json) -> Result<MonitorSnap, String> {
     })
 }
 
-fn enc_ob(ob: &ObSnap) -> Json {
+fn enc_active(active: &Positions) -> Json {
+    Json::num_arr(active.iter().map(|p| p as u64))
+}
+
+/// Reads an active-position list. The range of each position is the
+/// monitor's to check on restore; here it only has to fit a `usize`.
+fn dec_active(j: &Json) -> Result<Positions, String> {
+    let list: Vec<u64> = j.at("active")?;
+    list.into_iter()
+        .map(|p| usize::try_from(p).map_err(|_| format!("active position {p} out of range")))
+        .collect()
+}
+
+fn enc_ob(ob: &Obligation) -> Json {
     match ob {
-        ObSnap::Always { body } => Json::obj([
+        Obligation::Always { body } => Json::obj([
             ("ob", Json::str("always")),
             ("body", Json::num(*body as u64)),
         ]),
-        ObSnap::Never { sere, active } => Json::obj([
+        Obligation::Never { sere, active } => Json::obj([
             ("ob", Json::str("never")),
             ("sere", Json::num(*sere as u64)),
-            ("active", Json::num_arr(active.iter().copied())),
+            ("active", enc_active(active)),
         ]),
-        ObSnap::Eventually { sere, active } => Json::obj([
+        Obligation::Eventually { sere, active } => Json::obj([
             ("ob", Json::str("eventually")),
             ("sere", Json::num(*sere as u64)),
-            ("active", Json::num_arr(active.iter().copied())),
+            ("active", enc_active(active)),
         ]),
-        ObSnap::SereStrong {
+        Obligation::SereStrong {
             sere,
             active,
             fresh,
         } => Json::obj([
             ("ob", Json::str("sere-strong")),
             ("sere", Json::num(*sere as u64)),
-            ("active", Json::num_arr(active.iter().copied())),
+            ("active", enc_active(active)),
             ("fresh", Json::Bool(*fresh)),
         ]),
-        ObSnap::Defer {
+        Obligation::Defer {
             remaining,
             strong,
             body,
@@ -1141,19 +1154,19 @@ fn enc_ob(ob: &ObSnap) -> Json {
             ("strong", Json::Bool(*strong)),
             ("body", Json::num(*body as u64)),
         ]),
-        ObSnap::Until { p, q, strong } => Json::obj([
+        Obligation::Until { p, q, strong } => Json::obj([
             ("ob", Json::str("until")),
             ("p", Json::num(*p as u64)),
             ("q", Json::num(*q as u64)),
             ("strong", Json::Bool(*strong)),
         ]),
-        ObSnap::Before { p, q, strong } => Json::obj([
+        Obligation::Before { p, q, strong } => Json::obj([
             ("ob", Json::str("before")),
             ("p", Json::num(*p as u64)),
             ("q", Json::num(*q as u64)),
             ("strong", Json::Bool(*strong)),
         ]),
-        ObSnap::SuffixImpl {
+        Obligation::SuffixImpl {
             pre,
             active,
             post,
@@ -1163,7 +1176,7 @@ fn enc_ob(ob: &ObSnap) -> Json {
         } => Json::obj([
             ("ob", Json::str("suffix-impl")),
             ("pre", Json::num(*pre as u64)),
-            ("active", Json::num_arr(active.iter().copied())),
+            ("active", enc_active(active)),
             ("post", Json::num(*post as u64)),
             ("overlap", Json::Bool(*overlap)),
             ("persistent", Json::Bool(*persistent)),
@@ -1172,42 +1185,42 @@ fn enc_ob(ob: &ObSnap) -> Json {
     }
 }
 
-fn dec_ob(j: &Json) -> Result<ObSnap, String> {
+fn dec_ob(j: &Json) -> Result<Obligation, String> {
     match j.field("ob")?.as_str() {
-        Some("always") => Ok(ObSnap::Always {
+        Some("always") => Ok(Obligation::Always {
             body: j.at("body")?,
         }),
-        Some("never") => Ok(ObSnap::Never {
+        Some("never") => Ok(Obligation::Never {
             sere: j.at("sere")?,
-            active: j.at("active")?,
+            active: dec_active(j)?,
         }),
-        Some("eventually") => Ok(ObSnap::Eventually {
+        Some("eventually") => Ok(Obligation::Eventually {
             sere: j.at("sere")?,
-            active: j.at("active")?,
+            active: dec_active(j)?,
         }),
-        Some("sere-strong") => Ok(ObSnap::SereStrong {
+        Some("sere-strong") => Ok(Obligation::SereStrong {
             sere: j.at("sere")?,
-            active: j.at("active")?,
+            active: dec_active(j)?,
             fresh: j.at("fresh")?,
         }),
-        Some("defer") => Ok(ObSnap::Defer {
+        Some("defer") => Ok(Obligation::Defer {
             remaining: j.at("remaining")?,
             strong: j.at("strong")?,
             body: j.at("body")?,
         }),
-        Some("until") => Ok(ObSnap::Until {
+        Some("until") => Ok(Obligation::Until {
             p: j.at("p")?,
             q: j.at("q")?,
             strong: j.at("strong")?,
         }),
-        Some("before") => Ok(ObSnap::Before {
+        Some("before") => Ok(Obligation::Before {
             p: j.at("p")?,
             q: j.at("q")?,
             strong: j.at("strong")?,
         }),
-        Some("suffix-impl") => Ok(ObSnap::SuffixImpl {
+        Some("suffix-impl") => Ok(Obligation::SuffixImpl {
             pre: j.at("pre")?,
-            active: j.at("active")?,
+            active: dec_active(j)?,
             post: j.at("post")?,
             overlap: j.at("overlap")?,
             persistent: j.at("persistent")?,

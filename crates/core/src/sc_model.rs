@@ -27,7 +27,7 @@ use crate::spec::{byte_parity, BankOp, LaConfig};
 use crate::uml::{ClockRef, ObservedMessage};
 use la1_asm::{StepSystem, Value};
 use la1_eventsim::{Signal, Simulator};
-use la1_psl::{BoundMonitor, Directive, Monitor, MonitorSnap, Property};
+use la1_psl::{BoundMonitor, Directive, Monitor, MonitorSnap};
 
 /// Signals of one bank's read and write ports (all `Copy` handles).
 #[derive(Clone, Copy)]
@@ -91,7 +91,7 @@ pub struct LaSystemC {
     k_bar: Signal<bool>,
     banks: Vec<ScBank>,
     internals: Vec<ScBankInternal>,
-    monitors: Vec<(String, Property, BoundMonitor)>,
+    monitors: Vec<(String, BoundMonitor)>,
     monitor_signal_order: Vec<String>,
     violations: Vec<ScViolation>,
     cycles: u64,
@@ -434,11 +434,8 @@ impl LaSystemC {
             .map(String::as_str)
             .collect();
         for d in directives {
-            self.monitors.push((
-                d.name.clone(),
-                d.property.clone(),
-                Monitor::new(&d.property).bind(&names),
-            ));
+            self.monitors
+                .push((d.name.clone(), Monitor::new(&d.property).bind(&names)));
         }
     }
 
@@ -524,7 +521,7 @@ impl LaSystemC {
             self.snapshot.push(bank.wdone.read(&self.sim));
         }
         let snapshot = &self.snapshot;
-        for (name, _, mon) in &mut self.monitors {
+        for (name, mon) in &mut self.monitors {
             let st = mon.step(snapshot);
             if st.is_violation() && !self.violations.iter().any(|v| v.property == *name) {
                 self.violations.push(ScViolation {
@@ -605,8 +602,7 @@ impl LaSystemC {
     ///
     /// # Errors
     ///
-    /// Fails if called mid-delta (only possible from inside a process)
-    /// or if a monitor holds state foreign to its property.
+    /// Fails if called mid-delta (only possible from inside a process).
     pub fn snapshot_state(&self) -> Result<ScSnap, String> {
         if !self.sim.is_settled() {
             return Err("cannot snapshot between delta cycles".to_string());
@@ -645,13 +641,11 @@ impl LaSystemC {
                 sram: st.channel::<Vec<u64>>(inner.sram).clone(),
             });
         }
-        let mut monitors = Vec::with_capacity(self.monitors.len());
-        for (name, prop, mon) in &self.monitors {
-            let snap = mon
-                .snapshot(prop)
-                .map_err(|e| format!("monitor {name}: {e}"))?;
-            monitors.push((name.clone(), snap));
-        }
+        let monitors = self
+            .monitors
+            .iter()
+            .map(|(name, mon)| (name.clone(), mon.snapshot()))
+            .collect();
         Ok(ScSnap {
             k: self.k.read(st),
             k_bar: self.k_bar.read(st),
@@ -673,8 +667,9 @@ impl LaSystemC {
     ///
     /// Every stateful signal is forced to its captured value, channels
     /// and kernel counters are overwritten, and each monitor's
-    /// obligation state is rebuilt against its stored property — no
-    /// delta cycles run, because the snapshot was taken settled.
+    /// obligations are checked against its compiled property and
+    /// installed — no delta cycles run, because the snapshot was taken
+    /// settled.
     ///
     /// # Errors
     ///
@@ -741,20 +736,13 @@ impl LaSystemC {
         *st.channel_mut::<bool>(self.trace_enabled_chan) = snap.trace_enabled;
         *st.channel_mut::<Option<u32>>(self.parity_fault_chan) = snap.parity_fault;
         st.restore_kernel_stats(snap.kernel);
-        let names: Vec<&str> = self
-            .monitor_signal_order
-            .iter()
-            .map(String::as_str)
-            .collect();
-        for ((name, prop, mon), (snap_name, ms)) in
-            self.monitors.iter_mut().zip(&snap.monitors)
-        {
+        for ((name, mon), (snap_name, ms)) in self.monitors.iter_mut().zip(&snap.monitors) {
             if name != snap_name {
                 return Err(format!(
                     "monitor mismatch: model has {name}, snapshot has {snap_name}"
                 ));
             }
-            *mon = BoundMonitor::restore(prop, &names, ms)
+            mon.restore(ms)
                 .map_err(|e| format!("monitor {name}: {e}"))?;
         }
         self.violations.clone_from(&snap.violations);

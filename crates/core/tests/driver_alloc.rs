@@ -1,6 +1,7 @@
 //! Steady-state LA-1 driver cycles must not touch the heap: the op
 //! decode, edge staging and DDR merge of both driver instances work in
-//! place, on top of the simulator's own allocation-free stepping. A
+//! place, on top of the simulator's own allocation-free stepping. The
+//! same holds for the SystemC model with its PSL monitors attached. A
 //! counting global allocator proves it.
 
 #[path = "../../rtl/tests/common/counting_alloc.rs"]
@@ -8,6 +9,7 @@ mod counting_alloc;
 
 use counting_alloc::allocs_on_this_thread;
 use la1_core::rtl_model::{LaRtl, LaRtlBatchDriver, LaRtlDriver};
+use la1_core::sc_model::LaSystemC;
 use la1_core::spec::{BankOp, LaConfig};
 use la1_core::workloads::{RandomMix, Workload};
 use la1_rtl::LANES;
@@ -69,4 +71,22 @@ fn batched_driver_cycles_do_not_allocate() {
             "{banks} bank(s): {allocs} allocations in {CYCLES} cycles"
         );
     }
+}
+
+#[test]
+fn systemc_monitor_cycles_do_not_allocate() {
+    let cfg = LaConfig::new(4);
+    let mut mix = RandomMix::new(&cfg, 0xD21, 0.6, 0.4);
+    let ops: Vec<Vec<BankOp>> = (0..1_100).map(|_| mix.next_cycle()).collect();
+    let mut model = LaSystemC::new(&cfg);
+    model.attach_default_monitors();
+    for cycle in &ops[..100] {
+        model.cycle(cycle);
+    }
+    let before = allocs_on_this_thread();
+    for cycle in &ops[100..] {
+        model.cycle(cycle);
+    }
+    let allocs = allocs_on_this_thread() - before;
+    assert_eq!(allocs, 0, "{allocs} allocations in 1,000 monitored cycles");
 }

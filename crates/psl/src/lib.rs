@@ -54,8 +54,8 @@ mod nfa;
 mod parser;
 
 pub use ast::{BoolExpr, Directive, DirectiveKind, Property, Sere, Severity};
-pub use monitor::{BoundMonitor, Monitor, MonitorSnap, ObSnap, PslState, Verdict};
-pub use nfa::Nfa;
+pub use monitor::{BoundMonitor, Monitor, MonitorSnap, Obligation, PslState, Verdict};
+pub use nfa::{Nfa, Positions};
 pub use parser::{parse_bool_expr, parse_directive, parse_property, parse_sere, ParsePslError};
 
 /// A single-cycle snapshot of signal values, consulted by monitors.
