@@ -14,7 +14,8 @@
 //! * `figure3` — the clock-annotated read-mode sequence diagram,
 //!   checked against an executed trace.
 //!
-//! The Criterion benches in `benches/` time the same code paths.
+//! Timing with medians and spreads lives in the `benchmark` package
+//! under `src/bin/benchmark/`.
 
 use la1_asm::ExploreConfig;
 use la1_core::harness::{asm_model_check, rulebase_read_mode, run_rtl_ovl, run_systemc_abv};
@@ -50,14 +51,9 @@ pub struct Table1Row {
 /// Runs one Table 1 row: model checking of all interface properties
 /// combined, at the ASM level, with a bounded exploration (the AsmL
 /// tool's configuration limits). Uses the explorer's default worker
-/// count (one per core).
+/// count (one per core); results do not depend on it, only `cpu_time`
+/// does.
 pub fn table1_row(banks: u32, max_depth: usize) -> Table1Row {
-    table1_row_with(banks, max_depth, None)
-}
-
-/// [`table1_row`] with an explicit worker count (`None` = one per core).
-/// Results are worker-count independent; only `cpu_time` varies.
-pub fn table1_row_with(banks: u32, max_depth: usize, workers: Option<usize>) -> Table1Row {
     let cfg = table_config(banks);
     let r = asm_model_check(
         &cfg,
@@ -66,7 +62,6 @@ pub fn table1_row_with(banks: u32, max_depth: usize, workers: Option<usize>) -> 
             max_states: 5_000_000,
             max_transitions: 20_000_000,
             stop_on_violation: true,
-            workers,
             ..ExploreConfig::default()
         },
     );
