@@ -5,9 +5,12 @@
 //! model, and the interpreted RTL — and compares what each level's pins
 //! show. [`CycleModel`] captures that shared contract: drive one full
 //! protocol cycle, sample the bank outputs and write-done flags, and
-//! collect the attached monitors' verdicts. [`co_execute`] is the one
-//! co-execution loop the conformance and fault-injection checks run on
-//! top of it, replacing the hand-rolled per-pair loops.
+//! collect the attached monitors' verdicts. [`co_execute`] runs any set
+//! of implementors in lockstep on one stimulus and reports the first
+//! disagreement; the cross-level tests use it. The refinement flow's
+//! conformance step is `la1_asm::conformance_check` over `StepSystem`
+//! instead, and the fault campaign has its own open- and closed-loop
+//! runners.
 //!
 //! | implementor | level |
 //! |---|---|
