@@ -13,8 +13,9 @@
 //!   keys hashed onto the banks, bursty arrivals, sparse table updates.
 //!
 //! Every workload runs against each applicable model level (`asm`
-//! skips the burst configuration) plus the 64-lane bit-parallel RTL
-//! engine; per-level transaction counters must agree exactly, every
+//! skips the burst configuration; `systemc+psl` carries the PSL suite
+//! and `rtl+ovl` the OVL suite, as in Table 3) plus the 64-lane
+//! bit-parallel RTL engine; per-level transaction counters must agree exactly, every
 //! lane and level must scoreboard clean, and the same streams are
 //! scored through the tier-3 traffic coverage bins and three
 //! monitor-channel fault detections.
@@ -140,10 +141,10 @@ fn main() {
 
     println!("NPU traffic through the transaction-level stimulus stack.");
     println!(
-        "{:>6} | {:>10} | {:>8} | {:>9} | {:>12}",
+        "{:>6} | {:>10} | {:>11} | {:>9} | {:>12}",
         "Banks", "Workload", "Level", "Lookups", "Lookups/s"
     );
-    println!("{}", "-".repeat(58));
+    println!("{}", "-".repeat(61));
 
     let mut gate = Gate::new("traffic");
     let mut jsons = Vec::new();
@@ -161,7 +162,10 @@ fn main() {
             // the ASM level models the base LA-1 only; skip it on the
             // burst configuration
             let mut asm = (!cfg.is_burst()).then(|| LaAsmModel::new(cfg));
+            // SystemC with its PSL suite beside RTL with its OVL suite:
+            // Table 3's two monitored levels
             let mut systemc = LaSystemC::new(cfg);
+            systemc.attach_default_monitors();
             let design = LaRtl::build(cfg, None);
             let mut rtl = LaRtlDriver::new(&design);
             let mut ovl = RtlWithOvl::new(&design);
@@ -169,7 +173,7 @@ fn main() {
             if let Some(asm) = asm.as_mut() {
                 levels.push(("asm", asm));
             }
-            levels.push(("systemc", &mut systemc));
+            levels.push(("systemc+psl", &mut systemc));
             levels.push(("rtl", &mut rtl));
             levels.push(("rtl+ovl", &mut ovl));
 
@@ -196,7 +200,7 @@ fn main() {
                 }
                 let lps = c.lookups as f64 / stats.elapsed.as_secs_f64().max(1e-9);
                 println!(
-                    "{banks:>6} | {:>10} | {level:>8} | {:>9} | {lps:>12.0}",
+                    "{banks:>6} | {:>10} | {level:>11} | {:>9} | {lps:>12.0}",
                     sc.name, c.lookups
                 );
                 level_jsons.push(Json::obj([
@@ -252,7 +256,7 @@ fn main() {
             // batched throughput numerator
             let lps = lookups as f64 / elapsed.max(1e-9);
             println!(
-                "{banks:>6} | {:>10} | {:>8} | {:>9} | {lps:>12.0}",
+                "{banks:>6} | {:>10} | {:>11} | {:>9} | {lps:>12.0}",
                 sc.name, "rtl x64", lookups
             );
             level_jsons.push(Json::obj([
@@ -270,7 +274,7 @@ fn main() {
             let unhit = collector.unhit();
             let total = hit.len() + unhit.len();
             println!(
-                "{banks:>6} | {:>10} | coverage | {:>5}/{:<3} | {:>12}",
+                "{banks:>6} | {:>10} |    coverage | {:>5}/{:<3} | {:>12}",
                 sc.name,
                 hit.len(),
                 total,

@@ -11,7 +11,7 @@
 
 use crate::asm_model::LaAsmModel;
 use crate::cycle_model::{CycleModel, CycleObserver, RtlWithOvl};
-use crate::properties::{cycle_properties_for, rtl_read_mode_property};
+use crate::properties::rtl_read_mode_property;
 use crate::rtl_model::LaRtl;
 use crate::sc_model::LaSystemC;
 use crate::spec::LaConfig;
@@ -87,7 +87,7 @@ pub fn run_systemc_abv<W: Workload>(
     cycles: u64,
 ) -> AbvRunStats {
     let mut la1 = LaSystemC::new(config);
-    la1.attach_monitors(&cycle_properties_for(config));
+    la1.attach_default_monitors();
     run_abv(&mut la1, workload, cycles)
 }
 

@@ -16,7 +16,10 @@
 //! `dv_{b}`, `perr_{b}`, `wdone_{b}` at the RTL level.
 
 use crate::spec::LaConfig;
-use la1_psl::{parse_directive, Directive};
+use la1_psl::parse_directive;
+
+/// The directive type every suite here is a list of.
+pub use la1_psl::Directive;
 
 /// The cycle-level property set for a `banks`-bank device.
 ///

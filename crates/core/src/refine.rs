@@ -15,7 +15,7 @@
 
 use crate::asm_model::LaAsmModel;
 use crate::harness::run_abv;
-use crate::properties::{cycle_properties_for, rtl_properties};
+use crate::properties::rtl_properties;
 use crate::rtl_model::LaRtl;
 use crate::sc_model::LaSystemC;
 use crate::spec::LaConfig;
@@ -170,7 +170,7 @@ pub fn run_flow(config: &LaConfig, explore: ExploreConfig, smc: SmcConfig) -> Fl
     // 4. SystemC ABV — the generic measurement loop over the shared
     // cycle-level interface
     let mut sc = LaSystemC::new(config);
-    sc.attach_monitors(&cycle_properties_for(config));
+    sc.attach_default_monitors();
     let mut mix = RandomMix::new(config, 7, 0.5, 0.3);
     let abv = run_abv(&mut sc, &mut mix, 200);
     stages.push((

@@ -660,8 +660,8 @@ impl<S: LaneSim> LaDriver<S> {
         }
     }
 
-    /// Mutable access to the underlying simulator (OVL benches probe
-    /// through it; batched lanes through [`BatchedRtlSim::lane_probe`]).
+    /// Mutable access to the underlying simulator (OVL benches compile
+    /// their probe passes against it).
     pub fn sim_mut(&mut self) -> &mut S {
         &mut self.sim
     }
@@ -899,7 +899,8 @@ impl LaRtlBatchDriver {
     }
 
     /// Like [`Self::cycle`], invoking `at_rising` once the rising edge
-    /// has settled (probe lanes with [`BatchedRtlSim::lane_probe`]).
+    /// has settled (sample monitors there: one
+    /// [`la1_rtl::Sim::run_probes`] serves every lane).
     pub fn cycle_with<F: FnOnce(&mut BatchedRtlSim)>(&mut self, ops: &[&[BankOp]], at_rising: F) {
         self.cycle_lanes_with(ops, at_rising);
     }

@@ -27,7 +27,7 @@ use crate::spec::{byte_parity, BankOp, LaConfig};
 use crate::uml::{ClockRef, ObservedMessage};
 use la1_asm::{StepSystem, Value};
 use la1_eventsim::{Signal, Simulator};
-use la1_psl::{BoundMonitor, Directive, Monitor, MonitorSnap};
+use la1_psl::{BindError, BoundMonitor, Directive, Monitor, MonitorSnap};
 
 /// Signals of one bank's read and write ports (all `Copy` handles).
 #[derive(Clone, Copy)]
@@ -92,7 +92,6 @@ pub struct LaSystemC {
     banks: Vec<ScBank>,
     internals: Vec<ScBankInternal>,
     monitors: Vec<(String, BoundMonitor)>,
-    monitor_signal_order: Vec<String>,
     violations: Vec<ScViolation>,
     cycles: u64,
     /// channel handles into the kernel arena for state shared with the
@@ -411,7 +410,6 @@ impl LaSystemC {
             banks,
             internals,
             monitors: Vec::new(),
-            monitor_signal_order: monitor_signal_names(config.banks),
             violations: Vec::new(),
             cycles: 0,
             trace_chan,
@@ -426,23 +424,43 @@ impl LaSystemC {
     }
 
     /// Attaches PSL directives as external monitors (the paper's
-    /// "assertion monitors in C#").
-    pub fn attach_monitors(&mut self, directives: &[Directive]) {
-        let names: Vec<&str> = self
-            .monitor_signal_order
-            .iter()
-            .map(String::as_str)
-            .collect();
+    /// "assertion monitors in C#"), each bound once to the model's
+    /// signal order ([`monitor_signal_names`]).
+    ///
+    /// # Errors
+    ///
+    /// [`BindError`] naming every signal the directives read that this
+    /// model does not drive (e.g. `dv9` on a 1-bank model); nothing is
+    /// attached then.
+    pub fn attach_monitors(&mut self, directives: &[Directive]) -> Result<(), BindError> {
+        let names = monitor_signal_names(self.cfg.banks);
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut bound = Vec::with_capacity(directives.len());
+        let mut unbound: Vec<String> = Vec::new();
         for d in directives {
-            self.monitors
-                .push((d.name.clone(), Monitor::new(&d.property).bind(&names)));
+            match Monitor::new(&d.property).bind(&names) {
+                Ok(m) => bound.push((d.name.clone(), m)),
+                Err(e) => {
+                    for s in e.unbound {
+                        if !unbound.contains(&s) {
+                            unbound.push(s);
+                        }
+                    }
+                }
+            }
         }
+        if !unbound.is_empty() {
+            return Err(BindError { unbound });
+        }
+        self.monitors.extend(bound);
+        Ok(())
     }
 
     /// Attaches the default cycle-level property suite (burst-aware).
     pub fn attach_default_monitors(&mut self) {
         let dirs = cycle_properties_for(&self.cfg);
-        self.attach_monitors(&dirs);
+        self.attach_monitors(&dirs)
+            .expect("the default suite reads only the model's signals");
     }
 
     /// Advances one full clock cycle with the given operations applied

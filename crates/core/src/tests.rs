@@ -179,7 +179,7 @@ fn sc_concurrent_read_write_same_bank() {
 fn sc_monitors_pass_on_healthy_design() {
     let cfg = LaConfig::new(2);
     let mut la1 = LaSystemC::new(&cfg);
-    la1.attach_monitors(&cycle_properties(2));
+    la1.attach_monitors(&cycle_properties(2)).unwrap();
     let mut w = RandomMix::new(&cfg, 11, 0.5, 0.4);
     for _ in 0..300 {
         la1.cycle(&w.next_cycle());
@@ -188,10 +188,31 @@ fn sc_monitors_pass_on_healthy_design() {
 }
 
 #[test]
+fn sc_monitors_refuse_signals_the_model_does_not_drive() {
+    // bound by name, `dv9` would read false forever on one bank and the
+    // assertion could never fire
+    let cfg = LaConfig::new(1);
+    let mut la1 = LaSystemC::new(&cfg);
+    let dirs: Vec<_> = [
+        "assert typo : always !dv9",
+        "assert ok : always !perr0",
+        "assert both : always (rd7 -> next wr8)",
+    ]
+    .iter()
+    .map(|src| la1_psl::parse_directive(src).unwrap())
+    .collect();
+    let err = la1.attach_monitors(&dirs).unwrap_err();
+    assert_eq!(err.unbound, ["dv9", "rd7", "wr8"]);
+    // nothing was attached: a refused suite leaves the model unmonitored
+    la1.attach_monitors(&dirs[1..2]).unwrap();
+    assert_eq!(la1.snapshot_state().unwrap().monitors.len(), 1);
+}
+
+#[test]
 fn sc_monitors_catch_parity_fault() {
     let cfg = LaConfig::new(1);
     let mut la1 = LaSystemC::new(&cfg);
-    la1.attach_monitors(&cycle_properties(1));
+    la1.attach_monitors(&cycle_properties(1)).unwrap();
     la1.inject_parity_fault(0);
     la1.cycle(&[BankOp::write(0, 0, 0x0123_4567, 0b1111)]);
     la1.cycle(&[BankOp::read(0, 0)]);
@@ -823,7 +844,9 @@ fn burst_monitors_hold_and_catch_missing_beat() {
     // fail the second-beat property
     let plain = LaConfig::new(1);
     let mut wrong = LaSystemC::new(&plain);
-    wrong.attach_monitors(&crate::properties::cycle_properties_for(&LaConfig::la1b(1)));
+    wrong
+        .attach_monitors(&crate::properties::cycle_properties_for(&LaConfig::la1b(1)))
+        .unwrap();
     wrong.cycle(&[BankOp::read(0, 0)]);
     for _ in 0..4 {
         wrong.cycle(&[]);
@@ -1073,6 +1096,7 @@ fn batched_driver_matches_scalar_lanes() {
         };
         let mut bench_b: Vec<OvlBench> = (0..LANES).map(|_| attach()).collect();
         let mut bench_s: Vec<OvlBench> = (0..LANES).map(|_| attach()).collect();
+        let mut pass = batch.sim_mut().probe_pass(bench_b[0].exprs());
         let mut mixes: Vec<RandomMix> = (0..LANES)
             .map(|l| RandomMix::new(&cfg, 0xBEEF + l as u64, 0.6, 0.6))
             .collect();
@@ -1090,8 +1114,9 @@ fn batched_driver_matches_scalar_lanes() {
             }
             let slices: Vec<&[BankOp]> = ops.iter().map(|v| v.as_slice()).collect();
             batch.cycle_with(&slices, |sim| {
+                let probed = sim.run_probes(&mut pass);
                 for (lane, bench) in bench_b.iter_mut().enumerate() {
-                    bench.on_cycle(&mut sim.lane_probe(lane));
+                    bench.on_cycle_from(&probed, lane);
                 }
             });
             for (lane, sc) in scalars.iter_mut().enumerate() {
@@ -2016,7 +2041,7 @@ mod checkpoint_tests {
             .map(|src| la1_psl::parse_directive(src).expect("directive parses"))
             .collect();
         let mut sc = LaSystemC::new(cfg);
-        sc.attach_monitors(&dirs);
+        sc.attach_monitors(&dirs).unwrap();
         sc
     }
 

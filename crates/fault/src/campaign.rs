@@ -31,6 +31,7 @@ use la1_core::asm_model::LaAsmModel;
 use la1_core::checkpoint::Trace;
 use la1_core::cycle_model::{CycleModel, RtlWithOvl};
 use la1_core::json::Json;
+use la1_core::properties::{cycle_properties_for, Directive};
 use la1_core::rtl_model::{LaRtl, LaRtlDriver, XPin};
 use la1_core::sc_model::LaSystemC;
 use la1_core::spec::{BankOp, LaConfig, READ_LATENCY};
@@ -511,8 +512,14 @@ impl AnyModel {
     }
 }
 
-/// Builds the faulted device under test for one run.
-pub(crate) fn build_dut(level: Level, cfg: &LaConfig, plan: Option<&FaultPlan>) -> AnyModel {
+/// Builds the faulted device under test for one run; a SystemC DUT
+/// attaches `suite`, the level's PSL suite, parsed once per level.
+pub(crate) fn build_dut(
+    level: Level,
+    cfg: &LaConfig,
+    plan: Option<&FaultPlan>,
+    suite: &[Directive],
+) -> AnyModel {
     let parity_bank = plan
         .filter(|p| p.model == FaultModel::ParityFault)
         .map(|p| p.bank);
@@ -520,7 +527,8 @@ pub(crate) fn build_dut(level: Level, cfg: &LaConfig, plan: Option<&FaultPlan>) 
         Level::Asm => AnyModel::Asm(LaAsmModel::new(cfg)),
         Level::SystemC => {
             let mut sc = LaSystemC::new(cfg);
-            sc.attach_default_monitors();
+            sc.attach_monitors(suite)
+                .expect("the cycle-level suite reads only the model's signals");
             if let Some(bank) = parity_bank {
                 sc.inject_parity_fault(bank);
             }
@@ -740,11 +748,12 @@ pub(crate) fn open_loop_run(
     plan: FaultPlan,
     rng: &mut StdRng,
     preamble: &[Vec<BankOp>],
+    suite: &[Directive],
 ) -> RunResult {
     let script = replay_script(cfg, open_loop_script(cfg, rng));
     let (injected_script, x_cycle) = inject_stream(cfg, &plan, &script);
     let mut golden = build_golden(level, cfg);
-    let mut dut = build_dut(level, cfg, Some(&plan));
+    let mut dut = build_dut(level, cfg, Some(&plan), suite);
     let mut detections: BTreeMap<String, u64> = BTreeMap::new();
     let activation = plan.activation;
     // deep-state preamble: both models advance through it from reset
@@ -803,10 +812,11 @@ pub(crate) fn closed_loop_run(
     watchdog_cycles: u64,
     target_reads: u32,
     preamble: &[Vec<BankOp>],
+    suite: &[Directive],
 ) -> RunResult {
     let words = cfg.words_per_bank;
     let slots = cfg.banks * words;
-    let mut dut = build_dut(level, cfg, plan.as_ref());
+    let mut dut = build_dut(level, cfg, plan.as_ref(), suite);
     let mut injector = plan.clone().map(Injector::new);
     let activation = plan.as_ref().map_or(0, |p| p.activation);
     let mut detections: BTreeMap<String, u64> = BTreeMap::new();
@@ -942,6 +952,7 @@ pub(crate) fn scalar_level(
     level_idx: usize,
 ) -> LevelRuns {
     let cfg = &config.la1;
+    let suite = cycle_properties_for(cfg);
     let closed = |plan| {
         closed_loop_run(
             level,
@@ -950,6 +961,7 @@ pub(crate) fn scalar_level(
             config.watchdog_cycles,
             config.target_reads,
             &config.preamble,
+            &suite,
         )
     };
     let runs = planned_runs(config, shard, level, level_idx)
@@ -957,7 +969,7 @@ pub(crate) fn scalar_level(
             let result = if fault.closed_loop() {
                 closed(Some(plan))
             } else {
-                open_loop_run(level, cfg, plan, &mut rng, &config.preamble)
+                open_loop_run(level, cfg, plan, &mut rng, &config.preamble, &suite)
             };
             (fault, result)
         })

@@ -51,7 +51,7 @@ use la1_core::harness::attach_la1_ovl;
 use la1_core::rtl_model::{decode_cycle, LaRtl, LaRtlBatchDriver, XPin};
 use la1_core::spec::{BankOp, LaConfig};
 use la1_ovl::OvlBench;
-use la1_rtl::LANES;
+use la1_rtl::{PackedVec, ProbePass, LANES};
 use std::collections::BTreeMap;
 
 /// Bit-parallel execution statistics: how much lane-level work the
@@ -94,23 +94,33 @@ enum GroupKind {
 /// One 64-lane simulator plus its per-lane monitor benches.
 struct LaneGroup {
     kind: GroupKind,
+    design: LaRtl,
     driver: LaRtlBatchDriver,
     /// OVL bench per DUT lane at the `rtl+ovl` level.
     benches: Vec<Option<OvlBench>>,
+    /// One probe pass over the expressions every bench of the group
+    /// reads (they are attached alike), compiled with the first bench.
+    pass: Option<ProbePass<PackedVec>>,
     used: usize,
 }
 
 impl LaneGroup {
-    /// Cycles every lane, sampling the OVL bench of each lane `sample`
-    /// selects at the rising edge.
+    /// Cycles every lane; at the rising edge runs the group's probe pass
+    /// once, for all lanes, and steps from it the OVL bench of each lane
+    /// `sample` selects.
     fn cycle(&mut self, ops: &[&[BankOp]], sample: impl Fn(usize) -> bool) {
         let LaneGroup {
-            driver, benches, ..
+            driver,
+            benches,
+            pass,
+            ..
         } = self;
         driver.cycle_with(ops, |sim| {
+            let Some(pass) = pass else { return };
+            let probed = sim.run_probes(pass);
             for (lane, bench) in benches.iter_mut().enumerate() {
                 if let Some(bench) = bench.as_mut().filter(|_| sample(lane)) {
-                    bench.on_cycle(&mut sim.lane_probe(lane));
+                    bench.on_cycle_from(&probed, lane);
                 }
             }
         });
@@ -139,22 +149,25 @@ fn alloc_lane(
             groups.push(LaneGroup {
                 kind,
                 driver: LaRtlBatchDriver::new(&design),
+                design,
                 benches: (0..LANES).map(|_| None).collect(),
+                pass: None,
                 used: 0,
             });
             groups.len() - 1
         }
     };
-    let lane = groups[gi].used;
-    groups[gi].used += 1;
+    let group = &mut groups[gi];
+    let lane = group.used;
+    group.used += 1;
     if with_bench {
-        // monitors probe by net id, and every build of one config
-        // allocates the identical net arena (the parity fault only
-        // rewrites an expression), so attaching against a fresh build
-        // is attachment against the group's design
         let mut bench = OvlBench::new();
-        attach_la1_ovl(&mut bench, &LaRtl::build(cfg, parity));
-        groups[gi].benches[lane] = Some(bench);
+        attach_la1_ovl(&mut bench, &group.design);
+        let sim = group.driver.sim_mut();
+        group
+            .pass
+            .get_or_insert_with(|| sim.probe_pass(bench.exprs()));
+        group.benches[lane] = Some(bench);
     }
     (gi, lane)
 }

@@ -1,7 +1,7 @@
 //! The bench: monitor instances attached to a simulated design.
 
-use crate::monitors::{MonitorKind, MonitorState, OvlDynState};
-use la1_rtl::{Expr, RtlProbe};
+use crate::monitors::{MonitorKind, MonitorState, OvlDynState, Sample};
+use la1_rtl::{Expr, LogicVec, ProbePass, Probed, RtlSim, Value};
 use std::fmt;
 
 /// OVL severity levels.
@@ -73,9 +73,18 @@ struct Instance {
 /// The host drives the design clock itself and calls `on_cycle` at the
 /// sampling instant (the LA-1 harness samples on rising `K`). See the
 /// crate docs for an example.
+///
+/// The bench lists the distinct expressions its monitors read once
+/// ([`OvlBench::exprs`]); each instance holds indices into that list.
+/// A sample evaluates the list in one compiled probe pass
+/// ([`la1_rtl::Sim::probe_pass`]) and steps every monitor from it.
 #[derive(Default)]
 pub struct OvlBench {
     instances: Vec<Instance>,
+    /// the distinct expressions the instances read
+    exprs: Vec<Expr>,
+    /// [`OvlBench::on_cycle`]'s pass over `exprs`, compiled on first use
+    pass: Option<ProbePass<LogicVec>>,
     violations: Vec<OvlViolation>,
     cycles: u64,
     /// stop requests from Fatal monitors
@@ -98,6 +107,17 @@ impl OvlBench {
         Self::default()
     }
 
+    /// The index of `e` in the bench's expression list, listed on first
+    /// use.
+    fn expr(&mut self, e: Expr) -> u32 {
+        let i = self.exprs.iter().position(|x| *x == e).unwrap_or_else(|| {
+            self.exprs.push(e);
+            self.pass = None; // the list grew: recompile on next use
+            self.exprs.len() - 1
+        });
+        i as u32
+    }
+
     fn attach(&mut self, name: impl Into<String>, severity: Severity, state: MonitorState) {
         self.instances.push(Instance {
             name: name.into(),
@@ -109,39 +129,30 @@ impl OvlBench {
 
     /// `assert_always`: `test` holds every sampled cycle.
     pub fn assert_always(&mut self, name: impl Into<String>, severity: Severity, test: Expr) {
-        self.attach(
-            name,
-            severity,
-            MonitorState::Simple {
-                kind: MonitorKind::Always,
-                test,
-            },
-        );
+        let state = MonitorState::Simple {
+            kind: MonitorKind::Always,
+            test: self.expr(test),
+        };
+        self.attach(name, severity, state);
     }
 
     /// `assert_never`: `test` never holds.
     pub fn assert_never(&mut self, name: impl Into<String>, severity: Severity, test: Expr) {
-        self.attach(
-            name,
-            severity,
-            MonitorState::Simple {
-                kind: MonitorKind::Never,
-                test,
-            },
-        );
+        let state = MonitorState::Simple {
+            kind: MonitorKind::Never,
+            test: self.expr(test),
+        };
+        self.attach(name, severity, state);
     }
 
     /// `assert_proposition`: like `assert_always` (sampled with the
     /// others in this implementation).
     pub fn assert_proposition(&mut self, name: impl Into<String>, severity: Severity, test: Expr) {
-        self.attach(
-            name,
-            severity,
-            MonitorState::Simple {
-                kind: MonitorKind::Proposition,
-                test,
-            },
-        );
+        let state = MonitorState::Simple {
+            kind: MonitorKind::Proposition,
+            test: self.expr(test),
+        };
+        self.attach(name, severity, state);
     }
 
     /// `assert_implication`: `antecedent -> consequent`, same cycle.
@@ -152,14 +163,11 @@ impl OvlBench {
         antecedent: Expr,
         consequent: Expr,
     ) {
-        self.attach(
-            name,
-            severity,
-            MonitorState::Implication {
-                antecedent,
-                consequent,
-            },
-        );
+        let state = MonitorState::Implication {
+            antecedent: self.expr(antecedent),
+            consequent: self.expr(consequent),
+        };
+        self.attach(name, severity, state);
     }
 
     /// `assert_next`: `num_cks` cycles after `start`, `test` holds.
@@ -176,16 +184,13 @@ impl OvlBench {
         num_cks: u32,
     ) {
         assert!(num_cks > 0, "assert_next requires num_cks >= 1");
-        self.attach(
-            name,
-            severity,
-            MonitorState::Next {
-                start,
-                test,
-                num_cks,
-                pending: Vec::new(),
-            },
-        );
+        let state = MonitorState::Next {
+            start: self.expr(start),
+            test: self.expr(test),
+            num_cks,
+            pending: Vec::new(),
+        };
+        self.attach(name, severity, state);
     }
 
     /// `assert_cycle_sequence`: whenever `events[..n-1]` hold on
@@ -201,14 +206,11 @@ impl OvlBench {
         events: Vec<Expr>,
     ) {
         assert!(events.len() >= 2, "assert_cycle_sequence needs >= 2 events");
-        self.attach(
-            name,
-            severity,
-            MonitorState::CycleSequence {
-                events,
-                active: Vec::new(),
-            },
-        );
+        let state = MonitorState::CycleSequence {
+            events: events.into_iter().map(|e| self.expr(e)).collect(),
+            active: Vec::new(),
+        };
+        self.attach(name, severity, state);
     }
 
     /// `assert_frame`: after `start`, `test` must hold at some cycle in
@@ -227,17 +229,14 @@ impl OvlBench {
         max_cks: u32,
     ) {
         assert!(min_cks <= max_cks, "assert_frame requires min <= max");
-        self.attach(
-            name,
-            severity,
-            MonitorState::Frame {
-                start,
-                test,
-                min_cks,
-                max_cks,
-                pending: Vec::new(),
-            },
-        );
+        let state = MonitorState::Frame {
+            start: self.expr(start),
+            test: self.expr(test),
+            min_cks,
+            max_cks,
+            pending: Vec::new(),
+        };
+        self.attach(name, severity, state);
     }
 
     /// `assert_change`: `test` changes value within `num_cks` of `start`.
@@ -250,17 +249,14 @@ impl OvlBench {
         num_cks: u32,
     ) {
         assert!(num_cks > 0, "assert_change requires num_cks >= 1");
-        self.attach(
-            name,
-            severity,
-            MonitorState::ChangeLike {
-                kind: MonitorKind::Change,
-                start,
-                test,
-                num_cks,
-                pending: Vec::new(),
-            },
-        );
+        let state = MonitorState::ChangeLike {
+            kind: MonitorKind::Change,
+            start: self.expr(start),
+            test: self.expr(test),
+            num_cks,
+            pending: Vec::new(),
+        };
+        self.attach(name, severity, state);
     }
 
     /// `assert_unchange`: `test` keeps its value for `num_cks` after
@@ -274,46 +270,32 @@ impl OvlBench {
         num_cks: u32,
     ) {
         assert!(num_cks > 0, "assert_unchange requires num_cks >= 1");
-        self.attach(
-            name,
-            severity,
-            MonitorState::ChangeLike {
-                kind: MonitorKind::Unchange,
-                start,
-                test,
-                num_cks,
-                pending: Vec::new(),
-            },
-        );
+        let state = MonitorState::ChangeLike {
+            kind: MonitorKind::Unchange,
+            start: self.expr(start),
+            test: self.expr(test),
+            num_cks,
+            pending: Vec::new(),
+        };
+        self.attach(name, severity, state);
     }
 
     /// `assert_one_hot`: exactly one bit of `test` is set.
     pub fn assert_one_hot(&mut self, name: impl Into<String>, severity: Severity, test: Expr) {
-        self.attach(
-            name,
-            severity,
-            MonitorState::VectorCheck {
-                kind: MonitorKind::OneHot,
-                test,
-            },
-        );
+        let state = MonitorState::VectorCheck {
+            kind: MonitorKind::OneHot,
+            test: self.expr(test),
+        };
+        self.attach(name, severity, state);
     }
 
     /// `assert_zero_one_hot`: at most one bit of `test` is set.
-    pub fn assert_zero_one_hot(
-        &mut self,
-        name: impl Into<String>,
-        severity: Severity,
-        test: Expr,
-    ) {
-        self.attach(
-            name,
-            severity,
-            MonitorState::VectorCheck {
-                kind: MonitorKind::ZeroOneHot,
-                test,
-            },
-        );
+    pub fn assert_zero_one_hot(&mut self, name: impl Into<String>, severity: Severity, test: Expr) {
+        let state = MonitorState::VectorCheck {
+            kind: MonitorKind::ZeroOneHot,
+            test: self.expr(test),
+        };
+        self.attach(name, severity, state);
     }
 
     /// `assert_range`: the value of `test` lies in `[min, max]`.
@@ -325,6 +307,7 @@ impl OvlBench {
         min: u64,
         max: u64,
     ) {
+        let test = self.expr(test);
         self.attach(name, severity, MonitorState::Range { test, min, max });
     }
 
@@ -339,16 +322,13 @@ impl OvlBench {
         num_cks: u32,
     ) {
         assert!(num_cks > 0, "assert_time requires num_cks >= 1");
-        self.attach(
-            name,
-            severity,
-            MonitorState::Time {
-                start,
-                test,
-                num_cks,
-                pending: Vec::new(),
-            },
-        );
+        let state = MonitorState::Time {
+            start: self.expr(start),
+            test: self.expr(test),
+            num_cks,
+            pending: Vec::new(),
+        };
+        self.attach(name, severity, state);
     }
 
     /// `assert_even_parity`: whenever `valid` holds, the vector `test`
@@ -361,6 +341,7 @@ impl OvlBench {
         valid: Expr,
         test: Expr,
     ) {
+        let (valid, test) = (self.expr(valid), self.expr(test));
         self.attach(name, severity, MonitorState::EvenParity { valid, test });
     }
 
@@ -379,16 +360,13 @@ impl OvlBench {
         max_cks: u32,
     ) {
         assert!(min_cks >= 1 && min_cks <= max_cks, "assert_width bounds");
-        self.attach(
-            name,
-            severity,
-            MonitorState::Width {
-                test,
-                min_cks,
-                max_cks,
-                high_for: None,
-            },
-        );
+        let state = MonitorState::Width {
+            test: self.expr(test),
+            min_cks,
+            max_cks,
+            high_for: None,
+        };
+        self.attach(name, severity, state);
     }
 
     /// Number of attached monitor instances (each one is a module in
@@ -397,17 +375,39 @@ impl OvlBench {
         self.instances.len()
     }
 
-    /// Samples every monitor once against the current simulator state —
-    /// any [`RtlProbe`] view works (the scalar simulator, or one lane of
-    /// the batched PPSFP simulator via `BatchedRtlSim::lane_probe`).
+    /// The distinct expressions the monitors read, in first-attach
+    /// order: what a probe pass for [`OvlBench::on_cycle_from`] compiles.
+    pub fn exprs(&self) -> &[Expr] {
+        &self.exprs
+    }
+
+    /// Samples every monitor once against the simulator's current state,
+    /// through the bench's own probe pass, compiled against `sim`'s
+    /// netlist on first use.
     ///
     /// Returns the number of violations recorded this cycle.
-    pub fn on_cycle<P: RtlProbe>(&mut self, sim: &mut P) -> usize {
+    pub fn on_cycle(&mut self, sim: &RtlSim) -> usize {
+        let mut pass = self
+            .pass
+            .take()
+            .unwrap_or_else(|| sim.probe_pass(&self.exprs));
+        let fired = self.on_cycle_from(&sim.run_probes(&mut pass), 0);
+        self.pass = Some(pass);
+        fired
+    }
+
+    /// Samples every monitor once from lane `lane` of a probe pass over
+    /// [`OvlBench::exprs`] — one pass serves every lane of a batched
+    /// simulator, each lane's bench stepping from it.
+    ///
+    /// Returns the number of violations recorded this cycle.
+    pub fn on_cycle_from<V: Value>(&mut self, probed: &Probed<'_, V>, lane: usize) -> usize {
+        let sample = Sample { probed, lane };
         let cycle = self.cycles;
         self.cycles += 1;
         let mut fired = 0;
         for inst in &mut self.instances {
-            if let Err(detail) = inst.state.sample(sim) {
+            if let Err(detail) = inst.state.sample(&sample) {
                 inst.failures += 1;
                 fired += 1;
                 if inst.severity >= Severity::Fatal {

@@ -10,11 +10,14 @@
 //!
 //! This crate reproduces that architecture: an [`OvlBench`] holds
 //! assertion-monitor instances wired to expressions over a
-//! [`la1_rtl::RtlSim`]'s nets. Once per sampled cycle the bench
-//! evaluates every monitor through the *interpreted* RTL expression
-//! evaluator (so monitor cost lands on the simulator, as in the paper's
-//! Table 3), advances the monitors' internal state machines, and records
-//! violations.
+//! [`la1_rtl::RtlSim`]'s nets. The bench lists the distinct expressions
+//! once and compiles them against the simulator's netlist into one
+//! probe pass ([`la1_rtl::Sim::probe_pass`]); once per sampled cycle it
+//! runs that pass over the simulator's values (so monitor cost lands on
+//! the simulator, as in the paper's Table 3), advances the monitors'
+//! internal state machines from it, and records violations. On the
+//! 64-lane simulator one pass serves every lane's bench
+//! ([`OvlBench::on_cycle_from`]).
 //!
 //! Each monitor mirrors its OVL counterpart: an *event* (the property),
 //! a *message*, and a *severity*.
@@ -37,7 +40,7 @@
 //! for _ in 0..4 {
 //!     sim.set_u64(clk, 1);
 //!     sim.step();
-//!     bench.on_cycle(&mut sim); // sample on the rising edge
+//!     bench.on_cycle(&sim); // sample on the rising edge
 //!     sim.set_u64(clk, 0);
 //!     sim.step();
 //! }

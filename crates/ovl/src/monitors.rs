@@ -1,6 +1,6 @@
 //! The assertion-monitor state machines.
 
-use la1_rtl::{Expr, Logic, RtlProbe};
+use la1_rtl::{Logic, LogicVec, Probed, Value};
 
 /// Which OVL monitor a bench instance implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,32 +64,33 @@ impl MonitorKind {
     }
 }
 
-/// Internal per-instance state.
+/// Internal per-instance state. Expressions are indices into the
+/// bench's list of distinct expressions ([`crate::OvlBench::exprs`]).
 #[derive(Debug, Clone)]
 pub(crate) enum MonitorState {
     Simple {
         kind: MonitorKind,
-        test: Expr,
+        test: u32,
     },
     Implication {
-        antecedent: Expr,
-        consequent: Expr,
+        antecedent: u32,
+        consequent: u32,
     },
     Next {
-        start: Expr,
-        test: Expr,
+        start: u32,
+        test: u32,
         num_cks: u32,
         /// countdowns of outstanding obligations
         pending: Vec<u32>,
     },
     CycleSequence {
-        events: Vec<Expr>,
+        events: Vec<u32>,
         /// indices of the event each active thread expects next
         active: Vec<usize>,
     },
     Frame {
-        start: Expr,
-        test: Expr,
+        start: u32,
+        test: u32,
         min_cks: u32,
         max_cks: u32,
         /// cycles elapsed per outstanding window
@@ -97,34 +98,34 @@ pub(crate) enum MonitorState {
     },
     ChangeLike {
         kind: MonitorKind, // Change or Unchange
-        start: Expr,
-        test: Expr,
+        start: u32,
+        test: u32,
         num_cks: u32,
         /// (initial value, remaining cycles) per window
         pending: Vec<(u64, u32)>,
     },
     VectorCheck {
         kind: MonitorKind, // OneHot / ZeroOneHot
-        test: Expr,
+        test: u32,
     },
     Range {
-        test: Expr,
+        test: u32,
         min: u64,
         max: u64,
     },
     Time {
-        start: Expr,
-        test: Expr,
+        start: u32,
+        test: u32,
         num_cks: u32,
         /// remaining mandatory cycles per window
         pending: Vec<u32>,
     },
     EvenParity {
-        valid: Expr,
-        test: Expr,
+        valid: u32,
+        test: u32,
     },
     Width {
-        test: Expr,
+        test: u32,
         min_cks: u32,
         max_cks: u32,
         /// length of the high pulse in progress, if any
@@ -241,16 +242,13 @@ impl MonitorState {
         }
     }
 
-    /// Evaluates one sampled cycle against any probe-able simulator view
-    /// (the scalar simulator or one lane of the batched one). Returns
-    /// `Err(detail)` on violation.
-    pub(crate) fn sample<P: RtlProbe>(&mut self, sim: &mut P) -> Result<(), String> {
-        fn truthy<P: RtlProbe>(sim: &mut P, e: &Expr) -> bool {
-            sim.probe(e).bit(0) == Logic::L1
-        }
+    /// Evaluates one sampled cycle of one lane of a probe pass over the
+    /// bench's expressions. Returns `Err(detail)` on violation.
+    pub(crate) fn sample<V: Value>(&mut self, sim: &Sample<'_, '_, V>) -> Result<(), String> {
+        let truthy = |e: &u32| sim.truthy(*e);
         match self {
             MonitorState::Simple { kind, test } => {
-                let v = truthy(sim, test);
+                let v = truthy(test);
                 match kind {
                     MonitorKind::Always | MonitorKind::Proposition if !v => {
                         Err("expression is not true".to_string())
@@ -263,7 +261,7 @@ impl MonitorState {
                 antecedent,
                 consequent,
             } => {
-                if truthy(sim, antecedent) && !truthy(sim, consequent) {
+                if truthy(antecedent) && !truthy(consequent) {
                     Err("antecedent without consequent".to_string())
                 } else {
                     Ok(())
@@ -286,36 +284,37 @@ impl MonitorState {
                     }
                 });
                 let mut result = Ok(());
-                if due && !truthy(sim, test) {
+                if due && !truthy(test) {
                     result = Err("test not true num_cks cycles after start".to_string());
                 }
-                if truthy(sim, start) {
+                if truthy(start) {
                     pending.push(*num_cks);
                 }
                 result
             }
             MonitorState::CycleSequence { events, active } => {
-                // advance each thread; the last event is mandatory once
-                // all previous ones matched
-                let mut next_active = Vec::new();
+                // advance each thread in place; the last event is
+                // mandatory once all previous ones matched
                 let mut violation = None;
-                for &pos in active.iter() {
-                    if truthy(sim, &events[pos]) {
-                        if pos + 1 < events.len() {
-                            next_active.push(pos + 1);
+                let last = events.len() - 1;
+                active.retain_mut(|pos| {
+                    if truthy(&events[*pos]) {
+                        *pos += 1;
+                        *pos <= last
+                    } else {
+                        if *pos == last {
+                            violation =
+                                Some("sequence prefix matched but final event missing".to_string());
                         }
-                    } else if pos == events.len() - 1 {
-                        violation =
-                            Some("sequence prefix matched but final event missing".to_string());
+                        false
                     }
-                }
+                });
                 // a new attempt starts whenever the first event holds
-                if truthy(sim, &events[0]) && events.len() > 1 {
-                    next_active.push(1);
+                if truthy(&events[0]) && last > 0 {
+                    active.push(1);
                 }
-                next_active.sort_unstable();
-                next_active.dedup();
-                *active = next_active;
+                active.sort_unstable();
+                active.dedup();
                 match violation {
                     Some(v) => Err(v),
                     None => Ok(()),
@@ -328,7 +327,7 @@ impl MonitorState {
                 max_cks,
                 pending,
             } => {
-                let t = truthy(sim, test);
+                let t = truthy(test);
                 let mut violation = None;
                 pending.iter_mut().for_each(|c| *c += 1);
                 pending.retain(|&elapsed| {
@@ -344,7 +343,7 @@ impl MonitorState {
                         true
                     }
                 });
-                if truthy(sim, start) {
+                if truthy(start) {
                     pending.push(0);
                 }
                 match violation {
@@ -359,7 +358,7 @@ impl MonitorState {
                 num_cks,
                 pending,
             } => {
-                let cur = sim.probe(test).to_u64();
+                let cur = sim.value(*test);
                 let mut violation = None;
                 pending.iter_mut().for_each(|p| p.1 -= 1);
                 pending.retain(|&(initial, remaining)| {
@@ -387,8 +386,8 @@ impl MonitorState {
                         _ => unreachable!("ChangeLike holds Change/Unchange only"),
                     }
                 });
-                if truthy(sim, start) {
-                    if let Some(v) = sim.probe(test).to_u64() {
+                if truthy(start) {
+                    if let Some(v) = cur {
                         pending.push((v, *num_cks));
                     }
                 }
@@ -398,20 +397,18 @@ impl MonitorState {
                 }
             }
             MonitorState::VectorCheck { kind, test } => {
-                let v = sim.probe(test);
-                let ones = v.iter().filter(|&b| b == Logic::L1).count();
-                let known = v.is_known();
+                let ones = sim.ones(*test);
                 match kind {
-                    MonitorKind::OneHot if !known || ones != 1 => {
-                        Err(format!("expected one-hot, found {v}"))
+                    MonitorKind::OneHot if ones != Some(1) => {
+                        Err(format!("expected one-hot, found {}", sim.show(*test)))
                     }
-                    MonitorKind::ZeroOneHot if !known || ones > 1 => {
-                        Err(format!("expected zero-one-hot, found {v}"))
+                    MonitorKind::ZeroOneHot if !matches!(ones, Some(0 | 1)) => {
+                        Err(format!("expected zero-one-hot, found {}", sim.show(*test)))
                     }
                     _ => Ok(()),
                 }
             }
-            MonitorState::Range { test, min, max } => match sim.probe(test).to_u64() {
+            MonitorState::Range { test, min, max } => match sim.value(*test) {
                 Some(v) if v >= *min && v <= *max => Ok(()),
                 Some(v) => Err(format!("value {v} outside [{min}, {max}]")),
                 None => Err("value is unknown".to_string()),
@@ -422,7 +419,7 @@ impl MonitorState {
                 num_cks,
                 pending,
             } => {
-                let t = truthy(sim, test);
+                let t = truthy(test);
                 let mut violation = None;
                 pending.retain_mut(|remaining| {
                     if !t {
@@ -433,7 +430,7 @@ impl MonitorState {
                         *remaining > 0
                     }
                 });
-                if truthy(sim, start) && *num_cks > 0 {
+                if truthy(start) && *num_cks > 0 {
                     pending.push(*num_cks);
                 }
                 match violation {
@@ -442,18 +439,16 @@ impl MonitorState {
                 }
             }
             MonitorState::EvenParity { valid, test } => {
-                if !truthy(sim, valid) {
+                if !truthy(valid) {
                     return Ok(());
                 }
-                let v = sim.probe(test);
-                if !v.is_known() {
-                    return Err(format!("parity vector has unknown bits: {v}"));
-                }
-                let ones = v.iter().filter(|&b| b == Logic::L1).count();
-                if ones % 2 == 0 {
-                    Ok(())
-                } else {
-                    Err(format!("odd number of ones in {v}"))
+                match sim.ones(*test) {
+                    None => Err(format!(
+                        "parity vector has unknown bits: {}",
+                        sim.show(*test)
+                    )),
+                    Some(ones) if ones % 2 == 0 => Ok(()),
+                    Some(_) => Err(format!("odd number of ones in {}", sim.show(*test))),
                 }
             }
             MonitorState::Width {
@@ -462,7 +457,7 @@ impl MonitorState {
                 max_cks,
                 high_for,
             } => {
-                let t = truthy(sim, test);
+                let t = truthy(test);
                 match (t, high_for.as_mut()) {
                     (true, Some(n)) => {
                         *n += 1;
@@ -490,5 +485,34 @@ impl MonitorState {
                 }
             }
         }
+    }
+}
+
+/// One lane of a probe pass over a bench's expressions: what a monitor
+/// reads in one sampled cycle.
+pub(crate) struct Sample<'a, 'p, V: Value> {
+    pub(crate) probed: &'a Probed<'p, V>,
+    pub(crate) lane: usize,
+}
+
+impl<V: Value> Sample<'_, '_, V> {
+    /// Whether bit 0 of expression `e` is `1`.
+    fn truthy(&self, e: u32) -> bool {
+        self.probed.get(e as usize).lane_bit(self.lane, 0) == Logic::L1
+    }
+
+    /// Expression `e`'s value, if fully known.
+    fn value(&self, e: u32) -> Option<u64> {
+        self.probed.get(e as usize).lane_u64(self.lane)
+    }
+
+    /// How many bits of expression `e` are `1`, if every bit is known.
+    fn ones(&self, e: u32) -> Option<u32> {
+        self.probed.get(e as usize).lane_ones(self.lane)
+    }
+
+    /// Expression `e`'s value for a violation message (allocates).
+    fn show(&self, e: u32) -> LogicVec {
+        self.probed.get(e as usize).get_lane(self.lane)
     }
 }

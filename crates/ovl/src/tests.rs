@@ -27,7 +27,7 @@ fn drive(
         sim.set_u64(b, bv);
         sim.set_u64(v, vv);
         sim.step();
-        bench.on_cycle(&mut sim);
+        bench.on_cycle(&sim);
     }
 }
 

@@ -54,7 +54,7 @@ mod nfa;
 mod parser;
 
 pub use ast::{BoolExpr, Directive, DirectiveKind, Property, Sere, Severity};
-pub use monitor::{BoundMonitor, Monitor, MonitorSnap, Obligation, PslState, Verdict};
+pub use monitor::{BindError, BoundMonitor, Monitor, MonitorSnap, Obligation, PslState, Verdict};
 pub use nfa::{Nfa, Positions};
 pub use parser::{parse_bool_expr, parse_directive, parse_property, parse_sere, ParsePslError};
 

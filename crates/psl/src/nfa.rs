@@ -12,7 +12,6 @@
 //! [`Nfa`]'s accessors to lay out its monitor circuits.
 
 use crate::ast::{BoolExpr, Sere};
-use crate::Valuation;
 
 /// The set of automaton positions a SERE obligation occupies.
 ///
@@ -396,31 +395,31 @@ impl Nfa {
     ///
     /// `active` is the set of positions occupied *after the previous
     /// cycle*; if `seed` is true a fresh match attempt also starts this
-    /// cycle. Returns `(next_active, accepted_this_cycle)`.
-    pub(crate) fn step<V: Valuation + ?Sized>(
+    /// cycle. `guard(p)` says whether position `p`'s guard holds this
+    /// cycle. Returns
+    /// `(next_active, accepted_this_cycle)`.
+    pub(crate) fn step(
         &self,
         active: &Positions,
         seed: bool,
-        env: &V,
+        mut guard: impl FnMut(usize) -> bool,
     ) -> (Positions, bool) {
         let mut next = Positions::default();
         let mut accepted = false;
-        let enter = |p: usize, next: &mut Positions, accepted: &mut bool, env: &V| {
-            if !next.contains(p) && self.guards[p].eval(env) {
+        let mut enter = |p: usize, next: &mut Positions| {
+            if !next.contains(p) && guard(p) {
                 next.insert(p);
-                if self.last[p] {
-                    *accepted = true;
-                }
+                accepted |= self.last[p];
             }
         };
         if seed {
             for &p in &self.first {
-                enter(p, &mut next, &mut accepted, env);
+                enter(p, &mut next);
             }
         }
         for q in active.iter() {
             for &p in &self.follow[q] {
-                enter(p, &mut next, &mut accepted, env);
+                enter(p, &mut next);
             }
         }
         (next, accepted)
@@ -435,7 +434,7 @@ impl Nfa {
         let mut active = Positions::default();
         let mut accepted_at_end = false;
         for (i, cycle) in trace.iter().enumerate() {
-            let (next, acc) = self.step(&active, i == 0, cycle.as_slice());
+            let (next, acc) = self.step(&active, i == 0, |p| self.guards[p].eval(cycle.as_slice()));
             accepted_at_end = acc && i == trace.len() - 1;
             active = next;
             if active.is_empty() && i < trace.len() - 1 {

@@ -315,6 +315,15 @@ impl Value for LogicVec {
         self.clone()
     }
 
+    fn lane_u64(&self, _lane: usize) -> Option<u64> {
+        self.to_u64()
+    }
+
+    fn lane_ones(&self, _lane: usize) -> Option<u32> {
+        let known = self.is_known();
+        known.then(|| self.bits.iter().filter(|&&b| b == Logic::L1).count() as u32)
+    }
+
     fn lanes_high(&self) -> u64 {
         u64::from(self.bits[0] == Logic::L1)
     }

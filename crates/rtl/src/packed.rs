@@ -316,6 +316,16 @@ impl Value for PackedVec {
         PackedVec::get_lane(self, lane)
     }
 
+    fn lane_u64(&self, lane: usize) -> Option<u64> {
+        self.lane_to_u64(lane)
+    }
+
+    fn lane_ones(&self, lane: usize) -> Option<u32> {
+        let unknown = self.x.iter().fold(0, |acc, w| acc | w);
+        let ones = self.v.iter().map(|w| (w >> lane & 1) as u32).sum();
+        (unknown >> lane & 1 == 0).then_some(ones)
+    }
+
     fn lanes_high(&self) -> u64 {
         self.lanes_bit_is_one(0)
     }

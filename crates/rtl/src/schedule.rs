@@ -180,6 +180,44 @@ pub(crate) struct Schedule {
     pub(crate) consts: Vec<(u32, LogicVec)>,
 }
 
+/// Monitor expressions compiled against a [`Netlist`]: ops whose
+/// operands are the netlist's net slots (`0..num_nets`, read from a
+/// simulator's arena) or slots of the probe pass's own (`num_nets..`:
+/// constants and temporaries, never part of the simulator's arena).
+#[derive(Debug, Clone)]
+pub(crate) struct ProbeSchedule {
+    pub(crate) num_nets: u32,
+    pub(crate) ops: Vec<Op>,
+    pub(crate) parts: Vec<u32>,
+    /// width of every slot (nets, then the pass's own)
+    pub(crate) widths: Vec<u32>,
+    /// `(slot, value)` constants to preload into the pass's own slots
+    pub(crate) consts: Vec<(u32, LogicVec)>,
+    /// the slot each expression's value lands in
+    pub(crate) roots: Vec<u32>,
+}
+
+impl ProbeSchedule {
+    /// Compiles `exprs` in order; no expression's op writes a net slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics on expression width mismatches, as [`Schedule::compile`]
+    /// does.
+    pub(crate) fn compile(design: &Netlist, exprs: &[Expr]) -> ProbeSchedule {
+        let mut c = Compiler::new(design);
+        let roots = exprs.iter().map(|e| c.compile(e)).collect();
+        ProbeSchedule {
+            num_nets: c.num_nets(),
+            ops: c.ops,
+            parts: c.parts,
+            widths: c.widths,
+            consts: c.consts,
+            roots,
+        }
+    }
+}
+
 /// Compiles expression trees into the flat op schedule.
 struct Compiler<'a> {
     design: &'a Netlist,

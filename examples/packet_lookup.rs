@@ -17,7 +17,8 @@ use la1_core::workloads::{PacketLookup, Workload};
 fn main() {
     let cfg = LaConfig::new(4);
     let mut la1 = LaSystemC::new(&cfg);
-    la1.attach_monitors(&cycle_properties(cfg.banks));
+    la1.attach_monitors(&cycle_properties(cfg.banks))
+        .expect("the suite reads the model's signals");
 
     let mut traffic = PacketLookup::new(&cfg, 0xBEEF, 0.8, 0.05, 64);
     let cycles = 5_000u64;

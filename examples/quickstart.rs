@@ -18,7 +18,8 @@ fn main() {
     );
 
     let mut la1 = LaSystemC::new(&cfg);
-    la1.attach_monitors(&cycle_properties(cfg.banks));
+    la1.attach_monitors(&cycle_properties(cfg.banks))
+        .expect("the suite reads the model's signals");
 
     // cycle 0: write 0xCAFEF00D to word 3 (all byte enables)
     la1.cycle(&[BankOp::write(0, 3, 0xCAFE_F00D, 0b1111)]);

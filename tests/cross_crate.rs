@@ -79,7 +79,7 @@ fn fault_injection_caught_everywhere() {
     assert!(matches!(r.outcome, SmcOutcome::Violated(_)));
     // (b) SystemC monitors
     let mut sc = LaSystemC::new(&cfg);
-    sc.attach_monitors(&cycle_properties(1));
+    sc.attach_monitors(&cycle_properties(1)).unwrap();
     sc.inject_parity_fault(0);
     sc.cycle(&[BankOp::write(0, 0, 0x0101, 0b11)]);
     for _ in 0..4 {
@@ -126,20 +126,26 @@ fn byte_enable_equivalence_sc_rtl() {
 
 /// Table 3's direction holds even in a debug-build smoke test: the
 /// compiled SystemC flow is faster per cycle than the interpreted
-/// RTL+OVL flow.
+/// RTL+OVL flow. One timed run of each is at the mercy of a busy host,
+/// so the two flows alternate for 7 rounds and the medians of their
+/// per-cycle times are compared.
 #[test]
 fn systemc_outpaces_rtl_ovl() {
+    const ROUNDS: usize = 7;
     let cfg = LaConfig::new(2);
-    let mut w1 = RandomMix::new(&cfg, 5, 0.6, 0.4);
-    let sc = run_systemc_abv(&cfg, &mut w1, 400);
-    let mut w2 = RandomMix::new(&cfg, 5, 0.6, 0.4);
-    let ovl = run_rtl_ovl(&cfg, &mut w2, 100);
-    assert_eq!(sc.violations, 0);
-    assert_eq!(ovl.violations, 0);
-    assert!(
-        ovl.time_per_cycle() > sc.time_per_cycle(),
-        "rtl {:?}/cycle vs sc {:?}/cycle",
-        ovl.time_per_cycle(),
-        sc.time_per_cycle()
-    );
+    let (mut sc, mut ovl) = (Vec::new(), Vec::new());
+    for _ in 0..ROUNDS {
+        let mut w1 = RandomMix::new(&cfg, 5, 0.6, 0.4);
+        let run = run_systemc_abv(&cfg, &mut w1, 400);
+        assert_eq!(run.violations, 0);
+        sc.push(run.time_per_cycle());
+        let mut w2 = RandomMix::new(&cfg, 5, 0.6, 0.4);
+        let run = run_rtl_ovl(&cfg, &mut w2, 100);
+        assert_eq!(run.violations, 0);
+        ovl.push(run.time_per_cycle());
+    }
+    sc.sort_unstable();
+    ovl.sort_unstable();
+    let (sc, ovl) = (sc[ROUNDS / 2], ovl[ROUNDS / 2]);
+    assert!(ovl > sc, "median rtl+ovl {ovl:?}/cycle vs sc {sc:?}/cycle");
 }

@@ -36,7 +36,7 @@ fn simulate_monitor(design: &Netlist, property: &str, steps: usize, seed: u64) -
         .map(|s| s.to_string())
         .collect();
     let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let mut monitor = Monitor::new(&prop).bind(&name_refs);
+    let mut monitor = Monitor::new(&prop).bind(&name_refs).unwrap();
     let mut sim = RtlSim::new(design);
     let clk = design.find("clk").unwrap();
     let req = design.find("req").unwrap();
