@@ -17,10 +17,10 @@
 //!   the exploration; each explored path drags monitor state along
 //!   (deduplicated via monitor fingerprints), and the paper's stop filter
 //!   `P_status && !P_value` cuts a counterexample path on violation.
-//! * **Conformance testing** — [`conformance_check`] co-executes two
-//!   implementations of [`StepSystem`] on the same stimulus, mirroring the
-//!   AsmL conformance test the paper uses to show the ASM → SystemC
-//!   mapping preserves behaviour.
+//!
+//! The AsmL conformance test (co-executing the ASM and SystemC models on
+//! one stimulus) lives with the models in `la1-core`: both implement its
+//! cycle-level interface, and one lockstep loop compares their pins.
 //!
 //! # Example
 //!
@@ -42,13 +42,11 @@
 //! assert_eq!(result.fsm.num_transitions(), 3);
 //! ```
 
-mod conformance;
 mod explore;
 mod machine;
 mod shard;
 mod value;
 
-pub use conformance::{conformance_check, ConformanceError, StepSystem};
 pub use explore::{
     int_domain, BudgetReason, CheckOutcome, Counterexample, ExploreConfig, ExploreResult,
     ExploreStats, ExploreVerdict, Explorer, Fsm, PropertyReport,

@@ -58,8 +58,8 @@ impl AsmState {
         self.get(var).as_sym()
     }
 
-    /// Sets the value of a variable — for host-driven co-execution of a
-    /// model outside the explorer (the conformance interface).
+    /// Sets the value of a variable — for host-driven execution of a
+    /// model outside the explorer (cycle-level co-execution).
     pub fn set(&mut self, var: VarId, value: Value) {
         self.values[var.0 as usize] = value;
     }

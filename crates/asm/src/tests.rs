@@ -348,106 +348,6 @@ fn monitors_split_product_states() {
     assert!(r.fsm.num_states() >= 3);
 }
 
-// ---- conformance -----------------------------------------------------------
-
-/// A reference mod-n counter as a StepSystem.
-struct CounterSys {
-    n: i64,
-    v: i64,
-    /// fault injection: skip a value
-    buggy: bool,
-}
-
-impl StepSystem for CounterSys {
-    fn reset(&mut self) {
-        self.v = 0;
-    }
-    fn enabled_actions(&self) -> Vec<String> {
-        vec!["step".to_string()]
-    }
-    fn apply(&mut self, action: &str) -> bool {
-        if action != "step" {
-            return false;
-        }
-        let inc = if self.buggy && self.v == 1 { 2 } else { 1 };
-        self.v = (self.v + inc) % self.n;
-        true
-    }
-    fn observe(&self) -> Vec<(String, Value)> {
-        vec![("count".to_string(), Value::Int(self.v))]
-    }
-}
-
-#[test]
-fn conformance_passes_for_equal_systems() {
-    let mut a = CounterSys {
-        n: 4,
-        v: 0,
-        buggy: false,
-    };
-    let mut b = CounterSys {
-        n: 4,
-        v: 0,
-        buggy: false,
-    };
-    let seqs = vec![vec!["step".to_string(); 9], vec!["step".to_string(); 3]];
-    conformance_check(&mut a, &mut b, &seqs).expect("identical systems conform");
-}
-
-#[test]
-fn conformance_detects_behavioural_divergence() {
-    let mut a = CounterSys {
-        n: 4,
-        v: 0,
-        buggy: false,
-    };
-    let mut b = CounterSys {
-        n: 4,
-        v: 0,
-        buggy: true,
-    };
-    let seqs = vec![vec!["step".to_string(); 5]];
-    let err = conformance_check(&mut a, &mut b, &seqs).unwrap_err();
-    match err {
-        ConformanceError::ObservationMismatch {
-            step, observable, ..
-        } => {
-            assert_eq!(observable, "count");
-            assert_eq!(step, 2); // diverges when stepping from 1
-        }
-        other => panic!("unexpected error {other:?}"),
-    }
-}
-
-#[test]
-fn conformance_detects_acceptance_mismatch() {
-    struct Refuser;
-    impl StepSystem for Refuser {
-        fn reset(&mut self) {}
-        fn enabled_actions(&self) -> Vec<String> {
-            vec![]
-        }
-        fn apply(&mut self, _: &str) -> bool {
-            false
-        }
-        fn observe(&self) -> Vec<(String, Value)> {
-            // observations match the counter's initial state so that the
-            // acceptance mismatch is the first divergence
-            vec![("count".to_string(), Value::Int(0))]
-        }
-    }
-    let mut a = CounterSys {
-        n: 2,
-        v: 0,
-        buggy: false,
-    };
-    let mut b = Refuser;
-    let seqs = vec![vec!["step".to_string()]];
-    let err = conformance_check(&mut a, &mut b, &seqs).unwrap_err();
-    assert!(matches!(err, ConformanceError::AcceptanceMismatch { .. }));
-    assert!(err.to_string().contains("step"));
-}
-
 // ---- property tests ---------------------------------------------------------
 
 #[test]

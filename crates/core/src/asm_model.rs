@@ -25,8 +25,7 @@ use crate::cycle_model::CycleModel;
 use crate::properties::cycle_properties;
 use crate::spec::{BankOp, LaConfig};
 use la1_asm::{
-    AsmState, ExploreConfig, ExploreResult, Explorer, Machine, MachineBuilder, StepSystem, Value,
-    VarId,
+    AsmState, ExploreConfig, ExploreResult, Explorer, Machine, MachineBuilder, Value, VarId,
 };
 use std::sync::Arc;
 
@@ -124,10 +123,10 @@ pub struct LaAsmModel {
     machine: Machine,
     params: Arc<Params>,
     config: LaConfig,
-    /// current state for the [`StepSystem`] interface
+    /// current state for the [`CycleModel`] interface
     state: AsmState,
     initialized: bool,
-    /// full-cycle ticks executed through the step interfaces
+    /// full-cycle ticks executed through [`CycleModel::cycle`]
     cycles: u64,
 }
 
@@ -355,7 +354,7 @@ impl LaAsmModel {
     }
 
     /// Captures the model's dynamic state: every ASM location's value
-    /// (in declaration order) plus the step-interface bookkeeping.
+    /// (in declaration order) plus the cycle-interface bookkeeping.
     pub fn snapshot_state(&self) -> AsmSnap {
         let values = self
             .machine
@@ -378,50 +377,45 @@ impl LaAsmModel {
     ///
     /// # Errors
     ///
-    /// Fails without modifying the model if the location count differs.
+    /// Fails without modifying the model if the location count differs,
+    /// a value's variant differs from its location's initial value, or a
+    /// pipeline address (`ra1_*`, `ra2_*`, `wa_*`) lies outside the bank
+    /// — states the next [`CycleModel::cycle`] could not step.
     pub fn restore_state(&mut self, snap: &AsmSnap) -> Result<(), String> {
-        if snap.values.len() != self.machine.var_names().len() {
+        let names = self.machine.var_names();
+        if snap.values.len() != names.len() {
             return Err(format!(
                 "snapshot has {} locations, model has {}",
                 snap.values.len(),
-                self.machine.var_names().len()
+                names.len()
             ));
         }
-        for (name, value) in self.machine.var_names().iter().zip(&snap.values) {
+        let mut state = self.machine.initial_state();
+        for (name, value) in names.iter().zip(&snap.values) {
             let var = self.machine.var(name).expect("declared variable resolves");
-            self.state.set(var, value.clone());
+            let init = state.get(var);
+            if std::mem::discriminant(value) != std::mem::discriminant(init) {
+                return Err(format!(
+                    "location {name} holds {value:?}, not a value of its initial {init:?}'s kind"
+                ));
+            }
+            state.set(var, value.clone());
         }
+        let words = self.config.words_per_bank as i64;
+        for (b, v) in self.params.banks.iter().enumerate() {
+            for (var, what) in [(v.ra1, "ra1"), (v.ra2, "ra2"), (v.wa, "wa")] {
+                let addr = state.int(var);
+                if !(0..words).contains(&addr) {
+                    return Err(format!(
+                        "location {what}_{b} = {addr} outside the bank's {words} words"
+                    ));
+                }
+            }
+        }
+        self.state = state;
         self.initialized = snap.initialized;
         self.cycles = snap.cycles;
         Ok(())
-    }
-
-    fn apply_tick(
-        &mut self,
-        read: Option<(usize, u64)>,
-        write: Option<(usize, u64, u64)>,
-    ) -> bool {
-        if !self.initialized {
-            return false;
-        }
-        // validate against domains? the StepSystem accepts any in-range
-        // address/data (levels must agree on acceptance)
-        if let Some((b, a)) = read {
-            if b >= self.params.banks.len() || a >= self.params.mem[b].len() as u64 {
-                return false;
-            }
-        }
-        if let Some((b, a, _)) = write {
-            if b >= self.params.banks.len() || a >= self.params.mem[b].len() as u64 {
-                return false;
-            }
-        }
-        let updates = self.params.tick_updates(&self.state, read, write);
-        for (var, value) in updates {
-            self.state.set(var, value);
-        }
-        self.cycles += 1;
-        true
     }
 }
 
@@ -445,14 +439,9 @@ impl CycleModel for LaAsmModel {
     /// Drives one full-cycle tick of the light simulator.
     ///
     /// The ASM level abstracts byte control (the data path carries whole
-    /// words), so writes must use the full byte-enable mask.
+    /// words), so writes must use the full byte-enable mask. Every
+    /// operation is checked before the state changes.
     fn cycle(&mut self, ops: &[BankOp]) {
-        if !self.initialized {
-            // deterministic init, as in the StepSystem co-execution
-            self.state
-                .set(self.params.sim_status, Value::Sym("CHECKING_PROP"));
-            self.initialized = true;
-        }
         let full_be = (1u32 << self.config.byte_enables()) - 1;
         let mut read = None;
         let mut write = None;
@@ -477,10 +466,23 @@ impl CycleModel for LaAsmModel {
                 }
             }
         }
+        let words = self.config.words_per_bank as u64;
+        let in_range = |b: usize, a: u64| b < self.params.banks.len() && a < words;
         assert!(
-            self.apply_tick(read, write),
+            read.is_none_or(|(b, a)| in_range(b, a))
+                && write.is_none_or(|(b, a, _)| in_range(b, a)),
             "bank or address out of range for the ASM model"
         );
+        if !self.initialized {
+            // deterministic init: the depth flags stay false
+            self.state
+                .set(self.params.sim_status, Value::Sym("CHECKING_PROP"));
+            self.initialized = true;
+        }
+        for (var, value) in self.params.tick_updates(&self.state, read, write) {
+            self.state.set(var, value);
+        }
+        self.cycles += 1;
     }
 
     fn bank_output(&self, bank: u32) -> Option<u64> {
@@ -504,69 +506,5 @@ impl CycleModel for LaAsmModel {
 
     fn cycles(&self) -> u64 {
         self.cycles
-    }
-}
-
-impl StepSystem for LaAsmModel {
-    fn reset(&mut self) {
-        self.state = self.machine.initial_state();
-        self.initialized = false;
-        self.cycles = 0;
-    }
-
-    fn enabled_actions(&self) -> Vec<String> {
-        if self.initialized {
-            vec!["tick".to_string(), "read".to_string(), "write".to_string()]
-        } else {
-            vec!["init".to_string()]
-        }
-    }
-
-    fn apply(&mut self, action: &str) -> bool {
-        let parts: Vec<&str> = action.split_whitespace().collect();
-        match parts.as_slice() {
-            ["init"] => {
-                if self.initialized {
-                    return false;
-                }
-                // deterministic init for co-execution: depth flags false
-                self.state
-                    .set(self.params.sim_status, Value::Sym("CHECKING_PROP"));
-                self.initialized = true;
-                true
-            }
-            ["tick"] => self.apply_tick(None, None),
-            ["read", b, a] => {
-                let (Ok(b), Ok(a)) = (b.parse(), a.parse()) else {
-                    return false;
-                };
-                self.apply_tick(Some((b, a)), None)
-            }
-            ["write", b, a, d] => {
-                let (Ok(b), Ok(a), Ok(d)) = (b.parse(), a.parse(), d.parse()) else {
-                    return false;
-                };
-                self.apply_tick(None, Some((b, a, d)))
-            }
-            ["rw", rb, ra, wb, wa, d] => {
-                let (Ok(rb), Ok(ra), Ok(wb), Ok(wa), Ok(d)) =
-                    (rb.parse(), ra.parse(), wb.parse(), wa.parse(), d.parse())
-                else {
-                    return false;
-                };
-                self.apply_tick(Some((rb, ra)), Some((wb, wa, d)))
-            }
-            _ => false,
-        }
-    }
-
-    fn observe(&self) -> Vec<(String, Value)> {
-        let mut obs = Vec::new();
-        for (bank, v) in self.params.banks.iter().enumerate() {
-            obs.push((format!("dv{bank}"), self.state.get(v.dv).clone()));
-            obs.push((format!("out{bank}"), self.state.get(v.out).clone()));
-            obs.push((format!("wdone{bank}"), self.state.get(v.wdone).clone()));
-        }
-        obs
     }
 }

@@ -249,7 +249,8 @@ impl Snapshot {
     /// # Errors
     ///
     /// Fails on a fingerprint or level mismatch, or when the payload
-    /// does not fit the machine.
+    /// does not fit the machine or holds a state it cannot step
+    /// ([`LaAsmModel::restore_state`]).
     pub fn into_asm(&self, cfg: &LaConfig) -> Result<LaAsmModel, CheckpointError> {
         self.check_pin("asm", cfg)?;
         let LevelSnap::Asm(snap) = &self.payload else {
@@ -274,8 +275,9 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// Fails on a fingerprint or level mismatch, or when the monitor
-    /// lineup does not match.
+    /// Fails on a fingerprint or level mismatch, when the monitor
+    /// lineup does not match, or when the payload holds a state the
+    /// model cannot step ([`LaSystemC::restore_state`]).
     pub fn into_systemc(&self, cfg: &LaConfig) -> Result<LaSystemC, CheckpointError> {
         self.check_pin("systemc", cfg)?;
         let LevelSnap::SystemC(snap) = &self.payload else {

@@ -7,10 +7,11 @@
 //! protocol cycle, sample the bank outputs and write-done flags, and
 //! collect the attached monitors' verdicts. [`co_execute`] runs any set
 //! of implementors in lockstep on one stimulus and reports the first
-//! disagreement; the cross-level tests use it. The refinement flow's
-//! conformance step is `la1_asm::conformance_check` over `StepSystem`
-//! instead, and the fault campaign has its own open- and closed-loop
-//! runners.
+//! disagreement: the refinement flow's conformance stage, the
+//! cross-level tests and (with one model) the measurement loop
+//! [`run_abv`](crate::harness::run_abv) all step through it. The fault
+//! campaign has its own open- and closed-loop runners; its scoreboard
+//! compares pins with the same [`pin_mismatch`].
 //!
 //! | implementor | level |
 //! |---|---|
@@ -333,11 +334,33 @@ impl fmt::Display for Divergence {
 
 impl std::error::Error for Divergence {}
 
+/// Compares one bank's sampled pins of `model` against `reference`:
+/// the bank output first, then the write-done flag. Returns the
+/// rendered disagreement, or `None` when both agree — without
+/// allocating, since the fault campaign's scoreboard calls this on
+/// every cycle.
+pub fn pin_mismatch(
+    reference: &dyn CycleModel,
+    model: &dyn CycleModel,
+    bank: u32,
+) -> Option<String> {
+    let (want, got) = (reference.bank_output(bank), model.bank_output(bank));
+    if got != want {
+        return Some(format!("output {got:?} vs {want:?}"));
+    }
+    let (want, got) = (reference.write_done(bank), model.write_done(bank));
+    if got != want {
+        return Some(format!("write_done {got} vs {want}"));
+    }
+    None
+}
+
 /// Co-executes several levels on the same stimulus, comparing the
 /// sampled pins after every cycle; the first model is the reference.
 ///
-/// Returns the first [`Divergence`], or `Ok(())` when all levels agree
-/// on every cycle — the generic form of the paper's conformance test
+/// Returns the first [`Divergence`] (lowest bank first, output before
+/// write-done, in model order), or `Ok(())` when all levels agree on
+/// every cycle — the generic form of the paper's conformance test
 /// (and, run against a deliberately faulted design, of the scoreboard
 /// that exposes injected bugs).
 ///
@@ -381,33 +404,14 @@ pub fn co_execute_observed<W: Workload + ?Sized>(
         }
         let (reference, rest) = models.split_first().expect("at least one model");
         for bank in 0..banks {
-            let want_out = reference.bank_output(bank);
-            let want_done = reference.write_done(bank);
-            for m in rest.iter() {
-                if m.bank_output(bank) != want_out {
+            for m in rest {
+                if let Some(detail) = pin_mismatch(&**reference, &**m, bank) {
                     return Err(Divergence {
                         cycle,
                         bank,
                         reference: reference.level(),
                         level: m.level(),
-                        detail: format!(
-                            "output {:?} vs {:?}",
-                            m.bank_output(bank),
-                            want_out
-                        ),
-                    });
-                }
-                if m.write_done(bank) != want_done {
-                    return Err(Divergence {
-                        cycle,
-                        bank,
-                        reference: reference.level(),
-                        level: m.level(),
-                        detail: format!(
-                            "write_done {} vs {}",
-                            m.write_done(bank),
-                            want_done
-                        ),
+                        detail,
                     });
                 }
             }

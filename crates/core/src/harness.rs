@@ -10,7 +10,7 @@
 //! * [`rulebase_read_mode`] — Table 2 rows.
 
 use crate::asm_model::LaAsmModel;
-use crate::cycle_model::{CycleModel, CycleObserver, RtlWithOvl};
+use crate::cycle_model::{co_execute_observed, CycleModel, CycleObserver, RtlWithOvl};
 use crate::properties::rtl_read_mode_property;
 use crate::rtl_model::LaRtl;
 use crate::sc_model::LaSystemC;
@@ -39,7 +39,10 @@ impl AbvRunStats {
         if self.cycles == 0 {
             Duration::ZERO
         } else {
-            self.elapsed / self.cycles as u32
+            // in u128 nanoseconds: a `u32` divisor wraps at 2^32 cycles;
+            // the quotient's whole seconds fit `elapsed`'s `u64`
+            let ns = self.elapsed.as_nanos() / u128::from(self.cycles);
+            Duration::new((ns / 1_000_000_000) as u64, (ns % 1_000_000_000) as u32)
         }
     }
 }
@@ -56,7 +59,8 @@ where
 
 /// [`run_abv`] with a passive [`CycleObserver`] sampling the model
 /// after every cycle — the hook coverage collection attaches through.
-/// `&mut ()` is the no-op observer.
+/// `&mut ()` is the no-op observer. The cycles run through
+/// [`co_execute_observed`] with the model alone.
 pub fn run_abv_observed<W>(
     model: &mut dyn CycleModel,
     workload: &mut W,
@@ -67,11 +71,9 @@ where
     W: Workload + ?Sized,
 {
     let start = Instant::now();
-    for _ in 0..cycles {
-        let ops = workload.next_cycle();
-        model.cycle(&ops);
-        observer.observe(&ops, model);
-    }
+    // no bank is compared: a lone model has no peer to diverge from
+    co_execute_observed(0, &mut [&mut *model], workload, cycles, &mut [observer])
+        .expect("a lone model cannot diverge");
     AbvRunStats {
         cycles,
         elapsed: start.elapsed(),

@@ -21,7 +21,7 @@
 //! | [`asm_model`] | the ASM model incl. the light Verilog-like simulator (Fig. 4) |
 //! | [`sc_model`] | the SystemC model with attached compiled PSL monitors |
 //! | [`rtl_model`] | the synthesizable RTL: DDR paths, tristate banks, byte writes |
-//! | [`cycle_model`] | the one cycle-level interface all executable levels share |
+//! | [`cycle_model`] | the one cycle-level interface all executable levels share, and the lockstep loop over it |
 //! | [`refine`] | the Fig. 2 flow: conformance + property re-verification |
 //! | [`workloads`] | traffic generators (random mixes, packet lookups) |
 //! | [`stimulus`] | UVM-style transaction stack: sequencers, driver, monitor |

@@ -6,14 +6,16 @@
 //! 1. render the UML artefacts (class diagram + sequence diagrams);
 //! 2. model-check the PSL properties on the ASM model via bounded
 //!    exploration;
-//! 3. translate to SystemC and run the AsmL-style **conformance test**
-//!    co-executing both models on the same stimulus;
+//! 3. translate to SystemC and run the AsmL-style **conformance test**:
+//!    [`co_execute`] steps both models in lockstep on the same stimulus
+//!    and compares their pins every cycle;
 //! 4. run assertion-based verification on the SystemC model;
 //! 5. derive the Verilog RTL, re-verify the same properties with the
 //!    RuleBase-style symbolic model checker, and check the executed
 //!    read-mode trace against the Fig. 3 sequence diagram.
 
 use crate::asm_model::LaAsmModel;
+use crate::cycle_model::co_execute;
 use crate::harness::run_abv;
 use crate::properties::rtl_properties;
 use crate::rtl_model::LaRtl;
@@ -21,10 +23,8 @@ use crate::sc_model::LaSystemC;
 use crate::spec::LaConfig;
 use crate::uml::{la1_class_diagram, read_mode_sequence, write_mode_sequence};
 use crate::workloads::RandomMix;
-use la1_asm::{conformance_check, ConformanceError, ExploreConfig};
+use la1_asm::ExploreConfig;
 use la1_smc::{ModelChecker, SmcConfig, SmcOutcome};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Outcome of one flow stage.
 #[derive(Debug, Clone)]
@@ -74,37 +74,6 @@ impl FlowReport {
     }
 }
 
-/// Generates a reproducible stimulus mix for the conformance
-/// co-execution (reads, writes, concurrent read+write, idles).
-pub fn conformance_stimulus(config: &LaConfig, seed: u64, len: usize) -> Vec<Vec<String>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let banks = config.banks as u64;
-    let words = config.words_per_bank as u64;
-    let data_max = 1u64 << config.word_width.min(32);
-    let mut sequences = Vec::new();
-    for _ in 0..3 {
-        let mut seq = vec!["init".to_string()];
-        for _ in 0..len {
-            let b = rng.gen_range(0..banks);
-            let a = rng.gen_range(0..words);
-            let d = rng.gen_range(0..data_max);
-            let action = match rng.gen_range(0..4) {
-                0 => "tick".to_string(),
-                1 => format!("read {b} {a}"),
-                2 => format!("write {b} {a} {d}"),
-                _ => {
-                    let rb = rng.gen_range(0..banks);
-                    let ra = rng.gen_range(0..words);
-                    format!("rw {rb} {ra} {b} {a} {d}")
-                }
-            };
-            seq.push(action);
-        }
-        sequences.push(seq);
-    }
-    sequences
-}
-
 /// Runs the complete Fig. 2 flow for `config`.
 ///
 /// `explore` bounds the ASM exploration; `smc` configures the
@@ -150,19 +119,19 @@ pub fn run_flow(config: &LaConfig, explore: ExploreConfig, smc: SmcConfig) -> Fl
         },
     ));
 
-    // 3. ASM -> SystemC conformance co-execution
-    let mut asm_sys = LaAsmModel::new(config);
-    let mut sc_sys = LaSystemC::new(config);
-    let stimulus = conformance_stimulus(config, 2004, 40);
-    let conf: Result<(), ConformanceError> =
-        conformance_check(&mut asm_sys, &mut sc_sys, &stimulus);
+    // 3. ASM -> SystemC conformance co-execution, each seeded stream
+    // from reset
+    let streams = 3;
+    let conf = (0..streams).try_for_each(|seed| {
+        let mut asm = LaAsmModel::new(config);
+        let mut sc = LaSystemC::new(config);
+        let mut mix = RandomMix::full_word(config, 2004 + seed, 0.5, 0.5);
+        co_execute(config.banks, &mut [&mut asm, &mut sc], &mut mix, 40)
+    });
     stages.push((
         "asm_to_systemc_conformance".to_string(),
         match conf {
-            Ok(()) => StageResult::Passed(format!(
-                "{} stimulus sequences co-executed",
-                stimulus.len()
-            )),
+            Ok(()) => StageResult::Passed(format!("{streams} stimulus sequences co-executed")),
             Err(e) => StageResult::Failed(e.to_string()),
         },
     ));

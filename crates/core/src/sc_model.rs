@@ -25,7 +25,6 @@
 use crate::properties::cycle_properties_for;
 use crate::spec::{byte_parity, BankOp, LaConfig};
 use crate::uml::{ClockRef, ObservedMessage};
-use la1_asm::{StepSystem, Value};
 use la1_eventsim::{Signal, Simulator};
 use la1_psl::{BindError, BoundMonitor, Directive, Monitor, MonitorSnap};
 
@@ -691,9 +690,11 @@ impl LaSystemC {
     ///
     /// # Errors
     ///
-    /// Fails (leaving the model in an unspecified state that should be
-    /// discarded) if the bank count, SRAM geometry or monitor list does
-    /// not match the snapshot.
+    /// Fails without modifying the model if the bank count, SRAM
+    /// geometry or monitor list does not match the snapshot, or an
+    /// address signal (`rd_addr`, `wr_addr`, `ra1`, `ra2`, `wa_c`,
+    /// `beat2_addr`) lies outside the bank — a state the next
+    /// [`LaSystemC::cycle`] could not step.
     pub fn restore_state(&mut self, snap: &ScSnap) -> Result<(), String> {
         if snap.banks.len() != self.banks.len() {
             return Err(format!(
@@ -709,17 +710,47 @@ impl LaSystemC {
                 self.monitors.len()
             ));
         }
+        let words = self.cfg.words_per_bank as u64;
+        for (b, (inner, bs)) in self.internals.iter().zip(&snap.banks).enumerate() {
+            let sram = self.sim.channel::<Vec<u64>>(inner.sram).len();
+            if bs.sram.len() != sram {
+                return Err(format!(
+                    "snapshot SRAM has {} words, model has {sram}",
+                    bs.sram.len()
+                ));
+            }
+            for (addr, what) in [
+                (bs.rd_addr, "rd_addr"),
+                (bs.wr_addr, "wr_addr"),
+                (bs.ra1, "ra1"),
+                (bs.ra2, "ra2"),
+                (bs.wa_c, "wa_c"),
+                (bs.beat2_addr, "beat2_addr"),
+            ] {
+                if addr >= words {
+                    return Err(format!(
+                        "bank {b}: {what} = {addr} outside the bank's {words} words"
+                    ));
+                }
+            }
+        }
+        // restored into copies, so a refused obligation leaves every
+        // live monitor as it was
+        let mut monitors = self.monitors.clone();
+        for ((name, mon), (snap_name, ms)) in monitors.iter_mut().zip(&snap.monitors) {
+            if name != snap_name {
+                return Err(format!(
+                    "monitor mismatch: model has {name}, snapshot has {snap_name}"
+                ));
+            }
+            mon.restore(ms)
+                .map_err(|e| format!("monitor {name}: {e}"))?;
+        }
+        self.monitors = monitors;
         let st = &mut self.sim;
         self.k.force(st, snap.k);
         self.k_bar.force(st, snap.k_bar);
         for ((bank, inner), bs) in self.banks.iter().zip(&self.internals).zip(&snap.banks) {
-            if bs.sram.len() != st.channel::<Vec<u64>>(inner.sram).len() {
-                return Err(format!(
-                    "snapshot SRAM has {} words, model has {}",
-                    bs.sram.len(),
-                    st.channel::<Vec<u64>>(inner.sram).len()
-                ));
-            }
             bank.rd_req.force(st, bs.rd_req);
             bank.rd_addr.force(st, bs.rd_addr);
             bank.wr_req.force(st, bs.wr_req);
@@ -754,15 +785,6 @@ impl LaSystemC {
         *st.channel_mut::<bool>(self.trace_enabled_chan) = snap.trace_enabled;
         *st.channel_mut::<Option<u32>>(self.parity_fault_chan) = snap.parity_fault;
         st.restore_kernel_stats(snap.kernel);
-        for ((name, mon), (snap_name, ms)) in self.monitors.iter_mut().zip(&snap.monitors) {
-            if name != snap_name {
-                return Err(format!(
-                    "monitor mismatch: model has {name}, snapshot has {snap_name}"
-                ));
-            }
-            mon.restore(ms)
-                .map_err(|e| format!("monitor {name}: {e}"))?;
-        }
         self.violations.clone_from(&snap.violations);
         self.cycles = snap.cycles;
         self.last_read = snap.last_read;
@@ -874,103 +896,4 @@ pub fn monitor_signal_names(banks: u32) -> Vec<String> {
         names.push(format!("wdone{b}"));
     }
     names
-}
-
-impl StepSystem for LaSystemC {
-    fn reset(&mut self) {
-        // rebuild from scratch: event-driven state is not otherwise
-        // rewindable
-        let monitors_attached = !self.monitors.is_empty();
-        *self = LaSystemC::new(&self.cfg.clone());
-        if monitors_attached {
-            self.attach_default_monitors();
-        }
-    }
-
-    fn enabled_actions(&self) -> Vec<String> {
-        vec![
-            "init".to_string(),
-            "tick".to_string(),
-            "read".to_string(),
-            "write".to_string(),
-        ]
-    }
-
-    fn apply(&mut self, action: &str) -> bool {
-        let parts: Vec<&str> = action.split_whitespace().collect();
-        let in_range = |b: usize, a: u64| b < self.banks.len() && a < self.banks_words();
-        match parts.as_slice() {
-            ["init"] => true, // elaboration already happened
-            ["tick"] => {
-                self.cycle(&[]);
-                true
-            }
-            ["read", b, a] => {
-                let (Ok(b), Ok(a)) = (b.parse::<usize>(), a.parse::<u64>()) else {
-                    return false;
-                };
-                if !in_range(b, a) {
-                    return false;
-                }
-                self.cycle(&[BankOp::read(b as u32, a)]);
-                true
-            }
-            ["write", b, a, d] => {
-                let (Ok(b), Ok(a), Ok(d)) = (b.parse::<usize>(), a.parse::<u64>(), d.parse::<u64>())
-                else {
-                    return false;
-                };
-                if !in_range(b, a) {
-                    return false;
-                }
-                let full = (1u32 << self.cfg.byte_enables()) - 1;
-                self.cycle(&[BankOp::write(b as u32, a, d, full)]);
-                true
-            }
-            ["rw", rb, ra, wb, wa, d] => {
-                let (Ok(rb), Ok(ra), Ok(wb), Ok(wa), Ok(d)) = (
-                    rb.parse::<usize>(),
-                    ra.parse::<u64>(),
-                    wb.parse::<usize>(),
-                    wa.parse::<u64>(),
-                    d.parse::<u64>(),
-                ) else {
-                    return false;
-                };
-                if !in_range(rb, ra) || !in_range(wb, wa) {
-                    return false;
-                }
-                let full = (1u32 << self.cfg.byte_enables()) - 1;
-                self.cycle(&[
-                    BankOp::read(rb as u32, ra),
-                    BankOp::write(wb as u32, wa, d, full),
-                ]);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    fn observe(&self) -> Vec<(String, Value)> {
-        let mut obs = Vec::new();
-        for (b, bank) in self.banks.iter().enumerate() {
-            let dv = bank.dv.read(&self.sim);
-            obs.push((format!("dv{b}"), Value::Bool(dv)));
-            let out = if dv {
-                (bank.out_lo.read(&self.sim) | (bank.out_hi.read(&self.sim) << self.cfg.half_width()))
-                    as i64
-            } else {
-                0
-            };
-            obs.push((format!("out{b}"), Value::Int(out)));
-            obs.push((format!("wdone{b}"), Value::Bool(bank.wdone.read(&self.sim))));
-        }
-        obs
-    }
-}
-
-impl LaSystemC {
-    fn banks_words(&self) -> u64 {
-        self.cfg.words_per_bank as u64
-    }
 }

@@ -6,13 +6,13 @@ use crate::asm_model::LaAsmModel;
 use crate::cycle_model::{co_execute, CycleModel, CycleObserver, RtlWithOvl};
 use crate::harness::{attach_la1_ovl, run_rtl_ovl, run_systemc_abv, AbvRunStats};
 use crate::properties::{cycle_properties, rtl_properties, rtl_read_mode_property};
-use crate::refine::{conformance_stimulus, run_flow};
+use crate::refine::run_flow;
 use crate::rtl_model::{LaRtl, LaRtlDriver};
 use crate::sc_model::LaSystemC;
 use crate::spec::*;
 use crate::uml::*;
 use crate::workloads::{PacketLookup, RandomMix, ReadBurst, Workload};
-use la1_asm::{conformance_check, CheckOutcome, ExploreConfig, StepSystem};
+use la1_asm::{CheckOutcome, ExploreConfig};
 use la1_ovl::OvlBench;
 use la1_smc::{ModelChecker, SmcConfig, SmcOutcome};
 
@@ -285,37 +285,38 @@ fn table1_explorer_counts() {
 
 #[test]
 fn asm_step_system_read_latency() {
-    let mut m = LaAsmModel::new(&small_cfg(1));
-    assert!(m.apply("init"));
-    assert!(m.apply("write 0 1 90"));
-    assert!(m.apply("tick"));
-    assert!(m.apply("read 0 1"));
-    assert!(m.apply("tick"));
-    let obs = m.observe();
-    assert_eq!(
-        obs.iter().find(|(n, _)| n == "dv0").unwrap().1,
-        la1_asm::Value::Bool(false)
-    );
-    assert!(m.apply("tick"));
-    let obs = m.observe();
-    assert_eq!(
-        obs.iter().find(|(n, _)| n == "dv0").unwrap().1,
-        la1_asm::Value::Bool(true)
-    );
-    assert_eq!(
-        obs.iter().find(|(n, _)| n == "out0").unwrap().1,
-        la1_asm::Value::Int(90)
-    );
+    let cfg = small_cfg(1);
+    let full = (1u32 << cfg.byte_enables()) - 1;
+    let mut m = LaAsmModel::new(&cfg);
+    m.cycle(&[BankOp::write(0, 1, 90, full)]);
+    m.cycle(&[]);
+    m.cycle(&[BankOp::read(0, 1)]);
+    m.cycle(&[]);
+    assert_eq!(m.bank_output(0), None);
+    m.cycle(&[]);
+    assert_eq!(m.bank_output(0), Some(90));
 }
 
 #[test]
 fn asm_rejects_out_of_range_actions() {
-    let mut m = LaAsmModel::new(&small_cfg(1));
-    assert!(m.apply("init"));
-    assert!(!m.apply("read 5 0"));
-    assert!(!m.apply("read 0 99"));
-    assert!(!m.apply("bogus"));
-    assert!(!m.apply("init"), "double init refused");
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let cfg = small_cfg(1);
+    let full = (1u32 << cfg.byte_enables()) - 1;
+    let fresh = LaAsmModel::new(&cfg).snapshot_state();
+    for ops in [
+        vec![BankOp::read(5, 0)],
+        vec![BankOp::read(0, 99)],
+        vec![BankOp::write(5, 0, 1, full)],
+        vec![BankOp::write(0, 4, 1, full)],
+        // a valid read beside a bad write: neither applies
+        vec![BankOp::read(0, 1), BankOp::write(0, 4, 1, full)],
+    ] {
+        let mut m = LaAsmModel::new(&cfg);
+        let stepped = catch_unwind(AssertUnwindSafe(|| m.cycle(&ops)));
+        assert!(stepped.is_err(), "{ops:?} accepted");
+        assert_eq!(CycleModel::cycles(&m), 0, "{ops:?}");
+        assert_eq!(m.snapshot_state(), fresh, "{ops:?} changed the state");
+    }
 }
 
 #[test]
@@ -336,11 +337,13 @@ fn asm_violation_produces_counterexample() {
 fn asm_systemc_conformance_small() {
     for banks in [1, 2] {
         let cfg = small_cfg(banks);
-        let mut asm = LaAsmModel::new(&cfg);
-        let mut sc = LaSystemC::new(&cfg);
-        let stim = conformance_stimulus(&cfg, 99, 60);
-        conformance_check(&mut asm, &mut sc, &stim)
-            .unwrap_or_else(|e| panic!("{banks} banks: {e}"));
+        for seed in 99..102 {
+            let mut asm = LaAsmModel::new(&cfg);
+            let mut sc = LaSystemC::new(&cfg);
+            let mut mix = RandomMix::full_word(&cfg, seed, 0.5, 0.5);
+            co_execute(cfg.banks, &mut [&mut asm, &mut sc], &mut mix, 60)
+                .unwrap_or_else(|e| panic!("{banks} banks, seed {seed}: {e}"));
+        }
     }
 }
 
@@ -519,6 +522,19 @@ fn time_per_cycle_handles_zero_cycles() {
         violations: 0,
     };
     assert_eq!(real.time_per_cycle(), Duration::from_millis(2));
+    // a `u32` divisor would wrap: to 0 at 2^32 cycles, to 2 at 2^32 + 2
+    for cycles in [1u64 << 32, (1 << 32) + 2] {
+        let long = AbvRunStats {
+            cycles,
+            elapsed: Duration::from_secs(cycles),
+            violations: 0,
+        };
+        assert_eq!(
+            long.time_per_cycle(),
+            Duration::from_secs(1),
+            "{cycles} cycles"
+        );
+    }
 }
 
 // ---- cross-level agreement ---------------------------------------------------------
@@ -1922,6 +1938,62 @@ mod checkpoint_tests {
                     "{key} = {count} was accepted"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn snapshot_rejects_states_a_model_cannot_step() {
+        // these parse, but the next cycle would panic on a value of the
+        // wrong kind or an address outside the bank: restoring refuses
+        // them and leaves the model it refused them into unchanged
+        let cfg = small_cfg(2);
+        let asm = include_str!("../golden/snapshot_asm_2bank_seed41.jsonl");
+        let names = LaAsmModel::new(&cfg).machine().var_names().to_vec();
+        for (name, value) in [
+            ("rv2_0", r#"{"t": "i", "v": 1}"#),
+            ("ra2_0", r#"{"t": "i", "v": 99}"#),
+            ("ra2_0", r#"{"t": "i", "v": -1}"#),
+            ("ra1_1", r#"{"t": "i", "v": 4}"#),
+            ("wa_1", r#"{"t": "i", "v": 4}"#),
+        ] {
+            let index = names.iter().position(|n| n == name).expect("declared");
+            let (start, _) = asm
+                .match_indices(r#"{"t": "#)
+                .nth(index)
+                .expect("in golden");
+            let end = start + asm[start..].find('}').expect("closed") + 1;
+            let corrupt = format!("{}{value}{}", &asm[..start], &asm[end..]);
+            let snap = Snapshot::parse(&corrupt).expect("the edited golden parses");
+            assert!(snap.into_asm(&cfg).is_err(), "{name} = {value} restored");
+            let LevelSnap::Asm(state) = &snap.payload else {
+                unreachable!("an asm golden")
+            };
+            let mut model = LaAsmModel::new(&cfg);
+            let before = model.snapshot_state();
+            assert!(model.restore_state(state).is_err());
+            assert_eq!(model.snapshot_state(), before, "{name} = {value}");
+        }
+        let sc = include_str!("../golden/snapshot_systemc_2bank_seed41.jsonl");
+        for field in ["rd_addr", "wr_addr", "ra1", "ra2", "wa_c", "beat2_addr"] {
+            // bank 0's line comes first
+            let key = format!("\"{field}\": ");
+            let (head, tail) = sc.split_once(&key).expect("in golden");
+            let digits = tail.find(|c: char| !c.is_ascii_digit()).expect("a number");
+            let corrupt = format!("{head}{key}99{}", &tail[digits..]);
+            let snap = Snapshot::parse(&corrupt).expect("the edited golden parses");
+            assert!(snap.into_systemc(&cfg).is_err(), "{field} = 99 restored");
+            let LevelSnap::SystemC(state) = &snap.payload else {
+                unreachable!("a systemc golden")
+            };
+            let mut model = LaSystemC::new(&cfg);
+            model.attach_default_monitors();
+            let before = model.snapshot_state().expect("settled");
+            assert!(model.restore_state(state).is_err());
+            assert_eq!(
+                model.snapshot_state().expect("settled"),
+                before,
+                "{field} = 99"
+            );
         }
     }
 

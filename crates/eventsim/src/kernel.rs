@@ -68,7 +68,7 @@ pub struct SimState {
     /// timed notifications: (time, seq for stable order, event)
     timed: BinaryHeap<Reverse<(SimTime, u64, Event)>>,
     timed_seq: u64,
-    /// non-signal channel storage (FIFOs, semaphores, mutexes)
+    /// non-signal channel storage (user-defined channels)
     pub(crate) channels: Vec<Box<dyn Any>>,
     /// total evaluate-phase process activations (a load statistic)
     pub(crate) activations: u64,
@@ -179,11 +179,10 @@ impl SimState {
     /// Stores `channel` in the kernel's channel arena and returns its
     /// handle.
     ///
-    /// This is the extension point for user-defined channels (the
-    /// built-in [`crate::Fifo`], [`crate::Semaphore`] and
-    /// [`crate::Mutex`] use it too): state shared by several processes
-    /// lives in the arena and is reached through the `&mut SimState`
-    /// each process receives, instead of `Rc<RefCell<…>>` captures.
+    /// This is the extension point for user-defined channels: state
+    /// shared by several processes lives in the arena and is reached
+    /// through the `&mut SimState` each process receives, instead of
+    /// `Rc<RefCell<…>>` captures.
     pub fn add_channel<C: 'static>(&mut self, channel: C) -> u32 {
         let id = self.channels.len() as u32;
         self.channels.push(Box::new(channel));

@@ -15,12 +15,12 @@
 //!   ([`Simulator::process`]), run once at elaboration like SystemC
 //!   method processes;
 //! * [`Event`]s with delta and timed notification;
-//! * [`Clock`]s, including the 180°-out-of-phase master-clock pair
-//!   (`K`/`K#`) the LA-1 interface requires ([`Clock::pair`]);
-//! * primitive channels: a bounded [`Fifo`], a counting [`Semaphore`]
-//!   and a [`Mutex`] (non-blocking interfaces with wake-up events, as
-//!   method processes cannot block);
-//! * a value [`Trace`] recorder for waveform-style inspection.
+//! * user-defined channels ([`SimState::add_channel`]): state shared by
+//!   several processes, stored in the kernel's arena.
+//!
+//! The LA-1 model drives its 180°-out-of-phase master clocks (`K`/`K#`)
+//! itself, one edge pair per protocol cycle, so the kernel needs no
+//! free-running clock generator.
 //!
 //! The kernel is **arena-indexed**: signals, channels and processes are
 //! `u32` handles into dense vectors owned by [`SimState`]; processes
@@ -50,19 +50,11 @@
 //! assert_eq!(b.read(&sim), 42);
 //! ```
 
-mod clock;
-mod fifo;
 mod kernel;
 mod signal;
-mod sync;
-mod trace;
 
-pub use clock::Clock;
-pub use fifo::Fifo;
 pub use kernel::{Event, ProcessId, SimState, SimTime, Simulator};
 pub use signal::Signal;
-pub use sync::{Mutex, Semaphore};
-pub use trace::Trace;
 
 #[cfg(test)]
 mod tests;

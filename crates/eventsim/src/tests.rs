@@ -137,107 +137,6 @@ fn step_time_returns_each_instant() {
 }
 
 #[test]
-fn clock_toggles_with_period() {
-    let mut sim = Simulator::new();
-    let clk = Clock::new(&mut sim, "clk", 10, false, 5);
-    let edges = Rc::new(RefCell::new(Vec::new()));
-    {
-        let edges = Rc::clone(&edges);
-        let c = clk.signal();
-        let sens = [clk.edge_event()];
-        sim.process("watch", &sens, move |st| {
-            edges.borrow_mut().push((st.time(), c.read(st)));
-        });
-    }
-    sim.run_until(30);
-    // first edge at 5 (rise), then every 5: 10 fall, 15 rise, ...
-    assert_eq!(
-        *edges.borrow(),
-        vec![
-            (0, false), // initialization observation
-            (5, true),
-            (10, false),
-            (15, true),
-            (20, false),
-            (25, true),
-            (30, false),
-        ]
-    );
-    assert_eq!(clk.period(), 10);
-}
-
-#[test]
-fn clock_pair_is_complementary() {
-    let mut sim = Simulator::new();
-    let (k, kb) = Clock::pair(&mut sim, "K", "K#", 8);
-    for _ in 0..20 {
-        if sim.step_time().is_none() {
-            break;
-        }
-        assert_ne!(
-            k.is_high(&sim),
-            kb.is_high(&sim),
-            "K and K# must be complementary"
-        );
-        if sim.time() > 100 {
-            break;
-        }
-    }
-    assert!(sim.time() >= 40, "clocks keep running");
-}
-
-#[test]
-fn fifo_basics() {
-    let mut sim = Simulator::new();
-    let f: Fifo<u32> = Fifo::new(&mut sim, 2);
-    assert!(f.is_empty(&sim));
-    assert_eq!(f.capacity(&sim), 2);
-    f.nb_write(&mut sim, 1).unwrap();
-    f.nb_write(&mut sim, 2).unwrap();
-    assert_eq!(f.nb_write(&mut sim, 3), Err(3));
-    assert_eq!(f.len(&sim), 2);
-    assert_eq!(f.nb_read(&mut sim), Some(1));
-    assert_eq!(f.nb_read(&mut sim), Some(2));
-    assert_eq!(f.nb_read(&mut sim), None);
-}
-
-#[test]
-fn fifo_events_wake_consumers() {
-    let mut sim = Simulator::new();
-    let f: Fifo<u8> = Fifo::new(&mut sim, 4);
-    let got = Rc::new(RefCell::new(Vec::new()));
-    {
-        let got = Rc::clone(&got);
-        let sens = [f.data_written_event()];
-        sim.process("consumer", &sens, move |st| {
-            while let Some(v) = f.nb_read(st) {
-                got.borrow_mut().push(v);
-            }
-        });
-    }
-    sim.run_deltas();
-    f.nb_write(&mut sim, 7).unwrap();
-    f.nb_write(&mut sim, 8).unwrap();
-    sim.run_deltas();
-    assert_eq!(*got.borrow(), vec![7, 8]);
-}
-
-#[test]
-fn trace_records_changes() {
-    let mut sim = Simulator::new();
-    let s = sim.signal("sig", 0u8);
-    let t = Trace::new();
-    t.watch(&mut sim, &s);
-    s.write(&mut sim, 1);
-    sim.run_deltas();
-    s.write(&mut sim, 2);
-    sim.run_deltas();
-    let names: Vec<String> = t.samples().iter().map(|(_, n, _)| n.clone()).collect();
-    assert!(names.iter().all(|n| n == "sig"));
-    assert!(t.render().contains("sig=2"));
-}
-
-#[test]
 fn activations_counted() {
     let mut sim = Simulator::new();
     let s = sim.signal("s", 0u32);
@@ -269,42 +168,6 @@ mod props {
                 sim.run_deltas();
                 prop_assert_eq!(s.read(&sim), v);
             }
-        }
-
-        #[test]
-        fn clock_edges_are_periodic(period in (1u64..20).prop_map(|p| p * 2)) {
-            let mut sim = Simulator::new();
-            let clk = Clock::new(&mut sim, "c", period, false, period / 2);
-            let edges = Rc::new(RefCell::new(Vec::new()));
-            {
-                let edges = Rc::clone(&edges);
-                let sens = [clk.edge_event()];
-                sim.process("w", &sens, move |st| {
-                    edges.borrow_mut().push(st.time());
-                });
-            }
-            sim.run_until(period * 10);
-            let e = edges.borrow();
-            // drop the initialization observation at t=0
-            let real: Vec<u64> = e.iter().copied().filter(|&t| t > 0).collect();
-            prop_assert!(real.len() >= 2);
-            for w in real.windows(2) {
-                prop_assert_eq!(w[1] - w[0], period / 2);
-            }
-        }
-
-        #[test]
-        fn fifo_preserves_order(items in prop::collection::vec(any::<u8>(), 1..20)) {
-            let mut sim = Simulator::new();
-            let f: Fifo<u8> = Fifo::new(&mut sim, items.len());
-            for &i in &items {
-                f.nb_write(&mut sim, i).unwrap();
-            }
-            let mut out = Vec::new();
-            while let Some(v) = f.nb_read(&mut sim) {
-                out.push(v);
-            }
-            prop_assert_eq!(out, items);
         }
     }
 }

@@ -29,7 +29,7 @@
 use crate::models::{FaultModel, FaultPlan, HostileMasterSeq, Injector};
 use la1_core::asm_model::LaAsmModel;
 use la1_core::checkpoint::Trace;
-use la1_core::cycle_model::{CycleModel, RtlWithOvl};
+use la1_core::cycle_model::{pin_mismatch, CycleModel, RtlWithOvl};
 use la1_core::json::Json;
 use la1_core::properties::{cycle_properties_for, Directive};
 use la1_core::rtl_model::{LaRtl, LaRtlDriver, XPin};
@@ -783,14 +783,8 @@ pub(crate) fn open_loop_run(
         }
         if !detections.contains_key("scoreboard") {
             let (dut, golden) = (dut.pins(), golden.pins());
-            for bank in 0..cfg.banks {
-                if dut.bank_output(bank) != golden.bank_output(bank)
-                    || dut.write_done(bank) != golden.write_done(bank)
-                {
-                    detections
-                        .insert("scoreboard".to_string(), cycle.saturating_sub(activation));
-                    break;
-                }
+            if (0..cfg.banks).any(|bank| pin_mismatch(golden, dut, bank).is_some()) {
+                detections.insert("scoreboard".to_string(), cycle.saturating_sub(activation));
             }
         }
     }

@@ -899,11 +899,11 @@ mod props {
                 .collect();
             let mut batched = BatchedRtlSim::new(&n);
             let mut scalars: Vec<RtlSim> = (0..LANES).map(|_| RtlSim::new(&n)).collect();
-            for lane in 0..LANES {
+            for (lane, scalar) in scalars.iter_mut().enumerate() {
                 for &net in &nets[..5] {
                     let v = g.vec(n.expr_width(&Expr::net(net)));
                     batched.set_lane(net, lane, &v);
-                    scalars[lane].set(net, v);
+                    scalar.set(net, v);
                 }
             }
             batched.step();

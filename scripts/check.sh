@@ -6,6 +6,9 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 cargo clippy --all-targets -- -D warnings
+# The same lints over the proptest-gated modules, which the line above
+# never compiles.
+cargo clippy --all-targets --features proptest -- -D warnings
 # One serialization path (DESIGN.md §14): every JSON document is a
 # `la1_core::json::Json` value laid out by its renderers, so an escaped
 # JSON key in a non-test source anywhere else is JSON built by hand.

@@ -7,7 +7,7 @@
 //! |---|---|
 //! | [`core`](la1_core) | the LA-1 interface at UML/ASM/SystemC/RTL levels |
 //! | [`psl`](la1_psl) | PSL properties, SEREs, runtime monitors |
-//! | [`asm`](la1_asm) | ASM modelling + bounded exploration + conformance |
+//! | [`asm`](la1_asm) | ASM modelling + bounded exploration |
 //! | [`eventsim`](la1_eventsim) | SystemC-like delta-cycle kernel |
 //! | [`rtl`](la1_rtl) | four-state netlists, DDR/tristate simulation, Verilog |
 //! | [`smc`](la1_smc) | RuleBase-style BDD model checker |

@@ -1,11 +1,12 @@
 //! Workspace-level integration tests: exercises spanning several crates
 //! at once, as a downstream user of `la1-suite` would.
 
-use la1_suite::asm::{conformance_check, ExploreConfig, Explorer};
+use la1_suite::asm::{ExploreConfig, Explorer};
 use la1_suite::core::asm_model::LaAsmModel;
+use la1_suite::core::cycle_model::co_execute;
 use la1_suite::core::harness::{run_rtl_ovl, run_systemc_abv};
 use la1_suite::core::properties::{cycle_properties, rtl_read_mode_property};
-use la1_suite::core::refine::{conformance_stimulus, run_flow};
+use la1_suite::core::refine::run_flow;
 use la1_suite::core::rtl_model::{LaRtl, LaRtlDriver};
 use la1_suite::core::sc_model::LaSystemC;
 use la1_suite::core::spec::{BankOp, LaConfig};
@@ -65,9 +66,9 @@ fn refinement_preserves_read_mode() {
     assert!(matches!(report.outcome, SmcOutcome::Proved));
 }
 
-/// An injected RTL bug (broken parity) is caught by all three
-/// verification paths: the SMC proof fails, the OVL monitors fire, and
-/// the SystemC monitors fire on the equivalent SystemC fault.
+/// An injected parity bug is caught by two verification paths: the SMC
+/// proof fails on the broken RTL, and the SystemC monitors fire on the
+/// equivalent SystemC fault (`la1-core` tests the OVL path).
 #[test]
 fn fault_injection_caught_everywhere() {
     // (a) symbolic model checking on the model-checking geometry
@@ -97,8 +98,8 @@ fn long_conformance_run() {
     let cfg = small_cfg(2);
     let mut asm = LaAsmModel::new(&cfg);
     let mut sc = LaSystemC::new(&cfg);
-    let stim = conformance_stimulus(&cfg, 31337, 150);
-    conformance_check(&mut asm, &mut sc, &stim).expect("levels agree");
+    let mut mix = RandomMix::full_word(&cfg, 31337, 0.5, 0.5);
+    co_execute(cfg.banks, &mut [&mut asm, &mut sc], &mut mix, 450).expect("levels agree");
 }
 
 /// SystemC and RTL produce identical outputs under byte-masked writes
