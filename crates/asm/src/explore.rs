@@ -11,9 +11,7 @@
 //! identical for every worker count (see `ExploreConfig::workers`).
 
 use crate::machine::{AsmState, Machine};
-use crate::shard::{
-    combine_fps, hash_state, mix64, MonitorSetArena, ShardedIndex, StateArena,
-};
+use crate::shard::{combine_fps, hash_state, mix64, MonitorSetArena, ShardedIndex, StateArena};
 use crate::Value;
 use la1_psl::{Directive, DirectiveKind, Monitor, Valuation};
 use std::ops::ControlFlow;
@@ -221,10 +219,7 @@ impl Fsm {
     /// ```
     pub fn to_dot<F: Fn(&AsmState) -> String>(&self, fmt: F) -> String {
         let mut out = String::from("digraph fsm {\n  rankdir=LR;\n");
-        out.push_str(&format!(
-            "  n{} [shape=doublecircle];\n",
-            self.initial
-        ));
+        out.push_str(&format!("  n{} [shape=doublecircle];\n", self.initial));
         for (i, s) in self.states.iter().enumerate() {
             out.push_str(&format!(
                 "  n{i} [label=\"{}\"];\n",
@@ -286,8 +281,14 @@ impl Counterexample {
         let mut out = format!("counterexample for {}:\n", self.property);
         for (i, (rule, state)) in self.path.iter().enumerate() {
             match rule {
-                None => out.push_str(&format!("  #{i} (initial) {}\n", machine.format_state(state))),
-                Some(r) => out.push_str(&format!("  #{i} --{r}--> {}\n", machine.format_state(state))),
+                None => out.push_str(&format!(
+                    "  #{i} (initial) {}\n",
+                    machine.format_state(state)
+                )),
+                Some(r) => out.push_str(&format!(
+                    "  #{i} --{r}--> {}\n",
+                    machine.format_state(state)
+                )),
             }
         }
         out
@@ -651,7 +652,8 @@ impl Engine<'_> {
                 idx
             }
         };
-        self.transitions.push((s.parent as usize, s.rule, to as usize));
+        self.transitions
+            .push((s.parent as usize, s.rule, to as usize));
         ControlFlow::Continue(())
     }
 
@@ -1085,7 +1087,9 @@ impl<'a> Explorer<'a> {
         let mons_idx = engine
             .mon_sets
             .intern_with(mons_combined, &init_fps, move || init_monitors);
-        engine.visited.insert_mut(mix64(state_hash, mons_combined), 0);
+        engine
+            .visited
+            .insert_mut(mix64(state_hash, mons_combined), 0);
         engine.nodes.push(Node {
             state: state_idx,
             mons: mons_idx,
@@ -1137,7 +1141,11 @@ impl<'a> Explorer<'a> {
                 .map(|n| engine.arena.get(n.state).clone())
                 .collect(),
             transitions: engine.transitions,
-            rule_labels: machine.rules().iter().map(|r| r.name().to_string()).collect(),
+            rule_labels: machine
+                .rules()
+                .iter()
+                .map(|r| r.name().to_string())
+                .collect(),
             initial: 0,
         };
         let verdict = match engine.truncated {

@@ -133,7 +133,10 @@ impl fmt::Debug for Machine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Machine")
             .field("vars", &self.var_names)
-            .field("rules", &self.rules.iter().map(Rule::name).collect::<Vec<_>>())
+            .field(
+                "rules",
+                &self.rules.iter().map(Rule::name).collect::<Vec<_>>(),
+            )
             .field(
                 "predicates",
                 &self.predicates.iter().map(|(n, _)| n).collect::<Vec<_>>(),

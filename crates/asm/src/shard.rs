@@ -196,7 +196,10 @@ impl MonitorSetArena {
             fps: fps.to_vec().into_boxed_slice(),
             monitors: make(),
         });
-        self.index.entry(combined).or_insert_with(SmallIdxVec::new).push(idx);
+        self.index
+            .entry(combined)
+            .or_insert_with(SmallIdxVec::new)
+            .push(idx);
         idx
     }
 }
@@ -296,7 +299,11 @@ mod tests {
         idx.insert_mut(42, 7);
         idx.insert_mut(42, 9);
         assert_eq!(idx.lookup(42, |_| true), Some(7), "insertion order wins");
-        assert_eq!(idx.lookup(42, |i| i == 9), Some(9), "verify screens candidates");
+        assert_eq!(
+            idx.lookup(42, |i| i == 9),
+            Some(9),
+            "verify screens candidates"
+        );
         assert_eq!(idx.lookup(42, |_| false), None);
     }
 }

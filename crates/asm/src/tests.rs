@@ -379,8 +379,7 @@ fn assume_directive_constrains_environment() {
 
     // the assume prunes any path where an even value appears before an
     // odd one (i.e. forbids bump2 from 0) — the explorer must respect it
-    let assume =
-        la1_psl::parse_directive("assume env : never {was_bumped}").unwrap();
+    let assume = la1_psl::parse_directive("assume env : never {was_bumped}").unwrap();
     let r = Explorer::new(&m, ExploreConfig::default())
         .with_directives(&[assume, cover])
         .run();
@@ -419,12 +418,16 @@ fn grid(n: i64) -> Machine {
     let mut b = MachineBuilder::new();
     let a = b.var("a", Value::Int(0));
     let c = b.var("c", Value::Int(0));
-    b.rule("inc_a", move |s| s.int(a) < n, move |s| {
-        vec![vec![(a, Value::Int(s.int(a) + 1))]]
-    });
-    b.rule("inc_c", move |s| s.int(c) < n, move |s| {
-        vec![vec![(c, Value::Int(s.int(c) + 1))]]
-    });
+    b.rule(
+        "inc_a",
+        move |s| s.int(a) < n,
+        move |s| vec![vec![(a, Value::Int(s.int(a) + 1))]],
+    );
+    b.rule(
+        "inc_c",
+        move |s| s.int(c) < n,
+        move |s| vec![vec![(c, Value::Int(s.int(c) + 1))]],
+    );
     b.predicate("in_range", move |s| s.int(a) <= n && s.int(c) <= n);
     b.predicate("diag", move |s| s.int(a) == s.int(c));
     b.predicate("corner", move |s| s.int(a) == n && s.int(c) == n);
@@ -556,8 +559,7 @@ fn parallel_without_stop_filter_matches_sequential() {
         assert_eq!(r.fsm.states(), base.fsm.states(), "workers={workers}");
         assert_eq!(r.stats.transitions, base.stats.transitions);
         assert_eq!(r.stats.dedup_hits, base.stats.dedup_hits);
-        let (Some(c1), Some(c2)) = (base.first_counterexample(), r.first_counterexample())
-        else {
+        let (Some(c1), Some(c2)) = (base.first_counterexample(), r.first_counterexample()) else {
             panic!("both runs must violate");
         };
         assert_eq!(c1.path.len(), c2.path.len());

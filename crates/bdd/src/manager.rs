@@ -393,7 +393,12 @@ impl Bdd {
     /// entry whose slot it takes, every other result survives, and the
     /// table doubles with the arena, so the results it keeps scale with
     /// the diagrams the operation builds.
-    pub(crate) fn mk(&mut self, var: u32, lo: NodeId, hi: NodeId) -> Result<NodeId, BddOverflowError> {
+    pub(crate) fn mk(
+        &mut self,
+        var: u32,
+        lo: NodeId,
+        hi: NodeId,
+    ) -> Result<NodeId, BddOverflowError> {
         if lo == hi {
             return Ok(lo);
         }
@@ -408,7 +413,9 @@ impl Bdd {
             }
         }
         if self.nodes.len() >= self.budget {
-            return Err(BddOverflowError { budget: self.budget });
+            return Err(BddOverflowError {
+                budget: self.budget,
+            });
         }
         let id = self.nodes.len() as u32;
         self.nodes.push(node);

@@ -29,10 +29,7 @@ impl Bdd {
         if let Some(r) = self.cache.get(&key) {
             return Ok(r);
         }
-        let top = self
-            .var_raw(f)
-            .min(self.var_raw(g))
-            .min(self.var_raw(h));
+        let top = self.var_raw(f).min(self.var_raw(g)).min(self.var_raw(h));
         let (f0, f1) = self.cofactor_at(f, top);
         let (g0, g1) = self.cofactor_at(g, top);
         let (h0, h1) = self.cofactor_at(h, top);
@@ -168,7 +165,11 @@ impl Bdd {
         let mut cur = f;
         while !self.is_terminal(cur) {
             let n = self.nodes[cur.index()];
-            cur = if assignment[n.var as usize] { n.hi } else { n.lo };
+            cur = if assignment[n.var as usize] {
+                n.hi
+            } else {
+                n.lo
+            };
         }
         cur == Self::ONE
     }

@@ -15,10 +15,7 @@ pub struct Assignment {
 impl Assignment {
     /// The assigned value of `var`, or `None` if it is a don't-care.
     pub fn value(&self, var: VarId) -> Option<bool> {
-        self.values
-            .iter()
-            .find(|(v, _)| *v == var)
-            .map(|&(_, b)| b)
+        self.values.iter().find(|(v, _)| *v == var).map(|&(_, b)| b)
     }
 
     /// The constrained `(variable, value)` pairs, ascending by variable.

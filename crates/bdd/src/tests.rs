@@ -77,7 +77,11 @@ fn ite_is_shannon_expansion() -> Result<(), BddOverflowError> {
     let f = bdd.ite(a, b, c)?;
     for bits in 0..8u8 {
         let assignment = [(bits & 1) != 0, (bits & 2) != 0, (bits & 4) != 0];
-        let expect = if assignment[0] { assignment[1] } else { assignment[2] };
+        let expect = if assignment[0] {
+            assignment[1]
+        } else {
+            assignment[2]
+        };
         assert_eq!(bdd.eval(f, &assignment), expect);
     }
     Ok(())

@@ -120,8 +120,12 @@ fn main() {
                 .into_rtl(&design)
                 .expect("restore the scalar driver")
         });
-        let cold_after = Snapshot::of_rtl(&cold_driver).expect("re-snapshot cold").to_jsonl();
-        let warm_after = Snapshot::of_rtl(&warm_driver).expect("re-snapshot warm").to_jsonl();
+        let cold_after = Snapshot::of_rtl(&cold_driver)
+            .expect("re-snapshot cold")
+            .to_jsonl();
+        let warm_after = Snapshot::of_rtl(&warm_driver)
+            .expect("re-snapshot warm")
+            .to_jsonl();
         if cold_after != snap_text || warm_after != snap_text {
             gate.fail(format!(
                 "{banks} banks: warm/cold scalar state diverged from straight-through"

@@ -30,11 +30,11 @@
 
 use la1_bench::{write_json, BenchArgs, Gate};
 use la1_core::json::Json;
+use la1_core::spec::LaConfig;
 use la1_cover::{
     run_closure, run_closure_rtl, run_closure_rtl_batched, ClosureConfig, ClosureReport,
     MultiClosureReport,
 };
-use la1_core::spec::LaConfig;
 use std::time::Instant;
 
 fn row(report: &ClosureReport) -> String {

@@ -6,10 +6,7 @@ use la1_core::spec::{LaConfig, PinDir};
 fn main() {
     let cfg = LaConfig::new(4);
     println!("Figure 1. Look-Aside Interface (4 Banks)\n");
-    println!(
-        "{:<8} {:>6} {:>10}  Purpose",
-        "Pin", "Width", "Direction"
-    );
+    println!("{:<8} {:>6} {:>10}  Purpose", "Pin", "Width", "Direction");
     println!("{}", "-".repeat(76));
     for pin in cfg.pins() {
         println!(

@@ -17,7 +17,10 @@ fn main() {
     la1.cycle(&[]);
     println!("\nexecuted SystemC trace:");
     for m in la1.trace() {
-        println!("  {} -> {} : {}[{}]()@{}", m.from, m.to, m.method, m.cycle, m.clock);
+        println!(
+            "  {} -> {} : {}[{}]()@{}",
+            m.from, m.to, m.method, m.cycle, m.clock
+        );
     }
     match seq.check(&la1.trace()) {
         Ok(()) => println!("\ntrace conforms to the Figure 3 scenario"),

@@ -30,7 +30,12 @@ use std::time::Instant;
 const LANES: usize = 64;
 
 /// Folds one cycle's visible outputs for one lane into a checksum.
-fn fold(h: u64, banks: u32, output: impl Fn(u32) -> Option<u64>, done: impl Fn(u32) -> bool) -> u64 {
+fn fold(
+    h: u64,
+    banks: u32,
+    output: impl Fn(u32) -> Option<u64>,
+    done: impl Fn(u32) -> bool,
+) -> u64 {
     let mut h = h;
     for b in 0..banks {
         let v = output(b).map_or(0xA5A5_A5A5_A5A5_A5A5, |v| v ^ 1);
@@ -76,7 +81,12 @@ fn main() {
             let mut driver = LaRtlDriver::new(&design);
             for row in &stimulus {
                 driver.cycle(&row[lane]);
-                *sum = fold(*sum, banks, |b| driver.bank_output(b), |b| driver.write_done(b));
+                *sum = fold(
+                    *sum,
+                    banks,
+                    |b| driver.bank_output(b),
+                    |b| driver.write_done(b),
+                );
             }
         }
         let scalar_elapsed = t0.elapsed().as_secs_f64();

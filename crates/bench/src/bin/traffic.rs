@@ -79,9 +79,7 @@ fn scenarios(banks: u32, masters: usize) -> Vec<Scenario> {
         Scenario {
             name: "qdr",
             cfg: la1b,
-            make: Box::new(move |seed| {
-                Box::new(Agent::new(&c2, QdrStream::new(&c2, seed, 0.3)))
-            }),
+            make: Box::new(move |seed| Box::new(Agent::new(&c2, QdrStream::new(&c2, seed, 0.3)))),
         },
         Scenario {
             name: "lookup",
@@ -110,12 +108,7 @@ fn counters(m: &TransactionMonitor) -> Counters {
     }
 }
 
-fn check_clean(
-    gate: &mut Gate,
-    label: &str,
-    monitor: &TransactionMonitor,
-    violations: usize,
-) {
+fn check_clean(gate: &mut Gate, label: &str, monitor: &TransactionMonitor, violations: usize) {
     let s = monitor.stats();
     if !s.clean() {
         gate.fail(format!(
@@ -152,11 +145,14 @@ fn main() {
         let mut scenario_jsons = Vec::new();
         for sc in scenarios(banks, masters) {
             let cfg = &sc.cfg;
-            let wseed = stream_seed(seed, match sc.name {
-                "contention" => 1,
-                "qdr" => 2,
-                _ => 3,
-            });
+            let wseed = stream_seed(
+                seed,
+                match sc.name {
+                    "contention" => 1,
+                    "qdr" => 2,
+                    _ => 3,
+                },
+            );
 
             // --- scalar levels, each scoreboarded by the monitor ---
             // the ASM level models the base LA-1 only; skip it on the

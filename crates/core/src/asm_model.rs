@@ -199,45 +199,39 @@ impl LaAsmModel {
             mem,
             sim_status,
             addr_domain: config.mc_addr_domain.clone(),
-            data_domain: config.mc_data_domain.iter().map(|&d| d & word_mask).collect(),
+            data_domain: config
+                .mc_data_domain
+                .iter()
+                .map(|&d| d & word_mask)
+                .collect(),
             word_mask,
         });
 
         // --- SimManager_Init (Fig. 4) ---------------------------------
         {
             let p = Arc::clone(&params);
-            b.rule(
-                "SimManager_Init",
-                move |s| s.sym(p.sim_status) == "INIT",
-                {
-                    let p = Arc::clone(&params);
-                    move |_s| {
-                        // enumerate `any rec in {true,false}` per port
-                        let nb = p.banks.len();
-                        let combos = 1u32 << (2 * nb as u32);
-                        (0..combos)
-                            .map(|c| {
-                                let mut up = vec![
-                                    (p.sim_status, Value::Sym("CHECKING_PROP")),
-                                    (m_k, Value::Bool(true)),
-                                    (m_ks, Value::Bool(false)),
-                                ];
-                                for (i, v) in p.banks.iter().enumerate() {
-                                    up.push((
-                                        v.wp_depth,
-                                        Value::Bool(c >> (2 * i) & 1 == 1),
-                                    ));
-                                    up.push((
-                                        v.rp_depth,
-                                        Value::Bool(c >> (2 * i + 1) & 1 == 1),
-                                    ));
-                                }
-                                up
-                            })
-                            .collect()
-                    }
-                },
-            );
+            b.rule("SimManager_Init", move |s| s.sym(p.sim_status) == "INIT", {
+                let p = Arc::clone(&params);
+                move |_s| {
+                    // enumerate `any rec in {true,false}` per port
+                    let nb = p.banks.len();
+                    let combos = 1u32 << (2 * nb as u32);
+                    (0..combos)
+                        .map(|c| {
+                            let mut up = vec![
+                                (p.sim_status, Value::Sym("CHECKING_PROP")),
+                                (m_k, Value::Bool(true)),
+                                (m_ks, Value::Bool(false)),
+                            ];
+                            for (i, v) in p.banks.iter().enumerate() {
+                                up.push((v.wp_depth, Value::Bool(c >> (2 * i) & 1 == 1)));
+                                up.push((v.rp_depth, Value::Bool(c >> (2 * i + 1) & 1 == 1)));
+                            }
+                            up
+                        })
+                        .collect()
+                }
+            });
         }
 
         // --- tick rules ------------------------------------------------
@@ -287,11 +281,7 @@ impl LaAsmModel {
                         for wb in 0..p.banks.len() {
                             for &wa in &p.addr_domain {
                                 for &d in &p.data_domain {
-                                    sets.push(p.tick_updates(
-                                        s,
-                                        Some((rb, ra)),
-                                        Some((wb, wa, d)),
-                                    ));
+                                    sets.push(p.tick_updates(s, Some((rb, ra)), Some((wb, wa, d))));
                                 }
                             }
                         }

@@ -260,7 +260,9 @@ impl Snapshot {
             )));
         };
         let mut model = LaAsmModel::new(cfg);
-        model.restore_state(snap).map_err(CheckpointError::Restore)?;
+        model
+            .restore_state(snap)
+            .map_err(CheckpointError::Restore)?;
         Ok(model)
     }
 
@@ -290,7 +292,9 @@ impl Snapshot {
         if !snap.monitors.is_empty() {
             model.attach_default_monitors();
         }
-        model.restore_state(snap).map_err(CheckpointError::Restore)?;
+        model
+            .restore_state(snap)
+            .map_err(CheckpointError::Restore)?;
         Ok(model)
     }
 
@@ -331,7 +335,9 @@ impl Snapshot {
             )));
         };
         let mut model = RtlWithOvl::new(design);
-        model.restore_state(snap).map_err(CheckpointError::Restore)?;
+        model
+            .restore_state(snap)
+            .map_err(CheckpointError::Restore)?;
         Ok(model)
     }
 

@@ -125,11 +125,7 @@ pub fn attach_la1_ovl(bench: &mut OvlBench, rtl: &LaRtl) {
         }
         seq.push(Expr::bit(true));
         seq.push(Expr::not(Expr::net(nets.dv[b])));
-        bench.assert_cycle_sequence(
-            format!("ovl_no_spurious_dv_{b}"),
-            Severity::Error,
-            seq,
-        );
+        bench.assert_cycle_sequence(format!("ovl_no_spurious_dv_{b}"), Severity::Error, seq);
         // parity never fires
         bench.assert_never(
             format!("ovl_parity_{b}"),

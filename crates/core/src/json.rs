@@ -487,7 +487,10 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         let digits_start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
             self.pos += 1;
         }
         if self.pos == digits_start {
@@ -535,8 +538,7 @@ impl<'a> Parser<'a> {
                                 if !(0xDC00..0xE000).contains(&lo) {
                                     return Err(self.err("invalid low surrogate"));
                                 }
-                                let c =
-                                    0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                                let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
                                 char::from_u32(c).ok_or_else(|| self.err("bad code point"))?
                             } else {
                                 char::from_u32(cp).ok_or_else(|| self.err("bad code point"))?
@@ -662,7 +664,10 @@ mod tests {
         assert_eq!(v.get("t").and_then(Json::as_bool), Some(true));
         assert_eq!(v.get("u").and_then(Json::as_u64), Some(u64::MAX));
         assert_eq!(v.get("neg").and_then(Json::as_u64), None);
-        assert_eq!(v.get("a").and_then(Json::as_arr).map(<[Json]>::len), Some(3));
+        assert_eq!(
+            v.get("a").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(3)
+        );
         assert_eq!(
             v.get("o").and_then(|o| o.get("x")).and_then(Json::as_u64),
             Some(0)

@@ -110,14 +110,10 @@ pub fn rtl_properties(banks: u32) -> Vec<Directive> {
         out.push(dir(&format!(
             "assert rtl_write_mode_{b} : always {{!wr_v0_{b} ; wr_v0_{b}}} |=> next wdone_{b}"
         )));
-        out.push(dir(&format!(
-            "assert rtl_parity_{b} : always !perr_{b}"
-        )));
+        out.push(dir(&format!("assert rtl_parity_{b} : always !perr_{b}")));
     }
     if banks > 1 {
-        out.push(dir(
-            "assert rtl_no_bus_conflict : always !dv_conflict",
-        ));
+        out.push(dir("assert rtl_no_bus_conflict : always !dv_conflict"));
     }
     out
 }

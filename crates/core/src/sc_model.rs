@@ -504,7 +504,8 @@ impl LaSystemC {
                     bank.wr_req.write(&mut self.sim, true);
                     bank.wr_addr.write(&mut self.sim, addr);
                     let data = self.cfg.mask_word(data);
-                    bank.wr_data_lo.write(&mut self.sim, self.cfg.low_half(data));
+                    bank.wr_data_lo
+                        .write(&mut self.sim, self.cfg.low_half(data));
                     bank.wr_data_hi
                         .write(&mut self.sim, self.cfg.high_half(data));
                     bank.wr_byte_en.write(&mut self.sim, byte_en);

@@ -102,7 +102,10 @@ impl LaConfig {
 
     /// Bits needed for a word address within one bank.
     pub fn addr_bits(&self) -> u32 {
-        self.words_per_bank.next_power_of_two().trailing_zeros().max(1)
+        self.words_per_bank
+            .next_power_of_two()
+            .trailing_zeros()
+            .max(1)
     }
 
     /// Bits per DDR half-word.
@@ -155,7 +158,12 @@ impl LaConfig {
     pub fn pins(&self) -> Vec<Pin> {
         let mut pins = vec![
             Pin::new("K", 1, PinDir::HostOut, "master clock"),
-            Pin::new("K#", 1, PinDir::HostOut, "master clock, 180 degrees out of phase"),
+            Pin::new(
+                "K#",
+                1,
+                PinDir::HostOut,
+                "master clock, 180 degrees out of phase",
+            ),
         ];
         pins.push(Pin::new(
             "SA",

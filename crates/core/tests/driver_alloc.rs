@@ -110,7 +110,10 @@ fn rtl_ovl_cycles_do_not_allocate() {
         model.cycle(cycle);
     }
     let allocs = allocs_on_this_thread() - before;
-    assert_eq!(allocs, 0, "{allocs} allocations in 1,000 OVL-monitored cycles");
+    assert_eq!(
+        allocs, 0,
+        "{allocs} allocations in 1,000 OVL-monitored cycles"
+    );
     assert_eq!(model.violation_count(), 0);
 }
 
@@ -147,6 +150,9 @@ fn batched_ovl_lane_sampling_does_not_allocate() {
         run(refs);
     }
     let allocs = allocs_on_this_thread() - before;
-    assert_eq!(allocs, 0, "{allocs} allocations in {CYCLES} cycles of 64 benches");
+    assert_eq!(
+        allocs, 0,
+        "{allocs} allocations in {CYCLES} cycles of 64 benches"
+    );
     assert!(benches.iter().all(|b| b.violations().is_empty()));
 }

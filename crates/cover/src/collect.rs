@@ -363,31 +363,22 @@ impl CoverageCollector {
                     }),
                     BinKind::BankCross => {
                         cur.targets(b + 1, 0)
-                            && self
-                                .back(1)
-                                .is_some_and(|p| p.targets(b, words - 1))
+                            && self.back(1).is_some_and(|p| p.targets(b, words - 1))
                     }
                     BinKind::IdleCycle => !cur.any_read() && !cur.any_write(),
-                    BinKind::MonReadLatencyArmed => self
-                        .back(lat)
-                        .is_some_and(|p| p.banks[b].read.is_some()),
+                    BinKind::MonReadLatencyArmed => {
+                        self.back(lat).is_some_and(|p| p.banks[b].read.is_some())
+                    }
                     BinKind::MonReadLatencyHeld => {
                         cur.banks[b].dv.is_some()
-                            && self
-                                .back(lat)
-                                .is_some_and(|p| p.banks[b].read.is_some())
+                            && self.back(lat).is_some_and(|p| p.banks[b].read.is_some())
                     }
-                    BinKind::MonNoSpuriousArmed => {
-                        self.no_spurious_armed(b, burst, lat)
-                    }
+                    BinKind::MonNoSpuriousArmed => self.no_spurious_armed(b, burst, lat),
                     BinKind::MonNoSpuriousHeld => {
-                        cur.banks[b].dv.is_none()
-                            && self.no_spurious_armed(b, burst, lat)
+                        cur.banks[b].dv.is_none() && self.no_spurious_armed(b, burst, lat)
                     }
                     BinKind::MonParityArmed => cur.banks[b].dv.is_some(),
-                    BinKind::MonParityHeld => {
-                        cur.banks[b].dv.is_some() && !cur.banks[b].perr
-                    }
+                    BinKind::MonParityHeld => cur.banks[b].dv.is_some() && !cur.banks[b].perr,
                     BinKind::MonWriteCommitArmed => {
                         self.back(1).is_some_and(|p| p.banks[b].write.is_some())
                     }
@@ -413,9 +404,7 @@ impl CoverageCollector {
                     BinKind::XPipeFull => {
                         cur.any_read()
                             && cur.any_write()
-                            && self
-                                .back(1)
-                                .is_some_and(|p| p.any_read() && p.any_write())
+                            && self.back(1).is_some_and(|p| p.any_read() && p.any_write())
                     }
                     BinKind::XReadStream => {
                         cur.banks[b].read.is_some()
@@ -428,10 +417,8 @@ impl CoverageCollector {
                     }
                     BinKind::XWriteStream => {
                         cur.banks[b].write.is_some()
-                            && (1..=2).all(|k| {
-                                self.back(k)
-                                    .is_some_and(|p| p.banks[b].write.is_some())
-                            })
+                            && (1..=2)
+                                .all(|k| self.back(k).is_some_and(|p| p.banks[b].write.is_some()))
                     }
                     BinKind::XRwTurnaround => {
                         cur.banks[b].read.is_some()
@@ -453,10 +440,7 @@ impl CoverageCollector {
     /// (the burst form's window is one cycle longer).
     fn no_spurious_armed(&self, bank: usize, burst: u64, lat: usize) -> bool {
         let depth = if burst >= 2 { lat + 1 } else { lat };
-        (lat..=depth).all(|k| {
-            self.back(k)
-                .is_some_and(|p| p.banks[bank].read.is_none())
-        })
+        (lat..=depth).all(|k| self.back(k).is_some_and(|p| p.banks[bank].read.is_none()))
     }
 
     /// The coverage report as a JSON value.

@@ -212,7 +212,9 @@ impl GuidedMix {
                 vec![vec![w1], vec![w2]]
             }
             BinKind::IdleCycle => vec![Vec::new()],
-            BinKind::MonReadLatencyArmed | BinKind::MonReadLatencyHeld | BinKind::MonParityArmed
+            BinKind::MonReadLatencyArmed
+            | BinKind::MonReadLatencyHeld
+            | BinKind::MonParityArmed
             | BinKind::MonParityHeld => {
                 // a read whose data beat (and parity check) is observed
                 let a = self.addr();

@@ -168,9 +168,7 @@ impl CoverBin {
     /// burst extension's bins, 3 for the traffic cross-bin extension.
     pub fn tier(&self) -> u32 {
         match self.kind {
-            BinKind::MonBurstBeatArmed
-            | BinKind::MonBurstBeatHeld
-            | BinKind::BurstMinSpacing => 2,
+            BinKind::MonBurstBeatArmed | BinKind::MonBurstBeatHeld | BinKind::BurstMinSpacing => 2,
             BinKind::XPipeFull
             | BinKind::XReadStream
             | BinKind::XWriteStream
@@ -263,9 +261,9 @@ impl CoverageModel {
                 bank: 0,
             });
         }
-        debug_assert!(bins.iter().all(|bin| {
-            !bin.kind.per_bank() || bin.bank < config.banks
-        }));
+        debug_assert!(bins
+            .iter()
+            .all(|bin| { !bin.kind.per_bank() || bin.bank < config.banks }));
         CoverageModel {
             bins,
             banks: config.banks,
@@ -358,11 +356,7 @@ impl CoverageModel {
     pub fn lookback(&self) -> usize {
         // burst second beat: read READ_LATENCY + 1 cycles ago
         let base = READ_LATENCY as usize + 1;
-        if self
-            .bins
-            .iter()
-            .any(|b| b.kind == BinKind::XReadStream)
-        {
+        if self.bins.iter().any(|b| b.kind == BinKind::XReadStream) {
             // read-stream cross bin: reads 2 * burst_len cycles apart
             base.max(2 * self.burst_len as usize)
         } else {

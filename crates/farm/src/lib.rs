@@ -151,8 +151,7 @@ impl FarmPlan {
             emit(i, r, *attempts);
             results.push(r.clone());
         }
-        let pending: Vec<(usize, &FarmJob)> =
-            jobs.iter().enumerate().skip(results.len()).collect();
+        let pending: Vec<(usize, &FarmJob)> = jobs.iter().enumerate().skip(results.len()).collect();
         let (rest, run_stats) = run_pending(&pending, workers, policy, chaos, |id, r, attempts| {
             journal.append(id, attempts, r);
             emit(id, r, attempts);

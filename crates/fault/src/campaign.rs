@@ -345,11 +345,7 @@ impl DetectionMatrix {
                         e.insert(cell.clone());
                     }
                     std::collections::btree_map::Entry::Occupied(e) => {
-                        assert_eq!(
-                            e.get(),
-                            cell,
-                            "shards disagree on cell ({fault}, {level})"
-                        );
+                        assert_eq!(e.get(), cell, "shards disagree on cell ({fault}, {level})");
                     }
                 }
             }
@@ -546,9 +542,7 @@ pub(crate) fn build_golden(level: Level, cfg: &LaConfig) -> AnyModel {
     match level {
         Level::Asm => AnyModel::Asm(LaAsmModel::new(cfg)),
         Level::SystemC => AnyModel::Sc(LaSystemC::new(cfg)),
-        Level::Rtl | Level::RtlOvl => {
-            AnyModel::Rtl(LaRtlDriver::new(&LaRtl::build(cfg, None)))
-        }
+        Level::Rtl | Level::RtlOvl => AnyModel::Rtl(LaRtlDriver::new(&LaRtl::build(cfg, None))),
     }
 }
 
@@ -604,10 +598,7 @@ pub(crate) fn open_loop_script(cfg: &LaConfig, rng: &mut StdRng) -> Vec<Vec<Bank
         .map(|slot| vec![prime_write(cfg, slot)])
         .collect();
     for i in 0..slots {
-        let read = BankOp::read(
-            rng.gen_range(0..cfg.banks),
-            rng.gen_range(0..words) as u64,
-        );
+        let read = BankOp::read(rng.gen_range(0..cfg.banks), rng.gen_range(0..words) as u64);
         let write = BankOp::write(i / words, (i % words) as u64, 0x1000 + i as u64, full_be);
         script.push(vec![read, write]);
     }

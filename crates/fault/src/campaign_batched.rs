@@ -308,8 +308,7 @@ fn run_rtl_level_batched(
     let script_len = open_runs.first().map_or(0, |r| r.intended.len()) as u64;
     let mut sb_cycles: Vec<Option<u64>> = vec![None; open_runs.len()];
     let empty: &[BankOp] = &[];
-    let mut ops_buf: Vec<Vec<&[BankOp]>> =
-        groups.iter().map(|g| vec![empty; g.used]).collect();
+    let mut ops_buf: Vec<Vec<&[BankOp]>> = groups.iter().map(|g| vec![empty; g.used]).collect();
     let mut sample_buf: Vec<Vec<bool>> = groups.iter().map(|g| vec![false; g.used]).collect();
     for cycle in 0..script_len {
         for (gi, buf) in ops_buf.iter_mut().enumerate() {

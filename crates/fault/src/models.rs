@@ -211,9 +211,8 @@ impl Injector {
             }
             FaultModel::AddrBitFlip => {
                 if active && !self.fired {
-                    if let Some(BankOp::Read { addr, .. }) = ops
-                        .iter_mut()
-                        .find(|op| matches!(op, BankOp::Read { .. }))
+                    if let Some(BankOp::Read { addr, .. }) =
+                        ops.iter_mut().find(|op| matches!(op, BankOp::Read { .. }))
                     {
                         let flipped = *addr ^ (1 << self.plan.bit);
                         // addr_bits covers words_per_bank, but guard
@@ -233,9 +232,8 @@ impl Injector {
             }
             FaultModel::DataBitFlip => {
                 if active && !self.fired {
-                    if let Some(BankOp::Write { data, .. }) = ops
-                        .iter_mut()
-                        .find(|op| matches!(op, BankOp::Write { .. }))
+                    if let Some(BankOp::Write { data, .. }) =
+                        ops.iter_mut().find(|op| matches!(op, BankOp::Write { .. }))
                     {
                         *data ^= 1 << self.plan.bit;
                         self.fired = true;
@@ -246,9 +244,7 @@ impl Injector {
             }
             FaultModel::DropReadStrobe => {
                 if active && !self.fired {
-                    if let Some(pos) =
-                        ops.iter().position(|op| matches!(op, BankOp::Read { .. }))
-                    {
+                    if let Some(pos) = ops.iter().position(|op| matches!(op, BankOp::Read { .. })) {
                         ops.remove(pos);
                         self.fired = true;
                         return true;
@@ -258,8 +254,7 @@ impl Injector {
             }
             FaultModel::DropWriteStrobe => {
                 if active && !self.fired {
-                    if let Some(pos) =
-                        ops.iter().position(|op| matches!(op, BankOp::Write { .. }))
+                    if let Some(pos) = ops.iter().position(|op| matches!(op, BankOp::Write { .. }))
                     {
                         ops.remove(pos);
                         self.fired = true;
@@ -294,9 +289,7 @@ impl Injector {
             // device faults do not transform the op stream; the
             // hostile master lives at transaction level now — see
             // [`HostileMasterSeq`]
-            FaultModel::HostileMaster
-            | FaultModel::ParityFault
-            | FaultModel::XInjectWData => false,
+            FaultModel::HostileMaster | FaultModel::ParityFault | FaultModel::XInjectWData => false,
         }
     }
 

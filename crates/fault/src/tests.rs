@@ -116,7 +116,11 @@ fn injector_stuck_and_flip_faults() {
 #[test]
 fn hostile_master_sequence_double_reads_at_activation() {
     let cfg = cfg();
-    let script = vec![vec![BankOp::read(0, 0)], Vec::new(), vec![BankOp::read(0, 1)]];
+    let script = vec![
+        vec![BankOp::read(0, 0)],
+        Vec::new(),
+        vec![BankOp::read(0, 1)],
+    ];
     let mut driver = Driver::new(&cfg);
     let mut seq = HostileMasterSeq::new(ScriptSequence::new(script), 1, 2);
     let cycles: Vec<Vec<BankOp>> = (0..3).map(|_| driver.cycle_from(&mut seq)).collect();
@@ -149,7 +153,10 @@ fn hostile_master_sequence_forges_both_reads_on_idle_cycles() {
 fn x_injection_arms_on_first_write_after_activation() {
     let cfg = cfg();
     let mut inj = Injector::new(plan(FaultModel::XInjectWData, 4, 0, 0));
-    assert!(!inj.x_due(3, &[BankOp::write(0, 0, 1, 3)]), "before activation");
+    assert!(
+        !inj.x_due(3, &[BankOp::write(0, 0, 1, 3)]),
+        "before activation"
+    );
     assert!(!inj.x_due(5, &[BankOp::read(0, 0)]), "no write present");
     assert!(inj.x_due(5, &[BankOp::write(0, 0, 1, 3)]));
     assert!(!inj.x_due(6, &[BankOp::write(0, 1, 2, 3)]), "one-shot");
@@ -248,7 +255,8 @@ fn watchdog_flags_read_starvation_as_hung() {
         for level in Level::ALL {
             let cell = matrix.cell(FaultModel::StuckAt0ReadSel, level).unwrap();
             assert_eq!(
-                cell.hung, cell.runs,
+                cell.hung,
+                cell.runs,
                 "read starvation must hang every closed-loop run at {} ({banks} banks)",
                 level.name()
             );
@@ -441,7 +449,10 @@ fn shard_split_partitions_faults() {
         );
     }
     // the full shard is the identity split
-    assert_eq!(CampaignShard::split(&config, 1), vec![CampaignShard::full(&config)]);
+    assert_eq!(
+        CampaignShard::split(&config, 1),
+        vec![CampaignShard::full(&config)]
+    );
 }
 
 #[test]
@@ -450,19 +461,30 @@ fn sharded_scalar_campaign_merges_byte_identical() {
     config.runs_per_fault = 1;
     let full = run_campaign(&config);
     let family = CampaignShard::split(&config, 3);
-    let parts: Vec<_> = family.iter().map(|s| run_campaign_shard(&config, s)).collect();
+    let parts: Vec<_> = family
+        .iter()
+        .map(|s| run_campaign_shard(&config, s))
+        .collect();
     // forward merge order
     let mut merged = parts[0].clone();
     for part in &parts[1..] {
         merged.merge(part);
     }
-    assert_eq!(merged.to_json(), full.to_json(), "forward shard merge diverged");
+    assert_eq!(
+        merged.to_json(),
+        full.to_json(),
+        "forward shard merge diverged"
+    );
     // reverse merge order — the union is order-insensitive
     let mut reversed = parts[parts.len() - 1].clone();
     for part in parts[..parts.len() - 1].iter().rev() {
         reversed.merge(part);
     }
-    assert_eq!(reversed.to_json(), full.to_json(), "reverse shard merge diverged");
+    assert_eq!(
+        reversed.to_json(),
+        full.to_json(),
+        "reverse shard merge diverged"
+    );
 }
 
 #[test]

@@ -169,9 +169,7 @@ impl MonitorState {
             MonitorState::CycleSequence { active, .. } => {
                 OvlDynState::Threads(active.iter().map(|&p| p as u64).collect())
             }
-            MonitorState::ChangeLike { pending, .. } => {
-                OvlDynState::ValueCounters(pending.clone())
-            }
+            MonitorState::ChangeLike { pending, .. } => OvlDynState::ValueCounters(pending.clone()),
             MonitorState::Width { high_for, .. } => OvlDynState::Pulse(*high_for),
         }
     }
@@ -368,8 +366,7 @@ impl MonitorState {
                             if changed {
                                 false // satisfied
                             } else if remaining == 0 {
-                                violation =
-                                    Some("value did not change within num_cks".to_string());
+                                violation = Some("value did not change within num_cks".to_string());
                                 false
                             } else {
                                 true

@@ -59,14 +59,7 @@ fn assert_implication_same_cycle() {
     let (n, a, b, v) = probe_design();
     let mut bench = OvlBench::new();
     bench.assert_implication("a_implies_b", Severity::Error, Expr::net(a), Expr::net(b));
-    drive(
-        &mut bench,
-        &n,
-        a,
-        b,
-        v,
-        &[(0, 0, 0), (1, 1, 0), (1, 0, 0)],
-    );
+    drive(&mut bench, &n, a, b, v, &[(0, 0, 0), (1, 1, 0), (1, 0, 0)]);
     assert_eq!(bench.violations().len(), 1);
     assert_eq!(bench.violations()[0].cycle, 2);
 }
@@ -84,7 +77,14 @@ fn assert_next_counts_cycles() {
         a,
         b,
         v,
-        &[(1, 0, 0), (0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 0), (0, 0, 0)],
+        &[
+            (1, 0, 0),
+            (0, 0, 0),
+            (0, 1, 0),
+            (1, 0, 0),
+            (0, 0, 0),
+            (0, 0, 0),
+        ],
     );
     assert_eq!(bench.violations().len(), 1);
     assert_eq!(bench.violations()[0].cycle, 5);
@@ -119,14 +119,7 @@ fn assert_cycle_sequence_mandatory_tail() {
         vec![Expr::net(a), Expr::net(a), Expr::net(b)],
     );
     // good instance
-    drive(
-        &mut bench,
-        &n,
-        a,
-        b,
-        v,
-        &[(1, 0, 0), (1, 0, 0), (0, 1, 0)],
-    );
+    drive(&mut bench, &n, a, b, v, &[(1, 0, 0), (1, 0, 0), (0, 1, 0)]);
     assert!(bench.violations().is_empty());
     // bad instance
     let mut bench2 = OvlBench::new();
@@ -135,14 +128,7 @@ fn assert_cycle_sequence_mandatory_tail() {
         Severity::Error,
         vec![Expr::net(a), Expr::net(a), Expr::net(b)],
     );
-    drive(
-        &mut bench2,
-        &n,
-        a,
-        b,
-        v,
-        &[(1, 0, 0), (1, 0, 0), (0, 0, 0)],
-    );
+    drive(&mut bench2, &n, a, b, v, &[(1, 0, 0), (1, 0, 0), (0, 0, 0)]);
     assert_eq!(bench2.violations().len(), 1);
 }
 
@@ -153,14 +139,7 @@ fn assert_frame_window() {
     // after a, b must arrive between 1 and 3 cycles later
     bench.assert_frame("f", Severity::Error, Expr::net(a), Expr::net(b), 1, 3);
     // b arrives 2 cycles later: ok
-    drive(
-        &mut bench,
-        &n,
-        a,
-        b,
-        v,
-        &[(1, 0, 0), (0, 0, 0), (0, 1, 0)],
-    );
+    drive(&mut bench, &n, a, b, v, &[(1, 0, 0), (0, 0, 0), (0, 1, 0)]);
     assert!(bench.violations().is_empty());
     // b never arrives: violation when the window closes
     let mut bench2 = OvlBench::new();
@@ -279,14 +258,7 @@ fn assert_time_hold_window() {
     // bad: b drops after one cycle
     let mut bench2 = OvlBench::new();
     bench2.assert_time("t", Severity::Error, Expr::net(a), Expr::net(b), 2);
-    drive(
-        &mut bench2,
-        &n,
-        a,
-        b,
-        v,
-        &[(1, 0, 0), (0, 1, 0), (0, 0, 0)],
-    );
+    drive(&mut bench2, &n, a, b, v, &[(1, 0, 0), (0, 1, 0), (0, 0, 0)]);
     assert_eq!(bench2.violations().len(), 1);
 }
 

@@ -306,7 +306,11 @@ impl fmt::Display for Property {
             }
             Property::Implies(b, p) => write!(f, "{b} -> ({p})"),
             Property::SuffixImpl { pre, post, overlap } => {
-                write!(f, "{{{pre}}} {} {post}", if *overlap { "|->" } else { "|=>" })
+                write!(
+                    f,
+                    "{{{pre}}} {} {post}",
+                    if *overlap { "|->" } else { "|=>" }
+                )
             }
             Property::SereStrong(s) => write!(f, "{{{s}}}!"),
             Property::And(a, b) => write!(f, "({a}) && ({b})"),

@@ -71,7 +71,9 @@ pub trait Valuation {
 
 impl Valuation for [(&str, bool)] {
     fn value(&self, name: &str) -> bool {
-        self.iter().find(|(n, _)| *n == name).is_some_and(|&(_, v)| v)
+        self.iter()
+            .find(|(n, _)| *n == name)
+            .is_some_and(|&(_, v)| v)
     }
 }
 

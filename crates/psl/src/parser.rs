@@ -40,7 +40,11 @@ pub struct ParsePslError {
 
 impl fmt::Display for ParsePslError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "psl parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "psl parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -177,10 +181,12 @@ impl<'a> Lexer<'a> {
                     while self.pos < bytes.len() && bytes[self.pos].is_ascii_digit() {
                         self.pos += 1;
                     }
-                    let n: u32 = self.src[start..self.pos].parse().map_err(|_| ParsePslError {
-                        message: "number too large".into(),
-                        offset: start,
-                    })?;
+                    let n: u32 = self.src[start..self.pos]
+                        .parse()
+                        .map_err(|_| ParsePslError {
+                            message: "number too large".into(),
+                            offset: start,
+                        })?;
                     Tok::Num(n)
                 }
                 c if c.is_ascii_alphabetic() || c == b'_' => {
@@ -345,10 +351,14 @@ impl Parser {
                 };
                 self.expect(&Tok::RBracket, "`]`")?;
                 if n == 0 {
-                    return Err(self.err("next[0] is not allowed; write the property directly".into()));
+                    return Err(
+                        self.err("next[0] is not allowed; write the property directly".into())
+                    );
                 }
                 if u64::from(n) > MAX_POSITIONS {
-                    return Err(self.err(format!("next[{n}] delays more than {MAX_POSITIONS} cycles")));
+                    return Err(
+                        self.err(format!("next[{n}] delays more than {MAX_POSITIONS} cycles"))
+                    );
                 }
                 n
             } else {
@@ -414,9 +424,7 @@ impl Parser {
                         Some(Tok::AndAnd | Tok::OrOr | Tok::Caret | Tok::EqEq)
                     );
                     match prop {
-                        Property::Bool(b) if !boolean_continues => {
-                            return Ok(Property::Bool(b))
-                        }
+                        Property::Bool(b) if !boolean_continues => return Ok(Property::Bool(b)),
                         Property::Bool(_) => self.pos = save,
                         other => return Ok(other),
                     }
@@ -450,9 +458,7 @@ impl Parser {
             }
             // weak plain SERE: treat as strong-with-weak-finalize is out
             // of the simple subset; require an operator.
-            return Err(self.err(
-                "a plain SERE must be followed by `|->`, `|=>` or `!`".into(),
-            ));
+            return Err(self.err("a plain SERE must be followed by `|->`, `|=>` or `!`".into()));
         }
         Ok(Property::Bool(self.bool_or()?))
     }
@@ -592,8 +598,7 @@ impl Parser {
 
     fn bool_unary(&mut self) -> Result<BoolExpr, ParsePslError> {
         if self.eat(&Tok::Bang) {
-            return self
-                .descend(|p| Ok(BoolExpr::Not(Box::new(p.bool_unary()?))));
+            return self.descend(|p| Ok(BoolExpr::Not(Box::new(p.bool_unary()?))));
         }
         if self.eat(&Tok::LParen) {
             return self.descend(|p| {

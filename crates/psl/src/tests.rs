@@ -66,7 +66,10 @@ fn parse_rejects_garbage() {
     assert!(parse_property("a b").is_err());
     assert!(parse_bool_expr("&&").is_err());
     assert!(parse_sere("{a[*3:1]}").is_err());
-    assert!(parse_property("{a}").is_err(), "plain weak SERE not allowed");
+    assert!(
+        parse_property("{a}").is_err(),
+        "plain weak SERE not allowed"
+    );
 }
 
 #[test]
@@ -204,11 +207,7 @@ fn nfa_exact_repeat() {
 fn nfa_fusion_overlaps_one_cycle() {
     // {a ; b} : {b ; c} — b cycle shared
     let nfa = Nfa::from_sere(&parse_sere("{ {a ; b} : {b ; c} }").unwrap());
-    assert!(nfa.accepts(&[
-        cy(&[("a", true)]),
-        cy(&[("b", true)]),
-        cy(&[("c", true)]),
-    ]));
+    assert!(nfa.accepts(&[cy(&[("a", true)]), cy(&[("b", true)]), cy(&[("c", true)]),]));
     assert!(!nfa.accepts(&[
         cy(&[("a", true)]),
         cy(&[("b", true)]),
@@ -264,11 +263,7 @@ fn failure_cycle_is_recorded() {
 
 #[test]
 fn never_sere() {
-    let t = vec![
-        cy(&[("a", true)]),
-        cy(&[("b", true)]),
-        cy(&[]),
-    ];
+    let t = vec![cy(&[("a", true)]), cy(&[("b", true)]), cy(&[])];
     assert_eq!(run("never {a ; a}", &t), Verdict::Holds);
     assert_eq!(run("never {a ; b}", &t), Verdict::Fails);
 }
@@ -301,11 +296,7 @@ fn next_n() {
 
 #[test]
 fn until_weak_and_strong() {
-    let t = vec![
-        cy(&[("p", true)]),
-        cy(&[("p", true)]),
-        cy(&[("q", true)]),
-    ];
+    let t = vec![cy(&[("p", true)]), cy(&[("p", true)]), cy(&[("q", true)])];
     assert_eq!(run("p until q", &t), Verdict::Holds);
     assert_eq!(run("p until! q", &t), Verdict::Holds);
     // p drops before q arrives
@@ -347,10 +338,7 @@ fn boolean_implication_property() {
 #[test]
 fn suffix_implication_overlap() {
     // {a ; b} |-> c : c in the same cycle as b
-    let t = vec![
-        cy(&[("a", true)]),
-        cy(&[("b", true), ("c", true)]),
-    ];
+    let t = vec![cy(&[("a", true)]), cy(&[("b", true), ("c", true)])];
     assert_eq!(run("always {a ; b} |-> c", &t), Verdict::Holds);
     let t2 = vec![cy(&[("a", true)]), cy(&[("b", true)])];
     assert_eq!(run("always {a ; b} |-> c", &t2), Verdict::Fails);
@@ -388,11 +376,7 @@ fn suffix_implication_retriggers() {
 #[test]
 fn suffix_implication_temporal_consequent() {
     // read request answered two cycles later (the LA-1 read shape)
-    let t = vec![
-        cy(&[("rd", true)]),
-        cy(&[]),
-        cy(&[("dvalid", true)]),
-    ];
+    let t = vec![cy(&[("rd", true)]), cy(&[]), cy(&[("dvalid", true)])];
     assert_eq!(run("always {rd} |=> next dvalid", &t), Verdict::Holds);
     assert_eq!(run("always {rd} |=> dvalid", &t), Verdict::Fails);
 }
@@ -459,12 +443,20 @@ fn monitor_snapshot_restore_is_equivalent() {
             }
             let mut resumed = Monitor::new(&p);
             resumed.restore(&first.snapshot()).unwrap();
-            assert_eq!(resumed.fingerprint(), straight.fingerprint(), "{text}@{split}");
+            assert_eq!(
+                resumed.fingerprint(),
+                straight.fingerprint(),
+                "{text}@{split}"
+            );
             for cyv in &trace[split..] {
                 let a = straight.step(cyv.as_slice());
                 let b = resumed.step(cyv.as_slice());
                 assert_eq!(a, b, "{text}@{split}");
-                assert_eq!(resumed.fingerprint(), straight.fingerprint(), "{text}@{split}");
+                assert_eq!(
+                    resumed.fingerprint(),
+                    straight.fingerprint(),
+                    "{text}@{split}"
+                );
             }
             assert_eq!(resumed.finalize(), straight.finalize(), "{text}@{split}");
             assert_eq!(resumed.covered(), straight.covered(), "{text}@{split}");
@@ -614,10 +606,7 @@ fn nfa_fusion_with_repeat() {
     // {a[+] : b} — the last a-cycle coincides with b
     let nfa = Nfa::from_sere(&parse_sere("{ {a[+]} : {b} }").unwrap());
     assert!(nfa.accepts(&[cy(&[("a", true), ("b", true)])]));
-    assert!(nfa.accepts(&[
-        cy(&[("a", true)]),
-        cy(&[("a", true), ("b", true)]),
-    ]));
+    assert!(nfa.accepts(&[cy(&[("a", true)]), cy(&[("a", true), ("b", true)]),]));
     assert!(!nfa.accepts(&[cy(&[("a", true)]), cy(&[("b", true)])]));
 }
 
@@ -626,11 +615,7 @@ fn nfa_nested_or_with_concat() {
     let nfa = Nfa::from_sere(&parse_sere("{ {a ; b} | {c} ; d }").unwrap());
     // | binds tighter than ; here: {a;b} | ({c};d)? — our grammar:
     // sere -> sere_or (';' sere_or)*, so this parses as ({a;b}|{c}) ; d
-    assert!(nfa.accepts(&[
-        cy(&[("a", true)]),
-        cy(&[("b", true)]),
-        cy(&[("d", true)]),
-    ]));
+    assert!(nfa.accepts(&[cy(&[("a", true)]), cy(&[("b", true)]), cy(&[("d", true)]),]));
     assert!(nfa.accepts(&[cy(&[("c", true)]), cy(&[("d", true)])]));
     assert!(!nfa.accepts(&[cy(&[("c", true)])]));
 }
@@ -864,14 +849,13 @@ mod props {
     fn matches_ref(sere: &Sere, trace: &[Vec<(&str, bool)>], lo: usize, hi: usize) -> bool {
         match sere {
             Sere::Bool(b) => hi == lo + 1 && b.eval(trace[lo].as_slice()),
-            Sere::Concat(a, c) => (lo..=hi).any(|m| {
-                matches_ref(a, trace, lo, m) && matches_ref(c, trace, m, hi)
-            }),
+            Sere::Concat(a, c) => {
+                (lo..=hi).any(|m| matches_ref(a, trace, lo, m) && matches_ref(c, trace, m, hi))
+            }
             Sere::Fusion(a, c) => {
                 // overlap on one cycle: a matches [lo, m), c matches [m-1, hi)
-                (lo + 1..=hi).any(|m| {
-                    matches_ref(a, trace, lo, m) && matches_ref(c, trace, m - 1, hi)
-                })
+                (lo + 1..=hi)
+                    .any(|m| matches_ref(a, trace, lo, m) && matches_ref(c, trace, m - 1, hi))
             }
             Sere::Or(a, c) => matches_ref(a, trace, lo, hi) || matches_ref(c, trace, lo, hi),
             Sere::And(a, c) => matches_ref(a, trace, lo, hi) && matches_ref(c, trace, lo, hi),
@@ -896,8 +880,7 @@ mod props {
                         }
                     }
                     (lo + 1..=hi).any(|m| {
-                        matches_ref(s, trace, lo, m)
-                            && rep(s, trace, m, hi, count + 1, min, max)
+                        matches_ref(s, trace, lo, m) && rep(s, trace, m, hi, count + 1, min, max)
                     })
                 }
                 rep(sere, trace, lo, hi, 0, *min, *max)

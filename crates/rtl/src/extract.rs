@@ -128,7 +128,11 @@ impl BitBuilder {
     /// Continues an existing DAG such as [`TransitionSystem::nodes`]:
     /// its nodes keep their ids and are shared by the nodes built next.
     pub fn from_nodes(nodes: Vec<BitExpr>) -> Self {
-        let dedup = nodes.iter().enumerate().map(|(i, &n)| (n, i as BitId)).collect();
+        let dedup = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| (n, i as BitId))
+            .collect();
         BitBuilder { nodes, dedup }
     }
 
@@ -329,7 +333,10 @@ impl Netlist {
                 value,
             } = item
             {
-                tristate_targets.entry(*target).or_default().push((enable, value));
+                tristate_targets
+                    .entry(*target)
+                    .or_default()
+                    .push((enable, value));
             }
         }
         let mut progress = true;
@@ -337,39 +344,36 @@ impl Netlist {
             progress = false;
             for (idx, item) in self.items.iter().enumerate() {
                 match item {
-                    Item::Assign { target, expr }
-                        if !net_bits.contains_key(target) => {
-                            if let Some(bits) = eval_bits(&mut b, &net_bits, expr) {
-                                net_bits.insert(*target, bits);
-                                progress = true;
-                            }
+                    Item::Assign { target, expr } if !net_bits.contains_key(target) => {
+                        if let Some(bits) = eval_bits(&mut b, &net_bits, expr) {
+                            net_bits.insert(*target, bits);
+                            progress = true;
                         }
+                    }
                     Item::Ram {
                         raddr,
                         rdata,
                         words,
                         width,
                         ..
-                    }
-                        if !net_bits.contains_key(rdata) => {
-                            if let Some(addr) = eval_bits(&mut b, &net_bits, raddr) {
-                                let base = ram_state[&idx];
-                                let mut out = vec![b.konst(false); *width as usize];
-                                for w in 0..*words {
-                                    let addr_const: Vec<BitId> = (0..addr.len())
-                                        .map(|i| b.konst(w >> i & 1 == 1))
-                                        .collect();
-                                    let hit = b.eq_vec(&addr, &addr_const);
-                                    for bit in 0..*width {
-                                        let cell = b.var(num_inputs + base + w * width + bit);
-                                        let sel = b.and(hit, cell);
-                                        out[bit as usize] = b.or(out[bit as usize], sel);
-                                    }
+                    } if !net_bits.contains_key(rdata) => {
+                        if let Some(addr) = eval_bits(&mut b, &net_bits, raddr) {
+                            let base = ram_state[&idx];
+                            let mut out = vec![b.konst(false); *width as usize];
+                            for w in 0..*words {
+                                let addr_const: Vec<BitId> =
+                                    (0..addr.len()).map(|i| b.konst(w >> i & 1 == 1)).collect();
+                                let hit = b.eq_vec(&addr, &addr_const);
+                                for bit in 0..*width {
+                                    let cell = b.var(num_inputs + base + w * width + bit);
+                                    let sel = b.and(hit, cell);
+                                    out[bit as usize] = b.or(out[bit as usize], sel);
                                 }
-                                net_bits.insert(*rdata, out);
-                                progress = true;
                             }
+                            net_bits.insert(*rdata, out);
+                            progress = true;
                         }
+                    }
                     _ => {}
                 }
             }
@@ -429,9 +433,9 @@ impl Netlist {
                     d,
                     q,
                 } => {
-                    let cbit = *clock_state
-                        .get(clock)
-                        .unwrap_or_else(|| panic!("dff clocked by non-clock net {}", self.net_name(*clock)));
+                    let cbit = *clock_state.get(clock).unwrap_or_else(|| {
+                        panic!("dff clocked by non-clock net {}", self.net_name(*clock))
+                    });
                     let c = b.var(num_inputs + cbit);
                     // posedge fires on transitions where the clock is
                     // currently low (it will be high next step)
@@ -441,8 +445,7 @@ impl Netlist {
                     };
                     let fire = match enable {
                         Some(en) => {
-                            let e = eval_bits(&mut b, &net_bits, en)
-                                .expect("enable resolves")[0];
+                            let e = eval_bits(&mut b, &net_bits, en).expect("enable resolves")[0];
                             b.and(fire, e)
                         }
                         None => fire,
@@ -460,9 +463,9 @@ impl Netlist {
                     d_fall,
                     q,
                 } => {
-                    let cbit = *clock_state
-                        .get(clock)
-                        .unwrap_or_else(|| panic!("ddr clocked by non-clock net {}", self.net_name(*clock)));
+                    let cbit = *clock_state.get(clock).unwrap_or_else(|| {
+                        panic!("ddr clocked by non-clock net {}", self.net_name(*clock))
+                    });
                     let c = b.var(num_inputs + cbit);
                     let rise = b.not(c); // every step is an edge
                     let r = eval_bits(&mut b, &net_bits, d_rise).expect("d_rise resolves");
@@ -482,9 +485,9 @@ impl Netlist {
                     width,
                     ..
                 } => {
-                    let cbit = *clock_state
-                        .get(clock)
-                        .unwrap_or_else(|| panic!("ram clocked by non-clock net {}", self.net_name(*clock)));
+                    let cbit = *clock_state.get(clock).unwrap_or_else(|| {
+                        panic!("ram clocked by non-clock net {}", self.net_name(*clock))
+                    });
                     let c = b.var(num_inputs + cbit);
                     let fire0 = b.not(c); // writes on the rising edge
                     let webit = eval_bits(&mut b, &net_bits, we).expect("we resolves")[0];
@@ -497,9 +500,8 @@ impl Netlist {
                     };
                     let base = ram_state[&idx];
                     for w in 0..*words {
-                        let addr_const: Vec<BitId> = (0..addr.len())
-                            .map(|i| b.konst(w >> i & 1 == 1))
-                            .collect();
+                        let addr_const: Vec<BitId> =
+                            (0..addr.len()).map(|i| b.konst(w >> i & 1 == 1)).collect();
                         let hit = b.eq_vec(&addr, &addr_const);
                         let write_word = b.and(fire, hit);
                         for bit in 0..*width {
@@ -541,7 +543,12 @@ fn eval_bits(
     Some(match e {
         Expr::Const(v) => v
             .iter()
-            .map(|l| b.konst(l.to_bool().expect("constants must be two-valued for extraction")))
+            .map(|l| {
+                b.konst(
+                    l.to_bool()
+                        .expect("constants must be two-valued for extraction"),
+                )
+            })
             .collect(),
         Expr::Net(n) => net_bits.get(n)?.clone(),
         Expr::Index(n, i) => vec![net_bits.get(n)?[*i as usize]],
@@ -551,39 +558,24 @@ fn eval_bits(
             v.into_iter().map(|x| b.not(x)).collect()
         }
         Expr::And(x, y) => {
-            let (vx, vy) = (
-                eval_bits(b, net_bits, x)?,
-                eval_bits(b, net_bits, y)?,
-            );
+            let (vx, vy) = (eval_bits(b, net_bits, x)?, eval_bits(b, net_bits, y)?);
             vx.into_iter().zip(vy).map(|(p, q)| b.and(p, q)).collect()
         }
         Expr::Or(x, y) => {
-            let (vx, vy) = (
-                eval_bits(b, net_bits, x)?,
-                eval_bits(b, net_bits, y)?,
-            );
+            let (vx, vy) = (eval_bits(b, net_bits, x)?, eval_bits(b, net_bits, y)?);
             vx.into_iter().zip(vy).map(|(p, q)| b.or(p, q)).collect()
         }
         Expr::Xor(x, y) => {
-            let (vx, vy) = (
-                eval_bits(b, net_bits, x)?,
-                eval_bits(b, net_bits, y)?,
-            );
+            let (vx, vy) = (eval_bits(b, net_bits, x)?, eval_bits(b, net_bits, y)?);
             vx.into_iter().zip(vy).map(|(p, q)| b.xor(p, q)).collect()
         }
         Expr::Eq(x, y) => {
-            let (vx, vy) = (
-                eval_bits(b, net_bits, x)?,
-                eval_bits(b, net_bits, y)?,
-            );
+            let (vx, vy) = (eval_bits(b, net_bits, x)?, eval_bits(b, net_bits, y)?);
             vec![b.eq_vec(&vx, &vy)]
         }
         Expr::Mux { sel, a, b: alt } => {
             let s = eval_bits(b, net_bits, sel)?[0];
-            let (va, vb) = (
-                eval_bits(b, net_bits, a)?,
-                eval_bits(b, net_bits, alt)?,
-            );
+            let (va, vb) = (eval_bits(b, net_bits, a)?, eval_bits(b, net_bits, alt)?);
             va.into_iter()
                 .zip(vb)
                 .map(|(p, q)| b.mux(s, p, q))

@@ -60,8 +60,8 @@ mod vcd;
 mod verilog;
 
 pub use engine::{
-    BatchedRtlSim, BatchedRtlState, ProbePass, Probed, RtlSim, RtlState, SettleMode, Sim,
-    SimState, Value,
+    BatchedRtlSim, BatchedRtlState, ProbePass, Probed, RtlSim, RtlState, SettleMode, Sim, SimState,
+    Value,
 };
 pub use extract::{BitBuilder, BitExpr, BitId, TransitionSystem};
 pub use logic::{Logic, LogicVec};

@@ -253,7 +253,10 @@ impl LogicVec {
 
     /// Bitwise reduction OR.
     pub fn reduce_or(&self) -> Logic {
-        self.bits.iter().copied().fold(Logic::L0, |acc, b| acc.or(b))
+        self.bits
+            .iter()
+            .copied()
+            .fold(Logic::L0, |acc, b| acc.or(b))
     }
 
     /// Per-bit wired resolution of two equal-width vectors.

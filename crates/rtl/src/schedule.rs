@@ -285,7 +285,11 @@ impl<'a> Compiler<'a> {
                     self.design.net_name(*n)
                 );
                 let dst = self.slot(hi - lo + 1);
-                self.ops.push(Op::Slice { a: n.0, lo: *lo, dst });
+                self.ops.push(Op::Slice {
+                    a: n.0,
+                    lo: *lo,
+                    dst,
+                });
                 dst
             }
             Expr::Not(a) => {

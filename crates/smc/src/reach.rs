@@ -432,7 +432,11 @@ impl<'a> Run<'a> {
         // true, so the final state is genuinely violating)
         let cur_vars = self.cur_vars.clone();
         let with_inputs = self.bdd.and(hit, fail_bdd)?;
-        let pick_from = if with_inputs != Bdd::ZERO { with_inputs } else { hit };
+        let pick_from = if with_inputs != Bdd::ZERO {
+            with_inputs
+        } else {
+            hit
+        };
         let mut states_rev: Vec<Vec<bool>> = Vec::new();
         let mut target = self.cube_of(pick_from, &cur_vars)?;
         states_rev.push(self.decode(&target));
@@ -475,7 +479,11 @@ impl<'a> Run<'a> {
             .expect("nonempty set has a witness");
         let mut acc = Bdd::ONE;
         for (v, b) in assignment {
-            let lit = if b { self.bdd.var(v.0) } else { self.bdd.nvar(v.0) };
+            let lit = if b {
+                self.bdd.var(v.0)
+            } else {
+                self.bdd.nvar(v.0)
+            };
             acc = self.bdd.and(acc, lit)?;
         }
         Ok(acc)

@@ -94,7 +94,9 @@ impl TsBuilder {
         if let Some(open) = name.rfind('[') {
             if let (base, Some(idx)) = (
                 &name[..open],
-                name[open + 1..].strip_suffix(']').and_then(|s| s.parse::<usize>().ok()),
+                name[open + 1..]
+                    .strip_suffix(']')
+                    .and_then(|s| s.parse::<usize>().ok()),
             ) {
                 if let Some(bits) = self.ts.probe(base) {
                     if idx < bits.len() {
@@ -203,7 +205,10 @@ pub(crate) fn synthesize(
     // the root property is armed once, at step 0, unless wrapped in
     // `always` (PSL: an un-quantified property applies to the first cycle)
     let fail = synth_fail(&mut b, property, true_bit, tag, false)?;
-    Ok(SynthesizedMonitor { ts: b.finish(), fail })
+    Ok(SynthesizedMonitor {
+        ts: b.finish(),
+        fail,
+    })
 }
 
 /// Returns a bit that is 1 in any step where the property (required to

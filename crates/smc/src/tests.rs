@@ -108,7 +108,11 @@ fn before_property_violation() {
     let ts = counter2();
     // claim q[1] rises before q[0] — false: q[0] rises first
     let r = check(&ts, "assert order : q[1] before q[0]");
-    assert!(matches!(r.outcome, SmcOutcome::Violated(_)), "{:?}", r.outcome);
+    assert!(
+        matches!(r.outcome, SmcOutcome::Violated(_)),
+        "{:?}",
+        r.outcome
+    );
     // the true ordering is proved
     let r = check(&ts, "assert order2 : q[0] before q[1]");
     assert!(r.proved(), "{:?}", r.outcome);
@@ -168,7 +172,11 @@ fn bounded_run_returns_partial_not_proved() {
             ..SmcConfig::default()
         },
     );
-    assert!(matches!(r.outcome, SmcOutcome::Violated(_)), "{:?}", r.outcome);
+    assert!(
+        matches!(r.outcome, SmcOutcome::Violated(_)),
+        "{:?}",
+        r.outcome
+    );
 }
 
 #[test]
@@ -179,7 +187,11 @@ fn state_explosion_on_tiny_budget() {
         ..SmcConfig::default()
     };
     let r = check_with(&ts, "assert tauto : always (top || !top)", cfg);
-    assert!(matches!(r.outcome, SmcOutcome::StateExplosion), "{:?}", r.outcome);
+    assert!(
+        matches!(r.outcome, SmcOutcome::StateExplosion),
+        "{:?}",
+        r.outcome
+    );
 }
 
 #[test]
@@ -229,7 +241,9 @@ fn liveness_rejected() {
 fn non_assert_rejected() {
     let ts = toggler();
     let d = parse_directive("cover c : eventually! {q}").unwrap();
-    assert!(ModelChecker::new(&ts, SmcConfig::default()).check(&d).is_err());
+    assert!(ModelChecker::new(&ts, SmcConfig::default())
+        .check(&d)
+        .is_err());
 }
 
 #[test]
@@ -326,7 +340,10 @@ fn synthesized_circuits_golden() {
         for (name, init) in m.ts.state_bits.iter().zip(&m.ts.init) {
             out.push_str(&format!("  {name} init={}\n", *init as u8));
         }
-        out.push_str(&format!("next: {:?}\nfail: {}\nnodes:\n", m.ts.next, m.fail));
+        out.push_str(&format!(
+            "next: {:?}\nfail: {}\nnodes:\n",
+            m.ts.next, m.fail
+        ));
         for (id, node) in m.ts.nodes.iter().enumerate() {
             out.push_str(&format!("  {id}: {node:?}\n"));
         }

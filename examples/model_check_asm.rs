@@ -38,7 +38,11 @@ fn main() {
         println!(
             "  {:<20} {}",
             report.name,
-            if report.outcome.is_pass() { "pass" } else { "FAIL" }
+            if report.outcome.is_pass() {
+                "pass"
+            } else {
+                "FAIL"
+            }
         );
     }
     assert!(result.all_pass());

@@ -27,10 +27,7 @@ fn main() {
 
     // cycle 1: read word 3 — concurrently with another write (a
     // headline LA-1 feature: concurrent read and write)
-    la1.cycle(&[
-        BankOp::read(0, 3),
-        BankOp::write(0, 4, 0x1111_2222, 0b1111),
-    ]);
+    la1.cycle(&[BankOp::read(0, 3), BankOp::write(0, 4, 0x1111_2222, 0b1111)]);
     println!("cycle 1: R# asserted addr=3, concurrent W# addr=4");
 
     // cycles 2-3: the read's SRAM access, then data out on both edges

@@ -26,7 +26,10 @@ fn main() {
         SmcConfig::default(),
     );
     println!("{}", report.render());
-    assert!(report.all_passed(), "the flow must pass on the healthy design");
+    assert!(
+        report.all_passed(),
+        "the flow must pass on the healthy design"
+    );
 
     println!("--- emitted Verilog (final artefact, first 40 lines) ---");
     for line in report.verilog.lines().take(40) {

@@ -68,7 +68,10 @@ fn main() {
     }
     println!("  scoreboard data mismatches: {data_mismatches}");
 
-    assert!(golden.violations().is_empty(), "the golden IP must be clean");
+    assert!(
+        golden.violations().is_empty(),
+        "the golden IP must be clean"
+    );
     assert!(
         ovl.violations()
             .iter()

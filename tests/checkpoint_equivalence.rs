@@ -140,7 +140,11 @@ fn round_trip(snap: Snapshot, ctx: &str) -> Snapshot {
     let text = snap.to_jsonl();
     let parsed = Snapshot::parse(&text).unwrap_or_else(|e| panic!("{ctx}: parse failed: {e:?}"));
     assert_eq!(parsed, snap, "{ctx}: parse changed the snapshot");
-    assert_eq!(parsed.to_jsonl(), text, "{ctx}: re-serialization not byte-stable");
+    assert_eq!(
+        parsed.to_jsonl(),
+        text,
+        "{ctx}: re-serialization not byte-stable"
+    );
     parsed
 }
 
@@ -229,7 +233,9 @@ fn rtl_ovl_restore_is_equivalent_at_random_cut_points() {
             Snapshot::of_rtl_ovl(&cfg, &orig).expect("snapshot the monitored RTL"),
             "rtl+ovl",
         );
-        let mut restored = snap.into_rtl_ovl(&design).expect("restore the monitored RTL");
+        let mut restored = snap
+            .into_rtl_ovl(&design)
+            .expect("restore the monitored RTL");
         continue_and_compare(
             &cfg,
             &mut orig,
@@ -259,7 +265,9 @@ fn batched_rtl_restore_is_equivalent_at_random_cut_points() {
             Snapshot::of_rtl_batch(&orig).expect("snapshot the batched driver"),
             "rtl-batch",
         );
-        let mut restored = snap.into_rtl_batch(&design).expect("restore the batched driver");
+        let mut restored = snap
+            .into_rtl_batch(&design)
+            .expect("restore the batched driver");
         for i in cut..70 {
             orig.cycle(&row(i));
             restored.cycle(&row(i));
@@ -282,7 +290,10 @@ fn batched_rtl_restore_is_equivalent_at_random_cut_points() {
         // must serialize to the same bytes
         let a = Snapshot::of_rtl_batch(&orig).unwrap().to_jsonl();
         let b = Snapshot::of_rtl_batch(&restored).unwrap().to_jsonl();
-        assert_eq!(a, b, "batch seed={seed} cut={cut}: end-state snapshots differ");
+        assert_eq!(
+            a, b,
+            "batch seed={seed} cut={cut}: end-state snapshots differ"
+        );
     }
 }
 
@@ -299,7 +310,11 @@ fn restored_model_resnapshot_is_byte_identical() {
     full.iter().for_each(|c| asm.cycle(c));
     let t = Snapshot::of_asm(&asm).to_jsonl();
     let r = Snapshot::parse(&t).unwrap().into_asm(&cfg).unwrap();
-    assert_eq!(Snapshot::of_asm(&r).to_jsonl(), t, "asm re-snapshot drifted");
+    assert_eq!(
+        Snapshot::of_asm(&r).to_jsonl(),
+        t,
+        "asm re-snapshot drifted"
+    );
 
     let mut sc = LaSystemC::new(&cfg);
     sc.attach_default_monitors();

@@ -51,8 +51,7 @@ fn refinement_preserves_read_mode() {
     let cfg = LaConfig::mc_small(1);
     // ASM level: cycle-sampled read latency
     let model = LaAsmModel::new(&cfg);
-    let asm_prop =
-        parse_directive("assert read_latency : always {rd0} |=> next dv0").unwrap();
+    let asm_prop = parse_directive("assert read_latency : always {rd0} |=> next dv0").unwrap();
     let r = Explorer::new(model.machine(), ExploreConfig::default())
         .with_directives(&[asm_prop])
         .run();
@@ -76,7 +75,9 @@ fn fault_injection_caught_everywhere() {
     let bad_rtl = LaRtl::build(&cfg, Some(0));
     let ts = bad_rtl.extract();
     let d = parse_directive("assert parity : always !perr_0").unwrap();
-    let r = ModelChecker::new(&ts, SmcConfig::default()).check(&d).unwrap();
+    let r = ModelChecker::new(&ts, SmcConfig::default())
+        .check(&d)
+        .unwrap();
     assert!(matches!(r.outcome, SmcOutcome::Violated(_)));
     // (b) SystemC monitors
     let mut sc = LaSystemC::new(&cfg);

@@ -125,7 +125,9 @@ fn smc_counterexample_replays_in_the_simulator() {
     let clk_net = design.find("clk").unwrap();
     let ts = design.extract(&[clk_net]);
     let d = parse_directive("assert nv2 : always !v2").unwrap();
-    let report = ModelChecker::new(&ts, SmcConfig::default()).check(&d).unwrap();
+    let report = ModelChecker::new(&ts, SmcConfig::default())
+        .check(&d)
+        .unwrap();
     let SmcOutcome::Violated(trace) = report.outcome else {
         panic!("must be violated");
     };

@@ -27,11 +27,7 @@ fn run_scenario(
             *want,
             "{name}: SystemC, cycle {cycle}"
         );
-        assert_eq!(
-            drv.bank_output(bank),
-            *want,
-            "{name}: RTL, cycle {cycle}"
-        );
+        assert_eq!(drv.bank_output(bank), *want, "{name}: RTL, cycle {cycle}");
     }
 }
 
@@ -152,10 +148,7 @@ fn scenario_same_cycle_read_write_other_bank() {
     let mut sc = LaSystemC::new(&cfg);
     let rtl = LaRtl::build(&cfg, None);
     let mut drv = LaRtlDriver::new(&rtl);
-    let prologue = [
-        vec![BankOp::write(0, 2, 0xDD, 0b1111)],
-        vec![],
-    ];
+    let prologue = [vec![BankOp::write(0, 2, 0xDD, 0b1111)], vec![]];
     for ops in &prologue {
         sc.cycle(ops);
         drv.cycle(ops);
