@@ -56,8 +56,9 @@ pub struct ClosurePreamble {
     pub trace: Trace,
     /// Scalar RTL state after the preamble (`None` → replay the trace).
     pub snapshot: Option<Snapshot>,
-    /// Batched RTL state after the preamble, all lanes identical
-    /// (`None` → replay the trace broadcast across lanes).
+    /// Batched RTL state after the preamble: the scalar state in every
+    /// lane, byte-identical to replaying the trace in all 64 lanes
+    /// (`None` → do that replay).
     pub batch_snapshot: Option<Snapshot>,
 }
 
@@ -77,16 +78,22 @@ impl ClosurePreamble {
         }
     }
 
-    /// Runs the recorded trace once through a scalar and a batched RTL
-    /// driver and captures both post-preamble snapshots — the warm
-    /// preamble every later stream restores instead of replaying.
+    /// Replays the recorded trace once, on the scalar RTL driver, and
+    /// captures the post-preamble snapshots every later stream restores
+    /// instead of replaying: the scalar driver's own, and the batched one
+    /// of [`LaRtlBatchDriver::broadcast`], which puts the scalar state in
+    /// every lane rather than replaying the trace on 64 lanes.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the trace was recorded for another configuration.
     pub fn with_snapshots(mut self, config: &LaConfig) -> Result<ClosurePreamble, CheckpointError> {
         let design = LaRtl::build(config, None);
+        self.check_trace(&design)?;
         let mut driver = LaRtlDriver::new(&design);
         self.replay(&mut driver);
         self.snapshot = Some(Snapshot::of_rtl(&driver)?);
-        let mut batch = LaRtlBatchDriver::new(&design);
-        self.replay(&mut batch);
+        let batch = LaRtlBatchDriver::broadcast(&driver).map_err(CheckpointError::Restore)?;
         self.batch_snapshot = Some(Snapshot::of_rtl_batch(&batch)?);
         Ok(self)
     }

@@ -59,7 +59,7 @@ impl Journal {
                 "fingerprint",
                 Json::str(format!("{:016x}", plan.fingerprint())),
             ),
-            ("jobs", Json::num(plan.jobs().len() as u64)),
+            ("jobs", Json::num(plan.job_count() as u64)),
         ])
         .render();
         header.push('\n');
@@ -177,7 +177,7 @@ pub fn load(path: &Path, plan: &FarmPlan) -> Result<Recovered, JournalError> {
     let text = String::from_utf8_lossy(&raw);
     let mut results = Vec::new();
     let mut valid_bytes = 0u64;
-    let njobs = plan.jobs().len();
+    let njobs = plan.job_count();
     let expected_fp = format!("{:016x}", plan.fingerprint());
     for (idx, line) in text.split_inclusive('\n').enumerate() {
         let Some(body) = line.strip_suffix('\n') else {

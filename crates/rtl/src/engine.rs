@@ -839,12 +839,7 @@ impl<V: Value> Sim<V> {
     /// dirty worklist drained. (Every caller in the workspace snapshots
     /// between `step`s, where both hold by construction.)
     pub fn export_state(&self) -> Result<SimState<V::Saved>, String> {
-        if !self.stage_list.is_empty() {
-            return Err("cannot export with staged inputs pending".to_string());
-        }
-        if !self.heap.is_empty() {
-            return Err("cannot export with an unsettled network".to_string());
-        }
+        self.check_quiescent()?;
         Ok(SimState {
             vals: self.vals.iter().map(V::save).collect(),
             rams: self
@@ -863,16 +858,7 @@ impl<V: Value> Sim<V> {
     /// length, widths, RAM geometry) and rejects mismatches without
     /// modifying `self`.
     pub fn import_state(&mut self, st: &SimState<V::Saved>) -> Result<(), String> {
-        if st.vals.len() != self.vals.len() {
-            return Err(format!(
-                "arena size mismatch: snapshot has {} slots, design has {}",
-                st.vals.len(),
-                self.vals.len()
-            ));
-        }
-        if st.rams.len() != self.rams.len() || st.prev_clk.chars().count() != self.prev_clk.len() {
-            return Err("RAM/clock table shape mismatch".to_string());
-        }
+        self.check_shape(st.vals.len(), st.rams.len(), st.prev_clk.chars().count())?;
         let mut vals = Vec::with_capacity(st.vals.len());
         for (i, s) in st.vals.iter().enumerate() {
             let v = V::load(self.vals[i].width(), s)
@@ -903,11 +889,43 @@ impl<V: Value> Sim<V> {
         self.steps = st.steps;
         self.evals = st.evals;
         // the imported arena is settled by the export precondition
+        self.clear_worklist();
+        Ok(())
+    }
+
+    /// The state-capture precondition: staged inputs applied and the
+    /// dirty worklist drained.
+    fn check_quiescent(&self) -> Result<(), String> {
+        if !self.stage_list.is_empty() {
+            return Err("cannot capture state with staged inputs pending".to_string());
+        }
+        if !self.heap.is_empty() {
+            return Err("cannot capture state with an unsettled network".to_string());
+        }
+        Ok(())
+    }
+
+    /// Checks a state to install against this simulator's arena length,
+    /// RAM count and clock table length.
+    fn check_shape(&self, slots: usize, rams: usize, clocks: usize) -> Result<(), String> {
+        if slots != self.vals.len() {
+            return Err(format!(
+                "arena size mismatch: the state has {slots} slots, design has {}",
+                self.vals.len()
+            ));
+        }
+        if rams != self.rams.len() || clocks != self.prev_clk.len() {
+            return Err("RAM/clock table shape mismatch".to_string());
+        }
+        Ok(())
+    }
+
+    /// Drops pending inputs and dirty marks after a state install.
+    fn clear_worklist(&mut self) {
         self.heap.clear();
         self.dirty.fill(false);
         self.stage_list.clear();
         self.staged.fill(false);
-        Ok(())
     }
 }
 
@@ -984,6 +1002,56 @@ impl BatchedRtlSim {
     /// elaboration would reject).
     pub fn new(design: &Netlist) -> Self {
         Sim::compile(design)
+    }
+
+    /// Installs `scalar`'s full state in every lane: each arena slot and
+    /// RAM word splatted, the clock levels and the step and eval counters
+    /// copied. This is the state every lane holds after replaying
+    /// `scalar`'s stimulus in all of them, since identical lanes make
+    /// every settle evaluate the ops the scalar settle did; the one
+    /// exception is a RAM write's `word` slot, which only the scalar
+    /// engine fills ([`Value::stage_word`]), so it keeps this
+    /// simulator's own value. [`Sim::export_state`] of the result equals
+    /// the replayed simulator's.
+    ///
+    /// # Errors
+    ///
+    /// Fails, leaving `self` unchanged, unless `scalar` is quiescent
+    /// (the [`Sim::export_state`] precondition) and has the same arena
+    /// length, slot widths, RAM geometry and clock table as `self` (the
+    /// [`Sim::import_state`] shape checks): the two must be compiled
+    /// from the same netlist.
+    pub fn import_broadcast(&mut self, scalar: &RtlSim) -> Result<(), String> {
+        scalar.check_quiescent()?;
+        self.check_shape(scalar.vals.len(), scalar.rams.len(), scalar.prev_clk.len())?;
+        let mut vals = Vec::with_capacity(self.vals.len());
+        for (i, (src, own)) in scalar.vals.iter().zip(&self.vals).enumerate() {
+            if src.width() != own.width() {
+                return Err(format!("width mismatch in arena slot {i}"));
+            }
+            vals.push(PackedVec::splat(src));
+        }
+        let mut rams = Vec::with_capacity(self.rams.len());
+        for (r, (src, own)) in scalar.rams.iter().zip(&self.rams).enumerate() {
+            if src.len() != own.len()
+                || src.first().map(Value::width) != own.first().map(Value::width)
+            {
+                return Err(format!("RAM {r} geometry mismatch"));
+            }
+            rams.push(src.iter().map(PackedVec::splat).collect());
+        }
+        for node in &self.sched.seq {
+            if let SeqNode::RamWrite { word, .. } = *node {
+                vals[word as usize].assign_from(&self.vals[word as usize]);
+            }
+        }
+        self.vals = vals;
+        self.rams = rams;
+        self.prev_clk.clone_from(&scalar.prev_clk);
+        self.steps = scalar.steps;
+        self.evals = scalar.evals;
+        self.clear_worklist();
+        Ok(())
     }
 
     /// Applies staged inputs, settles, captures clock edges (all lanes in

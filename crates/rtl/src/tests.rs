@@ -1180,3 +1180,54 @@ fn ram_addresses_beyond_the_words_read_x_and_write_nothing_there() {
         }
     }
 }
+
+/// A scalar simulator's state broadcast into every lane equals the state
+/// a batched simulator reaches when every lane is driven as the scalar
+/// one was (X injections included), in both settle modes. A scalar
+/// simulator with staged inputs is refused and the target left as it
+/// was.
+#[test]
+fn broadcast_equals_a_uniform_replay() {
+    let (n, ins) = batched_probe_design();
+    let clk = ins[0];
+    for mode in [SettleMode::ActivityDriven, SettleMode::Full] {
+        let mut scalar = RtlSim::new(&n);
+        let mut replayed = BatchedRtlSim::new(&n);
+        scalar.set_settle_mode(mode);
+        replayed.set_settle_mode(mode);
+        for cycle in 0..48u64 {
+            let s = lane_stim(0, cycle);
+            let vals = [s & 1, s >> 1 & 7, s >> 4 & 0xFFFF, s >> 20 & 1, s >> 21 & 1];
+            for (i, (&net, val)) in ins[1..].iter().zip(vals).enumerate() {
+                if s >> (32 + 4 * i) & 15 == 0 {
+                    scalar.set(net, LogicVec::xs(n.width(net)));
+                    for lane in 0..LANES {
+                        replayed.set_lane_xs(net, lane);
+                    }
+                } else {
+                    scalar.set_u64(net, val);
+                    replayed.set_u64_all(net, val);
+                }
+            }
+            for phase in [1u64, 0] {
+                scalar.set_u64(clk, phase);
+                scalar.step();
+                replayed.set_u64_all(clk, phase);
+                replayed.step();
+            }
+        }
+        let mut broadcast = BatchedRtlSim::new(&n);
+        broadcast.import_broadcast(&scalar).unwrap();
+        assert_eq!(
+            broadcast.export_state().unwrap(),
+            replayed.export_state().unwrap(),
+            "{mode:?}"
+        );
+
+        let mut fresh = BatchedRtlSim::new(&n);
+        let before = fresh.export_state().unwrap();
+        scalar.set_u64(clk, 1);
+        assert!(fresh.import_broadcast(&scalar).is_err(), "staged input");
+        assert_eq!(fresh.export_state().unwrap(), before);
+    }
+}

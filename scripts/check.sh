@@ -3,6 +3,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Formatting gate: the workspace stays rustfmt-clean.
+cargo fmt --all -- --check
 cargo build --release
 cargo test -q
 cargo clippy --all-targets -- -D warnings
