@@ -233,8 +233,9 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if a sequential item is clocked by a net not in `clocks`,
-    /// if the combinational network has a cycle, or if a wire is
-    /// undriven.
+    /// if the combinational network has a cycle, if a wire is undriven,
+    /// or if an expression holds an `X` or `Z` constant (a two-valued
+    /// transition system has no bit for it).
     pub fn extract(&self, clocks: &[NetId]) -> TransitionSystem {
         let mut b = BitBuilder::from_nodes(vec![BitExpr::Const(false), BitExpr::Const(true)]);
         // input bits are numbered first (variables `0..num_inputs`) so
@@ -415,6 +416,13 @@ impl Netlist {
             );
         }
 
+        // Every net has bits now (asserted just above), and `eval_bits`
+        // fails only on a net without them: from here on every
+        // expression resolves.
+        let resolved = |b: &mut BitBuilder, e: &Expr| {
+            eval_bits(b, &net_bits, e).expect("every net is resolved above")
+        };
+
         // next-state functions
         let mut next: Vec<BitId> = (0..state_bits.len())
             .map(|i| b.var(num_inputs + i as u32)) // default: hold
@@ -445,12 +453,12 @@ impl Netlist {
                     };
                     let fire = match enable {
                         Some(en) => {
-                            let e = eval_bits(&mut b, &net_bits, en).expect("enable resolves")[0];
+                            let e = resolved(&mut b, en)[0];
                             b.and(fire, e)
                         }
                         None => fire,
                     };
-                    let dbits = eval_bits(&mut b, &net_bits, d).expect("d resolves");
+                    let dbits = resolved(&mut b, d);
                     let qbase = reg_state[q];
                     for (i, &dbit) in dbits.iter().enumerate() {
                         let hold = b.var(num_inputs + qbase + i as u32);
@@ -468,8 +476,8 @@ impl Netlist {
                     });
                     let c = b.var(num_inputs + cbit);
                     let rise = b.not(c); // every step is an edge
-                    let r = eval_bits(&mut b, &net_bits, d_rise).expect("d_rise resolves");
-                    let f = eval_bits(&mut b, &net_bits, d_fall).expect("d_fall resolves");
+                    let r = resolved(&mut b, d_rise);
+                    let f = resolved(&mut b, d_fall);
                     let qbase = reg_state[q];
                     for i in 0..r.len() {
                         next[(qbase + i as u32) as usize] = b.mux(rise, r[i], f[i]);
@@ -490,12 +498,12 @@ impl Netlist {
                     });
                     let c = b.var(num_inputs + cbit);
                     let fire0 = b.not(c); // writes on the rising edge
-                    let webit = eval_bits(&mut b, &net_bits, we).expect("we resolves")[0];
+                    let webit = resolved(&mut b, we)[0];
                     let fire = b.and(fire0, webit);
-                    let addr = eval_bits(&mut b, &net_bits, waddr).expect("waddr resolves");
-                    let data = eval_bits(&mut b, &net_bits, wdata).expect("wdata resolves");
+                    let addr = resolved(&mut b, waddr);
+                    let data = resolved(&mut b, wdata);
                     let mask: Vec<BitId> = match wmask {
-                        Some(m) => eval_bits(&mut b, &net_bits, m).expect("wmask resolves"),
+                        Some(m) => resolved(&mut b, m),
                         None => vec![b.konst(true); *width as usize],
                     };
                     let base = ram_state[&idx];
@@ -544,6 +552,7 @@ fn eval_bits(
         Expr::Const(v) => v
             .iter()
             .map(|l| {
+                // an X/Z constant: the documented `extract` panic
                 b.konst(
                     l.to_bool()
                         .expect("constants must be two-valued for extraction"),

@@ -7,7 +7,8 @@
 //! that layer:
 //!
 //! * [`Logic`] / [`LogicVec`] — IEEE-1364 four-state values
-//!   (`0`, `1`, `X`, `Z`) with tristate resolution;
+//!   (`0`, `1`, `X`, `Z`) with tristate resolution, held as a value and
+//!   an unknown bit-plane and operated on 64 bits per word operation;
 //! * [`Netlist`] — a structural design: wires, registers, continuous
 //!   assignments over [`Expr`]s, positive/negative-edge and **DDR**
 //!   flip-flops (the LA-1 data paths transfer on both edges of `K`),

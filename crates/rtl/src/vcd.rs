@@ -3,7 +3,7 @@
 //! simulator.
 
 use crate::engine::RtlSim;
-use crate::logic::{Logic, LogicVec};
+use crate::logic::LogicVec;
 use crate::netlist::{NetId, Netlist};
 use std::fmt::Write;
 
@@ -93,11 +93,11 @@ impl VcdWriter {
             let _ = writeln!(out, "#{t}");
             for (i, v) in delta {
                 let (_, _, width, code) = &self.nets[*i];
+                // a vector renders MSB first, one `01xz` character a bit
                 if *width == 1 {
-                    let _ = writeln!(out, "{}{code}", logic_char(v.bit(0)));
+                    let _ = writeln!(out, "{v}{code}");
                 } else {
-                    let bits: String = (0..*width).rev().map(|b| logic_char(v.bit(b))).collect();
-                    let _ = writeln!(out, "b{bits} {code}");
+                    let _ = writeln!(out, "b{v} {code}");
                 }
             }
         }
@@ -107,15 +107,6 @@ impl VcdWriter {
     /// Number of change records collected so far.
     pub fn num_changes(&self) -> usize {
         self.changes.len()
-    }
-}
-
-fn logic_char(l: Logic) -> char {
-    match l {
-        Logic::L0 => '0',
-        Logic::L1 => '1',
-        Logic::X => 'x',
-        Logic::Z => 'z',
     }
 }
 

@@ -1,5 +1,5 @@
 //! Steady-state stepping of the compiled simulator must not touch the
-//! heap: every buffer (value arena, dirty worklist, settle heap, input
+//! heap: every buffer (value arena, dirty bitset, fired list, input
 //! staging) is preallocated at construction, and per-step work reuses
 //! it. A counting global allocator proves it.
 
