@@ -1,22 +1,17 @@
 //! Bounded reachability exploration (the AsmL tool's FSM generation) with
 //! attached PSL model checking.
 //!
-//! The engine is a *level-synchronous* breadth-first search over the
-//! product of machine states and monitor sets. Each BFS level is expanded
-//! by a pool of worker threads over disjoint frontier chunks; successors
-//! are recorded into per-worker buffers and committed sequentially at the
-//! level barrier in `(parent index, rule index, choice index)` order —
-//! exactly the order the sequential reference engine visits them — so
-//! node numbering, transition lists, statistics and verdicts are
-//! identical for every worker count (see `ExploreConfig::workers`).
+//! The engine is one breadth-first search over the product of machine
+//! states and monitor sets. It visits successors in `(parent index, rule
+//! index, choice index)` order, so node numbering, transition lists,
+//! statistics and verdicts repeat exactly from run to run.
 
 use crate::machine::{AsmState, Machine};
-use crate::shard::{combine_fps, hash_state, mix64, MonitorSetArena, ShardedIndex, StateArena};
+use crate::shard::{combine_fps, hash_state, mix64, MonitorSetArena, SmallIdxVec, StateArena};
 use crate::Value;
 use la1_psl::{Directive, DirectiveKind, Monitor, Valuation};
+use std::collections::HashMap;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Limits guiding the exploration, mirroring the AsmL configuration
@@ -33,10 +28,10 @@ pub struct ExploreConfig {
     /// Stop expanding a path once a property violation determined it
     /// (the paper's `P_status && !P_value` stop filter).
     pub stop_on_violation: bool,
-    /// Worker threads for the level-synchronous parallel exploration.
-    /// `None` (the default) uses one worker per available core;
-    /// `Some(1)` takes the sequential fast path. Results are identical
-    /// for every worker count.
+    /// Ignored: exploration is one sequential BFS. The field stays so
+    /// that existing configurations still build and the farm's plan
+    /// fingerprints, which hash this struct's `Debug` text, keep their
+    /// values.
     pub workers: Option<usize>,
     /// Optional wall-clock budget. When exceeded the run stops at the
     /// next check point and reports [`ExploreVerdict::Partial`] with
@@ -57,24 +52,6 @@ impl Default for ExploreConfig {
             stop_on_violation: true,
             workers: None,
             wall_clock: None,
-        }
-    }
-}
-
-impl ExploreConfig {
-    /// The worker count a run with this configuration actually uses:
-    /// `workers` clamped to at least 1, or — when unset — one worker
-    /// per available core. This is the exact resolution
-    /// [`Explorer::run`] applies (and reports in
-    /// [`ExploreStats::workers`]); farm-style schedulers that already
-    /// occupy the cores should pin `workers: Some(1)` to keep nested
-    /// parallelism out of their jobs.
-    pub fn effective_workers(&self) -> usize {
-        match self.workers {
-            Some(w) => w.max(1),
-            None => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
         }
     }
 }
@@ -256,8 +233,6 @@ pub struct ExploreStats {
     pub dedup_hits: usize,
     /// Widest BFS level encountered (frontier peak).
     pub peak_frontier: usize,
-    /// Worker threads the exploration ran with.
-    pub workers: usize,
     /// Distinct machine states in the interning arena. At most `states`;
     /// lower when product nodes share a machine state across different
     /// monitor configurations.
@@ -437,79 +412,7 @@ fn evaluate_successor(
     masks
 }
 
-/// Where the monitors of a to-be-inserted node come from.
-enum MonsSource<'m> {
-    /// Already interned (index into the monitor-set arena).
-    Interned(u32),
-    /// Borrowed scratch — cloned only if the set turns out to be new.
-    Borrowed(&'m [Monitor]),
-    /// Owned (crossed a thread boundary) — moved into the arena if new.
-    Owned(Vec<Monitor>),
-}
-
-/// A non-pruned successor ready to be committed.
-struct Successor<'m> {
-    parent: u32,
-    rule: u32,
-    /// The successor machine state; moved into the arena when new.
-    state: &'m mut AsmState,
-    /// Stepped per-monitor fingerprints.
-    fps: &'m [u64],
-    state_hash: u64,
-    mons_combined: u64,
-    mons: MonsSource<'m>,
-}
-
-/// One successor observation from a worker, replayed at the level
-/// barrier. Buffers are merged in worker order, and each worker emits
-/// records in `(parent, rule, choice)` order, so the concatenation is
-/// exactly the sequential engine's visit order.
-enum Rec {
-    /// The stop filter pruned this path (assume violation, or assertion
-    /// violation with `stop_on_violation`). `state` is carried only when
-    /// a counterexample tail may be needed.
-    Pruned {
-        parent: u32,
-        rule: u32,
-        viol: u128,
-        cover: u128,
-        state: Option<AsmState>,
-    },
-    /// Successor resolved (exactly, incl. collision verification) to a
-    /// node already in the visited table before this level.
-    Seen {
-        parent: u32,
-        rule: u32,
-        viol: u128,
-        cover: u128,
-        to: u32,
-    },
-    /// Successor not visited before this level: carries everything the
-    /// merge needs to insert it (or to dedup it against a same-level
-    /// twin committed earlier in the replay).
-    Fresh {
-        parent: u32,
-        rule: u32,
-        viol: u128,
-        cover: u128,
-        state: AsmState,
-        state_hash: u64,
-        mons_combined: u64,
-        fps: Box<[u64]>,
-        mons: MonsRec,
-    },
-}
-
-/// Monitor payload of a [`Rec::Fresh`] record.
-enum MonsRec {
-    /// The stepped set matched one already interned before this level.
-    Interned(u32),
-    /// A new monitor configuration, cloned in the worker.
-    Owned(Vec<Monitor>),
-}
-
-/// The mutable exploration state shared by the sequential fast path and
-/// the parallel engine's merge phase (workers see it as `&Engine`).
+/// The mutable state of one exploration run.
 struct Engine<'e> {
     machine: &'e Machine,
     directives: &'e [Directive],
@@ -517,7 +420,9 @@ struct Engine<'e> {
     nodes: Vec<Node>,
     arena: StateArena,
     mon_sets: MonitorSetArena,
-    visited: ShardedIndex,
+    /// Product fingerprint (machine state ⨯ monitor set) → candidate
+    /// node indices, in insertion order.
+    visited: HashMap<u64, SmallIdxVec>,
     transitions: Vec<(usize, u32, usize)>,
     /// `verdicts[i]`: `None` = still checking, `Some` = settled.
     verdicts: Vec<Option<CheckOutcome>>,
@@ -546,10 +451,22 @@ impl Engine<'_> {
     /// collision verification against the state arena and the interned
     /// monitor fingerprints.
     fn lookup_product(&self, product_fp: u64, state: &AsmState, fps: &[u64]) -> Option<u32> {
-        self.visited.lookup(product_fp, |idx| {
+        let cands = self.visited.get(&product_fp)?;
+        cands.as_slice().iter().copied().find(|&idx| {
             let node = &self.nodes[idx as usize];
             self.arena.get(node.state) == state && *self.mon_sets.get(node.mons).fps == *fps
         })
+    }
+
+    /// Appends `node`, filing it in the visited table under `product_fp`.
+    fn push_node(&mut self, product_fp: u64, node: Node) -> u32 {
+        let idx = self.nodes.len() as u32;
+        self.visited
+            .entry(product_fp)
+            .or_insert_with(SmallIdxVec::new)
+            .push(idx);
+        self.nodes.push(node);
+        idx
     }
 
     fn apply_cover(&mut self, cover: u128) {
@@ -612,13 +529,23 @@ impl Engine<'_> {
         rev
     }
 
-    /// Deduplicates a non-pruned successor against the visited table and
-    /// records the transition, inserting a new node when the product
-    /// state is fresh. `Break` means a limit stopped the exploration.
-    fn commit_successor(&mut self, s: Successor<'_>) -> ControlFlow<()> {
-        let product_fp = mix64(s.state_hash, s.mons_combined);
-        let existing = self.lookup_product(product_fp, s.state, s.fps);
-        let to = match existing {
+    /// Deduplicates a successor the stop filter let through against the
+    /// visited table and records the transition, inserting a new node
+    /// when the product state is fresh (the arenas then take `state` and
+    /// a copy of `mons`). `Break` means the state budget stopped the
+    /// exploration.
+    fn commit_successor(
+        &mut self,
+        parent: u32,
+        rule: u32,
+        state: &mut AsmState,
+        mons: &[Monitor],
+        fps: &[u64],
+    ) -> ControlFlow<()> {
+        let state_hash = hash_state(state);
+        let mons_combined = combine_fps(fps);
+        let product_fp = mix64(state_hash, mons_combined);
+        let to = match self.lookup_product(product_fp, state, fps) {
             Some(t) => {
                 self.dedup_hits += 1;
                 t
@@ -628,39 +555,27 @@ impl Engine<'_> {
                     self.truncate(BudgetReason::MaxStates);
                     return ControlFlow::Break(());
                 }
-                let idx = self.nodes.len() as u32;
-                let depth = self.nodes[s.parent as usize].depth + 1;
-                let state_idx = self.arena.intern(s.state_hash, s.state);
-                let mons_idx = match s.mons {
-                    MonsSource::Interned(m) => m,
-                    MonsSource::Borrowed(ms) => {
-                        self.mon_sets
-                            .intern_with(s.mons_combined, s.fps, || ms.to_vec())
-                    }
-                    MonsSource::Owned(v) => {
-                        self.mon_sets.intern_with(s.mons_combined, s.fps, move || v)
-                    }
+                let node = Node {
+                    state: self.arena.intern(state_hash, state),
+                    mons: self
+                        .mon_sets
+                        .intern_with(mons_combined, fps, || mons.to_vec()),
+                    parent,
+                    rule,
+                    depth: self.nodes[parent as usize].depth + 1,
                 };
-                self.visited.insert_mut(product_fp, idx);
-                self.nodes.push(Node {
-                    state: state_idx,
-                    mons: mons_idx,
-                    parent: s.parent,
-                    rule: s.rule,
-                    depth,
-                });
-                idx
+                self.push_node(product_fp, node)
             }
         };
-        self.transitions
-            .push((s.parent as usize, s.rule, to as usize));
+        self.transitions.push((parent as usize, rule, to as usize));
         ControlFlow::Continue(())
     }
 
-    /// The sequential reference engine (`workers = 1`): a plain BFS with
-    /// the historic visit order, kept allocation-free in the hot loop by
-    /// the scratch buffers and the interning arenas.
-    fn run_sequential(&mut self) {
+    /// The breadth-first search: nodes are expanded in index order, which
+    /// is BFS order because new nodes are appended. Successors are built
+    /// in scratch buffers, so one that dedups allocates nothing; only a
+    /// new node's state and monitors move into the arenas.
+    fn bfs(&mut self) {
         let machine = self.machine;
         let mut scratch_next = AsmState { values: Vec::new() };
         let mut scratch_mons: Vec<Monitor> = Vec::new();
@@ -693,6 +608,9 @@ impl Engine<'_> {
                         self.truncate(BudgetReason::MaxTransitions);
                         break 'bfs;
                     }
+                    // An inconsistent update set is a bug in the model, not
+                    // a state to explore: the panic `Explorer::run`
+                    // documents under `# Panics`.
                     machine
                         .apply_into(self.arena.get(node.state), rule, updates, &mut scratch_next)
                         .expect("model produced an inconsistent update set");
@@ -715,276 +633,18 @@ impl Engine<'_> {
                         }
                         continue;
                     }
-                    let state_hash = hash_state(&scratch_next);
-                    let mons_combined = combine_fps(&scratch_fps);
-                    let committed = self.commit_successor(Successor {
-                        parent: node_idx,
-                        rule: rule_idx as u32,
-                        state: &mut scratch_next,
-                        fps: &scratch_fps,
-                        state_hash,
-                        mons_combined,
-                        mons: MonsSource::Borrowed(&scratch_mons),
-                    });
+                    let committed = self.commit_successor(
+                        node_idx,
+                        rule_idx as u32,
+                        &mut scratch_next,
+                        &scratch_mons,
+                        &scratch_fps,
+                    );
                     if committed.is_break() {
                         break 'bfs;
                     }
                 }
             }
-        }
-    }
-
-    /// Expands the frontier slice `lo..hi` into `out`. Runs on worker
-    /// threads with a shared `&Engine` view; the visited table and the
-    /// arenas are only read. `stop` is the early-exit flag, checked once
-    /// per node expansion.
-    fn expand_range(
-        &self,
-        lo: usize,
-        hi: usize,
-        stop: &AtomicBool,
-        viol_seen: &Mutex<u128>,
-        all_mask: u128,
-        out: &mut Vec<Rec>,
-    ) {
-        let machine = self.machine;
-        let mut scratch_next = AsmState { values: Vec::new() };
-        let mut scratch_mons: Vec<Monitor> = Vec::new();
-        let mut scratch_fps: Vec<u64> = Vec::new();
-        for node_idx in lo..hi {
-            if stop.load(Ordering::Relaxed) {
-                return;
-            }
-            let node = self.nodes[node_idx];
-            let cur = self.arena.get(node.state);
-            let parent_monitors = &self.mon_sets.get(node.mons).monitors;
-            let parent = node_idx as u32;
-            for (rule_idx, rule) in machine.rules().iter().enumerate() {
-                if !(rule.guard)(cur) {
-                    continue;
-                }
-                let rule_u = rule_idx as u32;
-                let choices = (rule.body)(cur);
-                for updates in &choices {
-                    machine
-                        .apply_into(cur, rule, updates, &mut scratch_next)
-                        .expect("model produced an inconsistent update set");
-                    let eval = evaluate_successor(
-                        machine,
-                        self.directives,
-                        parent_monitors,
-                        &scratch_next,
-                        &mut scratch_mons,
-                        &mut scratch_fps,
-                    );
-                    if eval.assume_viol || (self.config.stop_on_violation && eval.viol != 0) {
-                        out.push(Rec::Pruned {
-                            parent,
-                            rule: rule_u,
-                            viol: eval.viol,
-                            cover: eval.cover,
-                            state: (eval.viol != 0).then(|| scratch_next.clone()),
-                        });
-                        if eval.viol != 0 && self.config.stop_on_violation && all_mask != 0 {
-                            let mut seen = viol_seen.lock().expect("viol_seen poisoned");
-                            *seen |= eval.viol;
-                            // Every directive has (or will get) a settled
-                            // verdict once its bit is seen — the merge is
-                            // guaranteed to reach the records behind these
-                            // bits, so remaining expansion work is moot.
-                            if *seen == all_mask {
-                                stop.store(true, Ordering::Relaxed);
-                            }
-                        }
-                        continue;
-                    }
-                    let state_hash = hash_state(&scratch_next);
-                    let mons_combined = combine_fps(&scratch_fps);
-                    let product_fp = mix64(state_hash, mons_combined);
-                    if let Some(to) = self.lookup_product(product_fp, &scratch_next, &scratch_fps) {
-                        out.push(Rec::Seen {
-                            parent,
-                            rule: rule_u,
-                            viol: eval.viol,
-                            cover: eval.cover,
-                            to,
-                        });
-                    } else {
-                        let mons = match self.mon_sets.lookup(mons_combined, &scratch_fps) {
-                            Some(m) => MonsRec::Interned(m),
-                            None => MonsRec::Owned(scratch_mons.clone()),
-                        };
-                        out.push(Rec::Fresh {
-                            parent,
-                            rule: rule_u,
-                            viol: eval.viol,
-                            cover: eval.cover,
-                            state: scratch_next.clone(),
-                            state_hash,
-                            mons_combined,
-                            fps: scratch_fps.clone().into_boxed_slice(),
-                            mons,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    /// The parallel level-synchronous engine: expand each BFS level with
-    /// `workers` threads over contiguous frontier chunks, then replay the
-    /// per-worker record buffers in order at the level barrier. The
-    /// replay performs all verdict settling, deduplication and limit
-    /// accounting, making the run observably identical to `workers = 1`.
-    fn run_parallel(&mut self, workers: usize) {
-        let stop = AtomicBool::new(false);
-        // Union of violation bits already carried by settled verdicts —
-        // used for the early-exit: once every directive's bit is seen,
-        // the level's outcome is decided and workers may stop expanding.
-        // `assume` directives never settle, so their (always-clear) bits
-        // correctly keep the mask from filling when assumes are present.
-        let all_mask: u128 = if self.directives.is_empty() || !self.config.stop_on_violation {
-            0 // early-exit disabled
-        } else if self.directives.len() >= 128 {
-            u128::MAX
-        } else {
-            (1 << self.directives.len()) - 1
-        };
-        let mut init_seen = 0u128;
-        for (i, v) in self.verdicts.iter().enumerate() {
-            if v.is_some() {
-                init_seen |= 1 << i;
-            }
-        }
-        let viol_seen = Mutex::new(init_seen);
-
-        let mut level_start = 0usize;
-        while level_start < self.nodes.len() {
-            // the wall clock is sampled only at level barriers: workers
-            // stay free of shared cut-off state beyond the existing
-            // early-exit flag, at the cost of finishing the level in
-            // flight when the deadline lands mid-level
-            if self.past_deadline() {
-                self.truncate(BudgetReason::WallClock);
-                break;
-            }
-            let level_end = self.nodes.len();
-            let depth = self.nodes[level_start].depth;
-            self.max_depth_reached = self.max_depth_reached.max(depth as usize);
-            if let Some(max) = self.config.max_depth {
-                if depth as usize >= max {
-                    self.truncate(BudgetReason::MaxDepth);
-                    break;
-                }
-            }
-            let count = level_end - level_start;
-            let used = workers.min(count);
-            let chunk = count.div_ceil(used);
-            let mut buffers: Vec<Vec<Rec>> = (0..used).map(|_| Vec::new()).collect();
-            let eng: &Engine<'_> = &*self;
-            std::thread::scope(|s| {
-                let mut iter = buffers.iter_mut().enumerate();
-                // run the first chunk on the current thread
-                let (_, first_buf) = iter.next().expect("at least one chunk");
-                for (wi, buf) in iter {
-                    let lo = level_start + wi * chunk;
-                    let hi = (lo + chunk).min(level_end);
-                    let stop = &stop;
-                    let viol_seen = &viol_seen;
-                    s.spawn(move || eng.expand_range(lo, hi, stop, viol_seen, all_mask, buf));
-                }
-                eng.expand_range(
-                    level_start,
-                    (level_start + chunk).min(level_end),
-                    &stop,
-                    &viol_seen,
-                    all_mask,
-                    first_buf,
-                );
-            });
-
-            // Deterministic merge: replay records in (worker, emission)
-            // order — the sequential visit order — so dedup decisions,
-            // node numbering, verdicts and limit cut-offs are identical.
-            let mut halt = false;
-            'merge: for rec in buffers.into_iter().flatten() {
-                if self.transitions.len() >= self.config.max_transitions {
-                    self.truncate(BudgetReason::MaxTransitions);
-                    halt = true;
-                    break 'merge;
-                }
-                match rec {
-                    Rec::Pruned {
-                        parent,
-                        rule,
-                        viol,
-                        cover,
-                        state,
-                    } => {
-                        self.apply_cover(cover);
-                        if viol != 0 {
-                            let tail = state.expect("violating pruned record carries its state");
-                            self.settle_violations(parent, rule, viol, &tail);
-                        }
-                        if self.assert_violated_and_stop() {
-                            halt = true;
-                            break 'merge;
-                        }
-                    }
-                    Rec::Seen {
-                        parent,
-                        rule,
-                        viol,
-                        cover,
-                        to,
-                    } => {
-                        self.apply_cover(cover);
-                        if viol != 0 {
-                            let tail = self.arena.get(self.nodes[to as usize].state).clone();
-                            self.settle_violations(parent, rule, viol, &tail);
-                        }
-                        self.dedup_hits += 1;
-                        self.transitions.push((parent as usize, rule, to as usize));
-                    }
-                    Rec::Fresh {
-                        parent,
-                        rule,
-                        viol,
-                        cover,
-                        mut state,
-                        state_hash,
-                        mons_combined,
-                        fps,
-                        mons,
-                    } => {
-                        self.apply_cover(cover);
-                        if viol != 0 {
-                            self.settle_violations(parent, rule, viol, &state);
-                        }
-                        let mons = match mons {
-                            MonsRec::Interned(m) => MonsSource::Interned(m),
-                            MonsRec::Owned(v) => MonsSource::Owned(v),
-                        };
-                        let committed = self.commit_successor(Successor {
-                            parent,
-                            rule,
-                            state: &mut state,
-                            fps: &fps,
-                            state_hash,
-                            mons_combined,
-                            mons,
-                        });
-                        if committed.is_break() {
-                            halt = true;
-                            break 'merge;
-                        }
-                    }
-                }
-            }
-            if halt {
-                break;
-            }
-            level_start = level_end;
         }
     }
 }
@@ -1031,7 +691,6 @@ impl<'a> Explorer<'a> {
             directives.len() <= 128,
             "Explorer supports at most 128 attached directives"
         );
-        let workers = self.config.effective_workers();
 
         let mut engine = Engine {
             machine,
@@ -1040,7 +699,7 @@ impl<'a> Explorer<'a> {
             nodes: Vec::new(),
             arena: StateArena::new(),
             mon_sets: MonitorSetArena::new(),
-            visited: ShardedIndex::new(workers),
+            visited: HashMap::new(),
             transitions: Vec::new(),
             verdicts: vec![None; directives.len()],
             covered: vec![false; directives.len()],
@@ -1083,27 +742,19 @@ impl<'a> Explorer<'a> {
         let init_fps: Vec<u64> = init_monitors.iter().map(Monitor::fingerprint).collect();
         let state_hash = hash_state(&init_state);
         let mons_combined = combine_fps(&init_fps);
-        let state_idx = engine.arena.intern(state_hash, &mut init_state);
-        let mons_idx = engine
-            .mon_sets
-            .intern_with(mons_combined, &init_fps, move || init_monitors);
-        engine
-            .visited
-            .insert_mut(mix64(state_hash, mons_combined), 0);
-        engine.nodes.push(Node {
-            state: state_idx,
-            mons: mons_idx,
+        let root = Node {
+            state: engine.arena.intern(state_hash, &mut init_state),
+            mons: engine
+                .mon_sets
+                .intern_with(mons_combined, &init_fps, move || init_monitors),
             parent: NO_PARENT,
             rule: 0,
             depth: 0,
-        });
+        };
+        engine.push_node(mix64(state_hash, mons_combined), root);
 
         if !init_prune {
-            if workers <= 1 {
-                engine.run_sequential();
-            } else {
-                engine.run_parallel(workers);
-            }
+            engine.bfs();
         }
 
         let reports = directives
@@ -1164,7 +815,6 @@ impl<'a> Explorer<'a> {
             max_depth_reached: engine.max_depth_reached,
             dedup_hits: engine.dedup_hits,
             peak_frontier,
-            workers,
             interned_states: engine.arena.len(),
         };
         ExploreResult {

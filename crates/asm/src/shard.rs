@@ -1,16 +1,14 @@
-//! Support structures for the parallel explorer: deterministic 64-bit
-//! fingerprint mixing, interning arenas for machine states and monitor
-//! sets, and the sharded visited table.
+//! Support structures for the explorer: deterministic 64-bit fingerprint
+//! mixing, the small candidate-index vector its hash tables map to, and
+//! interning arenas for machine states and monitor sets.
 //!
 //! All hashing here is *content-based* and free of per-process seeds, so
-//! fingerprints are identical across runs, threads and worker counts —
-//! a prerequisite for the engine's determinism guarantee.
+//! fingerprints are identical across runs and processes.
 
 use crate::machine::AsmState;
 use la1_psl::Monitor;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::RwLock;
 
 /// Mixes two 64-bit values with a 128-bit multiply-fold (wyhash-style).
 /// Deterministic, seedless, and strong enough that the visited table can
@@ -204,50 +202,6 @@ impl MonitorSetArena {
     }
 }
 
-/// The sharded visited table of the product graph.
-///
-/// Maps a product fingerprint (machine state ⨯ monitor set) to candidate
-/// node indices. The table is split into `next_power_of_two(workers)`
-/// shards selected by the fingerprint's low bits; during a level's
-/// expansion all workers take shared read locks, and all insertions
-/// happen at the level barrier through `&mut self` (so the merge pays no
-/// lock acquisition at all via [`RwLock::get_mut`]).
-pub(crate) struct ShardedIndex {
-    shards: Box<[RwLock<HashMap<u64, SmallIdxVec>>]>,
-    mask: u64,
-}
-
-impl ShardedIndex {
-    pub(crate) fn new(workers: usize) -> Self {
-        let n = workers.max(1).next_power_of_two();
-        ShardedIndex {
-            shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
-            mask: n as u64 - 1,
-        }
-    }
-
-    /// Looks up `fp`, returning the first candidate accepted by `verify`
-    /// (the caller's exact state + monitor-fingerprint comparison, which
-    /// screens out 64-bit collisions). Candidates are scanned in
-    /// insertion order, which is deterministic.
-    pub(crate) fn lookup(&self, fp: u64, mut verify: impl FnMut(u32) -> bool) -> Option<u32> {
-        let shard = self.shards[(fp & self.mask) as usize]
-            .read()
-            .expect("visited shard poisoned");
-        let cands = shard.get(&fp)?;
-        cands.as_slice().iter().copied().find(|&i| verify(i))
-    }
-
-    /// Inserts through `&mut self` — lock-free; used by the sequential
-    /// engine and by the level-barrier merge.
-    pub(crate) fn insert_mut(&mut self, fp: u64, idx: u32) {
-        let shard = self.shards[(fp & self.mask) as usize]
-            .get_mut()
-            .expect("visited shard poisoned");
-        shard.entry(fp).or_insert_with(SmallIdxVec::new).push(idx);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,20 +244,5 @@ mod tests {
         assert_ne!(ia, ic);
         assert_eq!(arena.len(), 2);
         assert_eq!(arena.get(ic), &mk(2));
-    }
-
-    #[test]
-    fn sharded_index_lookup_and_insert() {
-        let mut idx = ShardedIndex::new(4);
-        assert_eq!(idx.lookup(42, |_| true), None);
-        idx.insert_mut(42, 7);
-        idx.insert_mut(42, 9);
-        assert_eq!(idx.lookup(42, |_| true), Some(7), "insertion order wins");
-        assert_eq!(
-            idx.lookup(42, |i| i == 9),
-            Some(9),
-            "verify screens candidates"
-        );
-        assert_eq!(idx.lookup(42, |_| false), None);
     }
 }

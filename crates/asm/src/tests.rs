@@ -83,7 +83,7 @@ fn exploration_respects_state_limit() {
     };
     let r = Explorer::new(&m, cfg).run();
     assert!(r.stats.truncated);
-    assert!(r.fsm.num_states() <= 10);
+    assert_eq!(r.fsm.num_states(), 10);
 }
 
 #[test]
@@ -158,33 +158,26 @@ fn budget_verdicts_name_the_limit_that_fired() {
 #[test]
 fn wall_clock_budget_returns_partial() {
     // an effectively infinite state space with a zero budget stops at
-    // the first deadline check instead of exploring 200k states, for
-    // both the sequential and the parallel engine
+    // the first deadline check instead of exploring 200k states
     let m = counter(i64::MAX);
-    for workers in [1, 4] {
-        let cfg = ExploreConfig {
-            wall_clock: Some(std::time::Duration::ZERO),
-            workers: Some(workers),
-            ..ExploreConfig::default()
-        };
-        let r = Explorer::new(&m, cfg).run();
-        assert!(
-            matches!(
-                r.stats.verdict,
-                ExploreVerdict::Partial {
-                    reason: BudgetReason::WallClock,
-                    ..
-                }
-            ),
-            "workers={workers}: {:?}",
-            r.stats.verdict
-        );
-        assert!(r.stats.truncated);
-        assert!(
-            r.fsm.num_states() < 200_000,
-            "workers={workers}: deadline ignored"
-        );
-    }
+    let cfg = ExploreConfig {
+        wall_clock: Some(std::time::Duration::ZERO),
+        ..ExploreConfig::default()
+    };
+    let r = Explorer::new(&m, cfg).run();
+    assert!(
+        matches!(
+            r.stats.verdict,
+            ExploreVerdict::Partial {
+                reason: BudgetReason::WallClock,
+                ..
+            }
+        ),
+        "{:?}",
+        r.stats.verdict
+    );
+    assert!(r.stats.truncated);
+    assert!(r.fsm.num_states() < 200_000, "deadline ignored");
 }
 
 #[test]
@@ -405,15 +398,10 @@ fn fsm_dot_export_structure() {
     assert!(dot.contains("wrap"));
 }
 
-// Property-based tests live behind the optional `proptest` feature
-// (`cargo test --workspace --features proptest`); the dependency is a
-// vendored offline shim (see vendor/proptest) that cannot be resolved
-// from the registry in the offline build environment.
-// ---- parallel engine -------------------------------------------------------
+// ---- a wide state space ---------------------------------------------------
 
-/// A 4×4 grid machine: two independent counters, so BFS levels are wide
-/// and full of diamond reconvergence — a good workout for dedup and the
-/// level-synchronous engine.
+/// An `(n+1)×(n+1)` grid machine: two independent counters, so BFS levels
+/// are wide and full of diamond reconvergence — a good workout for dedup.
 fn grid(n: i64) -> Machine {
     let mut b = MachineBuilder::new();
     let a = b.var("a", Value::Int(0));
@@ -434,11 +422,10 @@ fn grid(n: i64) -> Machine {
     b.build()
 }
 
-fn run_grid(workers: usize, dirs: &[Directive], stop_on_violation: bool) -> ExploreResult {
+fn run_grid(dirs: &[Directive], stop_on_violation: bool) -> ExploreResult {
     Explorer::new(
         &grid(3),
         ExploreConfig {
-            workers: Some(workers),
             stop_on_violation,
             ..ExploreConfig::default()
         },
@@ -452,14 +439,7 @@ fn diamond_dedup_hits_count_revisits() {
     // a ⨯ c diamond: (0,0) → (1,0)/(0,1) → (1,1); the second arrival at
     // (1,1) is the one dedup hit
     let m = grid(1);
-    let r = Explorer::new(
-        &m,
-        ExploreConfig {
-            workers: Some(1),
-            ..ExploreConfig::default()
-        },
-    )
-    .run();
+    let r = Explorer::new(&m, ExploreConfig::default()).run();
     assert_eq!(r.fsm.num_states(), 4);
     assert_eq!(r.fsm.num_transitions(), 4);
     assert_eq!(r.stats.dedup_hits, 1);
@@ -470,122 +450,38 @@ fn diamond_dedup_hits_count_revisits() {
     );
     assert_eq!(r.stats.interned_states, 4);
     assert_eq!(r.stats.peak_frontier, 2);
-    assert_eq!(r.stats.workers, 1);
     assert_eq!(r.stats.max_depth_reached, 2);
 }
 
 #[test]
-fn parallel_workers_match_sequential_exactly() {
-    let dirs = assert_dirs(&[
+fn grid_counterexample_is_bfs_shortest() {
+    // invariants that hold leave the whole 16-state grid explored
+    let holds = assert_dirs(&[
         "assert bounded : always in_range",
         "assert diag_ok : always (diag -> in_range)",
     ]);
-    let base = run_grid(1, &dirs, true);
-    assert!(base.all_pass());
-    assert_eq!(base.fsm.num_states(), 16);
-    for workers in [2, 4] {
-        let r = run_grid(workers, &dirs, true);
-        assert_eq!(r.stats.workers, workers);
-        // byte-identical FSM: same states in the same order, same
-        // transition list, same verdicts
-        assert_eq!(r.fsm.states(), base.fsm.states(), "workers={workers}");
-        let t: Vec<_> = r.fsm.transitions().collect();
-        let tb: Vec<_> = base.fsm.transitions().collect();
-        assert_eq!(t, tb, "workers={workers}");
-        assert_eq!(r.stats.states, base.stats.states);
-        assert_eq!(r.stats.transitions, base.stats.transitions);
-        assert_eq!(r.stats.dedup_hits, base.stats.dedup_hits);
-        assert_eq!(r.stats.peak_frontier, base.stats.peak_frontier);
-        assert_eq!(r.stats.interned_states, base.stats.interned_states);
-        assert_eq!(r.stats.max_depth_reached, base.stats.max_depth_reached);
-        assert_eq!(r.stats.truncated, base.stats.truncated);
-        assert!(r.all_pass());
-    }
-}
-
-#[test]
-fn effective_workers_pins_the_default_resolution() {
-    // explicit counts pass through (clamped to at least 1)...
-    for w in [1usize, 3, 8] {
-        let cfg = ExploreConfig {
-            workers: Some(w),
-            ..ExploreConfig::default()
-        };
-        assert_eq!(cfg.effective_workers(), w);
-    }
-    let clamped = ExploreConfig {
-        workers: Some(0),
-        ..ExploreConfig::default()
-    };
-    assert_eq!(clamped.effective_workers(), 1);
-    // ...and the default is one worker per available core — the
-    // parallel path is on unless a caller opts back into `Some(1)`
-    let default = ExploreConfig::default();
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    assert_eq!(default.effective_workers(), cores);
-    // the resolution is exactly what a run reports
-    let m = grid(1);
-    let r = Explorer::new(&m, ExploreConfig::default()).run();
-    assert_eq!(r.stats.workers, cores);
-}
-
-#[test]
-fn parallel_violation_same_counterexample_length() {
-    // `corner` is first reachable at depth 6, so every engine must
-    // report a 7-entry counterexample (initial state + 6 rules)
+    let r = run_grid(&holds, true);
+    assert!(r.all_pass());
+    assert_eq!(r.fsm.num_states(), 16);
+    // `corner` is first reachable at depth 6, so BFS reports a 7-entry
+    // counterexample (initial state + 6 rules); without the stop filter
+    // the full grid is explored and the counterexample is the same length
     let dirs = assert_dirs(&["assert never_corner : always !corner"]);
-    let base = run_grid(1, &dirs, true);
-    let base_cex = base.first_counterexample().expect("violated").path.len();
-    assert_eq!(base_cex, 7);
-    for workers in [2, 4] {
-        let r = run_grid(workers, &dirs, true);
-        let cex = r.first_counterexample().expect("violated").path.len();
-        assert_eq!(cex, base_cex, "workers={workers}");
+    for stop_on_violation in [true, false] {
+        let r = run_grid(&dirs, stop_on_violation);
         assert!(!r.all_pass());
+        let cex = r.first_counterexample().expect("violated");
+        assert_eq!(cex.path.len(), 7, "stop_on_violation={stop_on_violation}");
+        if !stop_on_violation {
+            assert_eq!(r.fsm.num_states(), 16);
+        }
     }
 }
 
-#[test]
-fn parallel_without_stop_filter_matches_sequential() {
-    // with stop_on_violation=false the engines must agree even on
-    // violating runs: the full grid is explored either way
-    let dirs = assert_dirs(&["assert never_corner : always !corner"]);
-    let base = run_grid(1, &dirs, false);
-    assert_eq!(base.fsm.num_states(), 16);
-    for workers in [2, 4] {
-        let r = run_grid(workers, &dirs, false);
-        assert_eq!(r.fsm.states(), base.fsm.states(), "workers={workers}");
-        assert_eq!(r.stats.transitions, base.stats.transitions);
-        assert_eq!(r.stats.dedup_hits, base.stats.dedup_hits);
-        let (Some(c1), Some(c2)) = (base.first_counterexample(), r.first_counterexample()) else {
-            panic!("both runs must violate");
-        };
-        assert_eq!(c1.path.len(), c2.path.len());
-    }
-}
-
-#[test]
-fn parallel_respects_state_limit_deterministically() {
-    let cfg = |workers| ExploreConfig {
-        workers: Some(workers),
-        max_states: 7,
-        ..ExploreConfig::default()
-    };
-    let base = Explorer::new(&grid(3), cfg(1)).run();
-    assert!(base.stats.truncated);
-    assert_eq!(base.fsm.num_states(), 7);
-    for workers in [2, 4] {
-        let r = Explorer::new(&grid(3), cfg(workers)).run();
-        assert!(r.stats.truncated);
-        assert_eq!(r.fsm.states(), base.fsm.states(), "workers={workers}");
-        let t: Vec<_> = r.fsm.transitions().collect();
-        let tb: Vec<_> = base.fsm.transitions().collect();
-        assert_eq!(t, tb, "workers={workers}");
-    }
-}
-
+// Property-based tests live behind the optional `proptest` feature
+// (`cargo test --workspace --features proptest`); the dependency is a
+// vendored offline shim (see vendor/proptest) that cannot be resolved
+// from the registry in the offline build environment.
 #[cfg(feature = "proptest")]
 mod props {
     use super::*;

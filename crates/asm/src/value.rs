@@ -55,8 +55,8 @@ impl Value {
     }
 
     /// A fast deterministic 64-bit content fingerprint, used by the
-    /// explorer's sharded visited table. Symbols hash by content, not by
-    /// pointer, so fingerprints are stable across runs and threads.
+    /// explorer's visited table and state arena. Symbols hash by content,
+    /// not by pointer, so fingerprints are stable across runs.
     pub(crate) fn fp64(&self) -> u64 {
         const K_BOOL: u64 = 0x9E6C_63C5_D1B4_5A97;
         const K_INT: u64 = 0xC2B2_AE3D_27D4_EB4F;
@@ -85,10 +85,13 @@ impl Value {
 /// Each distinct name is leaked exactly once.
 pub fn intern_sym(name: &str) -> &'static str {
     use std::collections::HashSet;
-    use std::sync::{Mutex, OnceLock};
+    use std::sync::{Mutex, OnceLock, PoisonError};
     static TABLE: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
     let table = TABLE.get_or_init(|| Mutex::new(HashSet::new()));
-    let mut guard = table.lock().unwrap();
+    // The set is only ever inserted into, one whole leaked name at a
+    // time, so a guard recovered from a poisoned lock still holds a
+    // consistent table.
+    let mut guard = table.lock().unwrap_or_else(PoisonError::into_inner);
     if let Some(&s) = guard.get(name) {
         return s;
     }

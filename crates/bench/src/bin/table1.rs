@@ -16,7 +16,6 @@ fn json_row(row: &Table1Row) -> Json {
         ("nodes", Json::num(row.nodes as u64)),
         ("transitions", Json::num(row.transitions as u64)),
         ("cpu_ms", Json::fixed(row.cpu_time.as_secs_f64() * 1e3, 3)),
-        ("workers", Json::num(row.workers as u64)),
     ])
 }
 

@@ -44,15 +44,11 @@ pub struct Table1Row {
     pub transitions: usize,
     /// Whether all properties passed.
     pub all_pass: bool,
-    /// Worker threads the exploration ran with.
-    pub workers: usize,
 }
 
 /// Runs one Table 1 row: model checking of all interface properties
 /// combined, at the ASM level, with a bounded exploration (the AsmL
-/// tool's configuration limits). Uses the explorer's default worker
-/// count (one per core); results do not depend on it, only `cpu_time`
-/// does.
+/// tool's configuration limits).
 pub fn table1_row(banks: u32, max_depth: usize) -> Table1Row {
     let cfg = table_config(banks);
     let r = asm_model_check(
@@ -71,7 +67,6 @@ pub fn table1_row(banks: u32, max_depth: usize) -> Table1Row {
         nodes: r.fsm.num_states(),
         transitions: r.fsm.num_transitions(),
         all_pass: r.all_pass(),
-        workers: r.stats.workers,
     }
 }
 

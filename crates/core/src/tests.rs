@@ -255,28 +255,37 @@ fn asm_model_checks_clean_on_one_bank() {
     assert!(matches!(cover.outcome, CheckOutcome::Covered));
 }
 
-/// Table 1's explorer counts at depth 3. The visited set is keyed by
-/// monitor fingerprints, so a change to how monitors digest their
-/// obligations that merges or splits product states moves these.
+/// Table 1's explorer counts at depth 3 (the 4-bank row is also the
+/// benchmark's `formal_proof` configuration). The visited set is keyed
+/// by monitor fingerprints, so a change to how monitors digest their
+/// obligations that merges or splits product states moves these. The
+/// model-checking geometry (`mc_small`: 2 words of 2 bits per bank)
+/// explores product graphs of the same size, and passes as well.
 #[test]
 fn table1_explorer_counts() {
-    for (banks, states, transitions) in [(1, 184, 274), (2, 1_591, 2_716), (3, 6_434, 14_078)] {
+    for (cfg, states, transitions) in [
+        (small_cfg(1), 184, 274),
+        (small_cfg(2), 1_591, 2_716),
+        (small_cfg(3), 6_434, 14_078),
+        (small_cfg(4), 18_157, 62_680),
+        (LaConfig::mc_small(2), 1_591, 2_716),
+        (LaConfig::mc_small(3), 6_434, 14_078),
+    ] {
         let r = crate::harness::asm_model_check(
-            &small_cfg(banks),
+            &cfg,
             ExploreConfig {
                 max_depth: Some(3),
                 max_states: 5_000_000,
                 max_transitions: 20_000_000,
                 stop_on_violation: true,
-                workers: Some(1),
                 ..ExploreConfig::default()
             },
         );
-        assert!(r.all_pass(), "{banks} bank(s): {:?}", r.reports);
+        assert!(r.all_pass(), "{cfg:?}: {:?}", r.reports);
         assert_eq!(
             (r.fsm.num_states(), r.fsm.num_transitions()),
             (states, transitions),
-            "{banks} bank(s)"
+            "{cfg:?}"
         );
     }
 }
@@ -319,14 +328,41 @@ fn asm_rejects_out_of_range_actions() {
 
 #[test]
 fn asm_violation_produces_counterexample() {
-    // claim data valid never rises: falsified by any read
-    let model = LaAsmModel::new(&small_cfg(1));
-    let bad = la1_psl::parse_directive("assert never_dv : always !dv0").unwrap();
-    let r = la1_asm::Explorer::new(model.machine(), ExploreConfig::default())
-        .with_directives(&[bad])
-        .run();
-    let cex = r.first_counterexample().expect("counterexample");
-    assert!(cex.path.len() >= 3, "read + 2 latency cycles");
+    // BFS reports the shortest violating path: the initial state, then
+    // one rule per step. `always !dv0` falls to a read and its two
+    // latency cycles; `always !rd0` (2 banks, depth-bounded) to the
+    // read itself.
+    let cases = [
+        (
+            small_cfg(1),
+            "assert never_dv : always !dv0",
+            None,
+            &["SimManager_Init", "tick_read", "tick_idle", "tick_idle"][..],
+        ),
+        (
+            LaConfig::mc_small(2),
+            "assert no_reads_ever : always !rd0",
+            Some(3),
+            &["SimManager_Init", "tick_read"][..],
+        ),
+    ];
+    for (cfg, src, max_depth, rules) in cases {
+        let model = LaAsmModel::new(&cfg);
+        let bad = la1_psl::parse_directive(src).unwrap();
+        let explore = ExploreConfig {
+            max_depth,
+            ..ExploreConfig::default()
+        };
+        let r = la1_asm::Explorer::new(model.machine(), explore)
+            .with_directives(&[bad])
+            .run();
+        let cex = r.first_counterexample().expect("counterexample");
+        let path: Vec<Option<&str>> = cex.path.iter().map(|(rule, _)| rule.as_deref()).collect();
+        let expected: Vec<Option<&str>> = std::iter::once(None)
+            .chain(rules.iter().map(|&rule| Some(rule)))
+            .collect();
+        assert_eq!(path, expected, "{src}");
+    }
 }
 
 // ---- conformance ASM <-> SystemC --------------------------------------------------

@@ -61,8 +61,7 @@ pub enum FarmJob {
     Explore {
         /// Interface configuration to explore.
         config: LaConfig,
-        /// Exploration limits; plans pin `workers: Some(1)` so farm
-        /// jobs do not nest thread pools.
+        /// Exploration limits.
         explore: ExploreConfig,
     },
 }
@@ -397,8 +396,7 @@ pub enum FarmPlan {
     Explore {
         /// The configurations to explore.
         configs: Vec<LaConfig>,
-        /// Shared exploration limits (`workers` is pinned to
-        /// `Some(1)` per job so the farm's pool is the only one).
+        /// Shared exploration limits.
         explore: ExploreConfig,
     },
 }
@@ -453,10 +451,7 @@ impl FarmPlan {
                 .iter()
                 .map(|config| FarmJob::Explore {
                     config: config.clone(),
-                    explore: ExploreConfig {
-                        workers: Some(1),
-                        ..explore.clone()
-                    },
+                    explore: explore.clone(),
                 })
                 .collect(),
         }

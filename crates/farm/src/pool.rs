@@ -2,10 +2,8 @@
 //! job-id slots, and emits them to the stream callback strictly in
 //! job-id order — now with per-attempt fault isolation.
 //!
-//! The scheduling machinery mirrors the PR-1 exploration engine's
-//! determinism recipe (`crates/asm/src/shard.rs` and the
-//! level-synchronous merge): workers race only over *which* job they
-//! claim, never over what a job computes or where its result lands.
+//! Workers race only over *which* job they claim, never over what a
+//! job computes or where its result lands.
 //! Claims come from one atomic counter, results go into per-job slots,
 //! and the main thread replays the slots in index order — so the
 //! result vector, the merged report and the `--serve` stream are
